@@ -52,13 +52,6 @@ class EquilibriumSchedule:
             raise DomainError(f"rank {theta!r} outside [0, 1]")
         return self.bands[bisect_right(self.policy.cutpoints, theta)]
 
-    def breakpoints(self) -> list[float]:
-        """Band boundaries plus switch points: the kinks of effort and score."""
-        pts = [0.0, 1.0]
-        pts.extend(self.policy.cutpoints)
-        pts.extend(b.switch_point for b in self.bands if b.switch_point is not None)
-        return sorted(set(pts))
-
 
 def _transfer_at(pop: PopulationSpec, effort: float) -> float:
     try:
@@ -70,28 +63,43 @@ def _transfer_at(pop: PopulationSpec, effort: float) -> float:
         ) from exc
 
 
-def _band_effort(pop: PopulationSpec, band: BandSolution, theta: float) -> float:
+def _band_functions(pop: PopulationSpec, band: BandSolution):
+    """Band k's effort and score as functions of theta: (effort, score).
+
+    The band constants, the score floor g(threshold_k) * f(c_k) and the idle
+    transfer g(e0), are computed once here rather than at every theta.
+    """
+    e0 = pop.e0
+    f = pop.f.evaluate
+    idle = pop.g.evaluate(e0)
     if band.threshold_effort is None:
-        return pop.e0
-    g = pop.g
-    target = _transfer_at(pop, band.threshold_effort) * pop.f.evaluate(band.lo) / pop.f.evaluate(theta)
-    idle = g.evaluate(pop.e0)
-    if target <= idle:
-        return pop.e0
-    try:
-        return g.invert(target)
-    except RangeError as exc:
-        raise ModelError(
-            f"score target {target!r} outside the image of the effort transfer"
-        ) from exc
+        return (lambda theta: e0), (lambda theta: idle * f(theta))
+    floor = _transfer_at(pop, band.threshold_effort) * f(band.lo)
+    g_invert = pop.g.invert
+
+    def effort(theta: float) -> float:
+        target = floor / f(theta)
+        if target <= idle:
+            return e0
+        try:
+            return g_invert(target)
+        except RangeError as exc:
+            raise ModelError(
+                f"score target {target!r} outside the image of the effort transfer"
+            ) from exc
+
+    def score(theta: float) -> float:
+        return max(floor, idle * f(theta))
+
+    return effort, score
+
+
+def _band_effort(pop: PopulationSpec, band: BandSolution, theta: float) -> float:
+    return _band_functions(pop, band)[0](theta)
 
 
 def _band_score(pop: PopulationSpec, band: BandSolution, theta: float) -> float:
-    idle_score = pop.g.evaluate(pop.e0) * pop.f.evaluate(theta)
-    if band.threshold_effort is None:
-        return idle_score
-    floor = _transfer_at(pop, band.threshold_effort) * pop.f.evaluate(band.lo)
-    return max(floor, idle_score)
+    return _band_functions(pop, band)[1](theta)
 
 
 def solve(population: PopulationSpec, policy: RewardPolicy) -> EquilibriumSchedule:
@@ -132,10 +140,6 @@ def effort_at(schedule: EquilibriumSchedule, theta: float) -> float:
 
 def score_at(schedule: EquilibriumSchedule, theta: float) -> float:
     return _band_score(schedule.population, schedule.band_of(theta), theta)
-
-
-def reward_level_at(schedule: EquilibriumSchedule, theta: float) -> float:
-    return schedule.policy.levels[schedule.band_of(theta).k]
 
 
 def threshold_indifference_residuals(schedule: EquilibriumSchedule) -> list[float]:
@@ -183,6 +187,7 @@ def check_rank_preservation(schedule: EquilibriumSchedule, grid_size: int) -> Ra
     policy = schedule.policy
     thetas = [i / (grid_size - 1) for i in range(grid_size)]
     thetas = sorted(set(thetas) | set(policy.cutpoints))
+    scores = [_band_functions(schedule.population, b)[1] for b in schedule.bands]
     violations: list[RankCheckViolation] = []
     band_min: dict[int, float] = {}
     band_max: dict[int, float] = {}
@@ -192,7 +197,7 @@ def check_rank_preservation(schedule: EquilibriumSchedule, grid_size: int) -> Ra
         actual = policy.levels[policy.band_of(theta)]
         if actual != expected:
             violations.append(RankCheckViolation(theta, "reward-mismatch", actual - expected))
-        s = _band_score(schedule.population, band, theta)
+        s = scores[band.k](theta)
         band_min[band.k] = min(band_min.get(band.k, math.inf), s)
         band_max[band.k] = max(band_max.get(band.k, -math.inf), s)
     for k in range(1, policy.k):
@@ -274,17 +279,12 @@ def sample_schedule(schedule: EquilibriumSchedule, grid: int) -> list[tuple[floa
         raise DomainError("grid must be at least 2")
     thetas = {i / (grid - 1) for i in range(grid)}
     thetas.update(schedule.policy.cutpoints)
+    functions = [_band_functions(schedule.population, b) for b in schedule.bands]
     rows = []
     for theta in sorted(thetas):
-        band = schedule.band_of(theta)
-        rows.append(
-            (
-                theta,
-                band.k,
-                _band_effort(schedule.population, band, theta),
-                _band_score(schedule.population, band, theta),
-            )
-        )
+        k = schedule.band_of(theta).k
+        effort, score = functions[k]
+        rows.append((theta, k, effort(theta), score(theta)))
     return rows
 
 

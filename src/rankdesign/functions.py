@@ -3,19 +3,18 @@
 Three roles appear throughout the library: a skill quantile on [0, 1],
 a concave effort-to-score transfer on [0, inf), and a convex effort cost
 on [0, inf).  All are represented by :class:`FunctionSpec` subclasses that
-support evaluation, exact or bisection-based inversion, and derivatives.
+support evaluation, exact inversion, and derivatives.  Parameters must be
+finite; a non-finite one is rejected when the object is built.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ModelError, RangeError
-
-BISECT_REL_TOL = 1e-12
-BISECT_MAX_ITER = 200
 
 
 class Role(enum.Enum):
@@ -30,20 +29,33 @@ class FunctionSpec:
 
     role: Role | None = field(default=None, kw_only=True)
 
-    # subclasses must define: domain, evaluate, invert, derivative,
-    # exact_derivative, to_json
+    # subclasses must call _set_domain when built and define: evaluate,
+    # invert, derivative, exact_derivative, to_json
+
+    def _set_domain(self, lo: float, hi: float) -> None:
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
 
     @property
     def domain(self) -> tuple[float, float]:
-        raise NotImplementedError
+        return (self._lo, self._hi)
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """Interior points of the domain where the function is not smooth."""
+        return ()
 
     def _check_domain(self, x: float) -> None:
-        lo, hi = self.domain
-        if not (lo <= x <= hi):
-            raise DomainError(f"x={x!r} outside domain [{lo}, {hi}] of {self!r}")
+        if not (self._lo <= x <= self._hi):
+            raise DomainError(f"x={x!r} outside domain [{self._lo}, {self._hi}] of {self!r}")
 
     def __call__(self, x: float) -> float:
         return self.evaluate(x)
+
+
+def _require_finite(name: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"{name} parameters must be finite, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -56,13 +68,11 @@ class Power(FunctionSpec):
     exact_derivative = True
 
     def __post_init__(self):
+        _require_finite("Power", self.scale, self.exponent)
         if self.scale <= 0 or self.exponent <= 0:
             raise DomainError("Power requires scale > 0 and exponent > 0")
+        self._set_domain(0.0, math.inf)
         _check_role_curvature(self)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (0.0, math.inf)
 
     def evaluate(self, x: float) -> float:
         self._check_domain(x)
@@ -94,13 +104,11 @@ class AffinePower(FunctionSpec):
     exact_derivative = True
 
     def __post_init__(self):
+        _require_finite("AffinePower", self.scale, self.exponent, self.offset)
         if self.scale <= 0 or self.exponent <= 0:
             raise DomainError("AffinePower requires scale > 0 and exponent > 0")
+        self._set_domain(0.0, math.inf)
         _check_role_curvature(self)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (0.0, math.inf)
 
     def evaluate(self, x: float) -> float:
         self._check_domain(x)
@@ -128,11 +136,13 @@ class AffinePower(FunctionSpec):
 
 @dataclass(frozen=True)
 class PiecewiseMonotone(FunctionSpec):
-    """Linear interpolation through knots with strictly increasing y.
+    """Linear interpolation through finite knots with strictly increasing y.
 
-    Inversion is by bisection (relative tolerance 1e-12, at most 200
-    iterations); derivatives are central finite differences and therefore
-    approximate, with one-sided differences at the domain boundary.
+    Evaluation and inversion locate the segment by binary search over the
+    knot xs (or ys) and interpolate linearly, so the inverse is exact: a knot
+    y maps back to its knot x.  Derivatives are central finite differences
+    and therefore approximate, with one-sided differences at the domain
+    boundary.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -144,17 +154,21 @@ class PiecewiseMonotone(FunctionSpec):
         object.__setattr__(self, "knots", knots)
         if len(knots) < 2:
             raise DomainError("PiecewiseMonotone needs at least two knots")
-        xs = [x for x, _ in knots]
-        ys = [y for _, y in knots]
+        xs = tuple(x for x, _ in knots)
+        ys = tuple(y for _, y in knots)
+        _require_finite("PiecewiseMonotone", *xs, *ys)
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("knot x values must be strictly increasing")
         if any(b <= a for a, b in zip(ys, ys[1:])):
             raise DomainError("knot y values must be strictly increasing")
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
+        self._set_domain(xs[0], xs[-1])
         _check_role_curvature(self)
 
     @property
-    def domain(self) -> tuple[float, float]:
-        return (self.knots[0][0], self.knots[-1][0])
+    def kinks(self) -> tuple[float, ...]:
+        return self._xs[1:-1]
 
     def _slopes(self) -> list[float]:
         return [
@@ -164,30 +178,24 @@ class PiecewiseMonotone(FunctionSpec):
 
     def evaluate(self, x: float) -> float:
         self._check_domain(x)
-        for (x0, y0), (x1, y1) in zip(self.knots, self.knots[1:]):
-            if x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return self.knots[-1][1]
+        xs, ys = self._xs, self._ys
+        i = bisect_left(xs, x, 1, len(xs) - 1)
+        x0, y0 = xs[i - 1], ys[i - 1]
+        return y0 + (ys[i] - y0) * (x - x0) / (xs[i] - x0)
 
     def invert(self, y: float) -> float:
-        y0 = self.knots[0][1]
-        y1 = self.knots[-1][1]
-        if not (y0 <= y <= y1):
-            raise RangeError(f"y={y!r} outside image [{y0}, {y1}] of piecewise spec")
-        lo, hi = self.domain
-        for _ in range(BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if self.evaluate(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= BISECT_REL_TOL * max(1.0, abs(hi)):
-                break
-        return 0.5 * (lo + hi)
+        xs, ys = self._xs, self._ys
+        if not (ys[0] <= y <= ys[-1]):
+            raise RangeError(f"y={y!r} outside image [{ys[0]}, {ys[-1]}] of piecewise spec")
+        i = bisect_left(ys, y, 1, len(ys) - 1)
+        if y == ys[i]:
+            return xs[i]
+        x0, y0 = xs[i - 1], ys[i - 1]
+        return x0 + (xs[i] - x0) * (y - y0) / (ys[i] - y0)
 
     def derivative(self, x: float) -> float:
         self._check_domain(x)
-        lo, hi = self.domain
+        lo, hi = self._lo, self._hi
         h = 1e-6 * max(1.0, abs(x))
         if x - h < lo:
             return (self.evaluate(x + h) - self.evaluate(x)) / h
@@ -248,11 +256,14 @@ def function_from_json(obj: dict, role: Role | None = None) -> FunctionSpec:
     family = obj["family"]
     if family not in _FAMILIES:
         raise DomainError(f"unknown function family {family!r}")
-    if family == "power":
-        return Power(obj["scale"], obj["exponent"], role=role)
-    if family == "affine_power":
-        return AffinePower(obj["scale"], obj["exponent"], obj["offset"], role=role)
-    knots = tuple((float(x), float(y)) for x, y in obj["knots"])
+    try:
+        if family == "power":
+            return Power(float(obj["scale"]), float(obj["exponent"]), role=role)
+        if family == "affine_power":
+            return AffinePower(float(obj["scale"]), float(obj["exponent"]), float(obj["offset"]), role=role)
+        knots = tuple((float(x), float(y)) for x, y in obj["knots"])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{family} parameters must be numbers: {exc}") from exc
     return PiecewiseMonotone(knots, role=role)
 
 
@@ -302,12 +313,18 @@ class PopulationSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "PopulationSpec":
+        if not isinstance(obj, dict):
+            raise DomainError(f"population spec must be an object, got {obj!r}")
+        try:
+            e0 = float(obj.get("e0", 0.0))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"population spec e0 must be a number: {exc}") from exc
         try:
             return PopulationSpec(
                 f=function_from_json(obj["f"], Role.SKILL_QUANTILE),
                 g=function_from_json(obj["g"], Role.EFFORT_TRANSFER),
                 p=function_from_json(obj["p"], Role.COST_FUNCTION),
-                e0=float(obj.get("e0", 0.0)),
+                e0=e0,
             )
         except KeyError as exc:
             raise DomainError(f"population spec missing field {exc.args[0]!r}") from exc

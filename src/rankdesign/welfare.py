@@ -7,15 +7,20 @@ Three stakeholders, three functionals over the unit mass of applicants:
 * private utility    = E[v * reward]         (the school sees only admits)
 
 All are band-wise integrals of piecewise-smooth functions, so quadrature is
-split at band cutpoints and switch points.
+split at band cutpoints, switch points and every kink the primitives put
+into a band's integrands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equilibrium import EquilibriumSchedule, _band_effort, _band_score
+from .equilibrium import EquilibriumSchedule, _band_effort, _band_functions, _band_score  # noqa: F401
+from .errors import DomainError, RangeError
 from .quadrature import DEFAULT_REL_TOL, integrate_piecewise
+
+# The integrands below use _band_functions; _band_effort and _band_score stay
+# importable from this module because perfbench/tracing.py wraps them here.
 
 
 @dataclass(frozen=True)
@@ -41,14 +46,32 @@ class WelfareReport:
 
 
 def _band_pieces(schedule: EquilibriumSchedule, k: int) -> list[float]:
+    """Breakpoints of band k's integrands: every kink, so each piece is smooth.
+
+    Effort and score bend at the switch point and at the kinks of f; effort
+    also bends where it crosses a kink x of g or p, at the rank theta where
+    g(threshold) * f(lo) / f(theta) = g(x).  Points whose image or domain
+    check fails do not occur in the band and are skipped.
+    """
+    pop = schedule.population
     band = schedule.bands[k]
-    pts = {band.lo, band.hi}
+    lo, hi = band.lo, band.hi
+    pts = {lo, hi}
     if band.switch_point is not None:
         pts.add(band.switch_point)
+    candidates = list(pop.f.kinks)
+    if band.threshold_effort is not None:
+        floor = pop.g.evaluate(band.threshold_effort) * pop.f.evaluate(lo)
+        for x in pop.g.kinks + pop.p.kinks:
+            try:
+                candidates.append(pop.f.invert(floor / pop.g.evaluate(x)))
+            except (DomainError, RangeError, ZeroDivisionError):
+                continue
+    pts.update(theta for theta in candidates if lo < theta < hi)
     # the integrand varies on the scale of the band's lower edge (effort decays
     # like a power of lo/theta); a geometric ladder keeps each piece resolvable
-    edge = band.lo
-    while 0.0 < edge < 0.125 * band.hi:
+    edge = lo
+    while 0.0 < edge < 0.125 * hi:
         edge *= 2.0
         pts.add(edge)
     return sorted(pts)
@@ -57,10 +80,11 @@ def _band_pieces(schedule: EquilibriumSchedule, k: int) -> list[float]:
 def band_effort_cost(schedule: EquilibriumSchedule, k: int, rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float]:
     """Integral of p(e(theta)) over band k."""
     pop = schedule.population
-    band = schedule.bands[k]
+    effort, _ = _band_functions(pop, schedule.bands[k])
+    cost = pop.p.evaluate
 
     def integrand(theta: float) -> float:
-        return pop.p.evaluate(_band_effort(pop, band, theta))
+        return cost(effort(theta))
 
     return integrate_piecewise(integrand, _band_pieces(schedule, k), rel_tol)
 
@@ -81,12 +105,8 @@ def societal_utility(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_REL
     pop = schedule.population
     total = 0.0
     for k in range(schedule.policy.k):
-        band = schedule.bands[k]
-
-        def integrand(theta: float, band=band) -> float:
-            return _band_score(pop, band, theta)
-
-        v, _ = integrate_piecewise(integrand, _band_pieces(schedule, k), rel_tol)
+        _, score = _band_functions(pop, schedule.bands[k])
+        v, _ = integrate_piecewise(score, _band_pieces(schedule, k), rel_tol)
         total += v
     return total
 
@@ -96,13 +116,13 @@ def private_utility(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_REL_
     pop = schedule.population
     total = 0.0
     for k in range(schedule.policy.k):
-        band = schedule.bands[k]
         level = schedule.policy.levels[k]
         if level == 0.0:
             continue
+        _, score = _band_functions(pop, schedule.bands[k])
 
-        def integrand(theta: float, band=band, level=level) -> float:
-            return level * _band_score(pop, band, theta)
+        def integrand(theta: float, score=score, level=level) -> float:
+            return level * score(theta)
 
         v, _ = integrate_piecewise(integrand, _band_pieces(schedule, k), rel_tol)
         total += v

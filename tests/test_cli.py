@@ -280,3 +280,24 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     code = main(["--config", cfg, "eval"])
     assert code == 3
     assert "numerical" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "population",
+    [
+        {**BENCHMARK_POPULATION, "p": {"family": "power", "scale": "x", "exponent": 2.0}},
+        {**BENCHMARK_POPULATION, "p": {"family": "piecewise_monotone", "knots": [[0, 0], [1, "y"]]}},
+        {**BENCHMARK_POPULATION, "e0": "z"},
+        "x",
+    ],
+)
+def test_non_numeric_population_exits_2(tmp_path, capsys, population):
+    cfg = write_config(
+        tmp_path,
+        {"population": population, "policy": {"two_level": {"c": 0.8, "capacity": 0.2}}},
+    )
+    code = main(["--config", cfg, "eval"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -167,3 +169,75 @@ def test_json_round_trip():
     assert pw.evaluate(1.3) == PIECEWISE.evaluate(1.3)
     with pytest.raises(DomainError):
         function_from_json({"family": "rational", "a": 1})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(DomainError):
+        Power(bad, 2.0)
+    with pytest.raises(DomainError):
+        Power(1.0, bad)
+    with pytest.raises(DomainError):
+        AffinePower(bad, 2.0, 0.0)
+    with pytest.raises(DomainError):
+        AffinePower(1.0, bad, 0.0)
+    with pytest.raises(DomainError):
+        AffinePower(1.0, 2.0, bad)
+    with pytest.raises(DomainError):
+        PiecewiseMonotone(((0.0, 0.0), (bad, 1.0), (2.0, 3.0)))
+    with pytest.raises(DomainError):
+        PiecewiseMonotone(((0.0, 0.0), (1.0, bad), (2.0, 3.0)))
+
+
+def test_non_numeric_json_parameters_rejected():
+    with pytest.raises(DomainError):
+        function_from_json({"family": "power", "scale": "x", "exponent": 2.0})
+    with pytest.raises(DomainError):
+        function_from_json({"family": "affine_power", "scale": 1.0, "exponent": 2.0, "offset": None})
+    with pytest.raises(DomainError):
+        function_from_json({"family": "piecewise_monotone", "knots": [[0, 0], [1, "y"]]})
+    with pytest.raises(DomainError):
+        function_from_json({"family": "piecewise_monotone", "knots": [[0, 0], [1]]})
+
+
+def _benchmark_knots(fn, n, hi):
+    xs = np.linspace(0.0, hi, n)
+    return PiecewiseMonotone(tuple((float(x), float(fn(x))) for x in xs))
+
+
+PIECEWISE_SPECS = [
+    PIECEWISE,
+    PiecewiseMonotone(((1.0, -3.0), (2.0, 1.0), (3.5, 3.0), (5.0, 6.0))),
+    _benchmark_knots(lambda x: 2.0 * x**1.5, 9, 1.0),
+    _benchmark_knots(math.sqrt, 17, 2.0),
+    _benchmark_knots(lambda x: x * x, 17, 2.0),
+]
+
+
+@pytest.mark.parametrize("spec", PIECEWISE_SPECS)
+def test_piecewise_inverse_exact(spec):
+    # Linear interpolation both ways: the round trip is off by at most one
+    # ulp at the scale of the segment's endpoints, and knots map exactly.
+    rng = np.random.default_rng(19)
+    knot_xs = [x for x, _ in spec.knots]
+    for x in rng.uniform(knot_xs[0], knot_xs[-1], 5000):
+        x = float(x)
+        i = max(1, int(np.searchsorted(knot_xs, x)))
+        scale = max(abs(knot_xs[i - 1]), abs(knot_xs[i]))
+        assert abs(spec.invert(spec.evaluate(x)) - x) <= math.ulp(scale)
+    for x, y in spec.knots:
+        assert spec.invert(y) == x
+    assert spec.kinks == tuple(knot_xs[1:-1])
+
+
+def test_kinks_empty_for_smooth_families():
+    assert Power(2.0, 1.5).kinks == ()
+    assert AffinePower(1.0, 0.5, 0.3).kinks == ()
+
+
+def test_domain_check_rejects_nan():
+    for spec in (Power(1.0, 2.0), AffinePower(1.0, 2.0, 0.0), PIECEWISE):
+        with pytest.raises(DomainError):
+            spec.evaluate(math.nan)
+    with pytest.raises(RangeError):
+        PIECEWISE.invert(math.nan)

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from rankdesign import (
+    AffinePower,
+    PiecewiseMonotone,
+    PopulationSpec,
+    Power,
     QuadratureError,
     RewardPolicy,
+    Role,
+    WelfareReport,
     applicant_welfare,
+    effort_at,
     private_utility,
+    score_at,
     societal_utility,
     solve,
     two_level,
@@ -139,3 +147,144 @@ def test_multilevel_welfare_consistent_with_montecarlo(benchmark_population):
     assert societal_utility(schedule) == pytest.approx(scores.mean(), abs=3e-3)
     assert applicant_welfare(schedule) == pytest.approx((rewards - costs).mean(), abs=3e-3)
     assert private_utility(schedule) == pytest.approx((scores * rewards).mean(), abs=3e-3)
+
+
+# --- piecewise-linear primitives: kinks are quadrature breakpoints ---------
+
+
+def _knots(fn, n, hi, role):
+    xs = np.linspace(0.0, hi, n)
+    return PiecewiseMonotone(tuple((float(x), float(fn(x))) for x in xs), role=role)
+
+
+PIECEWISE_POPULATION = PopulationSpec(
+    f=_knots(lambda x: 2.0 * x**1.5, 9, 1.0, Role.SKILL_QUANTILE),
+    g=_knots(math.sqrt, 17, 2.0, Role.EFFORT_TRANSFER),
+    p=_knots(lambda x: x * x, 17, 2.0, Role.COST_FUNCTION),
+)
+
+
+def _interp_reference(population, c, rho):
+    """Two-level welfare from np.interp primitives and Gauss-Legendre.
+
+    Independent of the library's evaluation and quadrature: each integral is
+    split at every knot of f and at every rank where the effort crosses a
+    knot of g or p, and each piece gets 8 x 30 Gauss-Legendre nodes.
+    """
+    fx, fy = (np.array(v) for v in zip(*population.f.knots))
+    gx, gy = (np.array(v) for v in zip(*population.g.knots))
+    px, py = (np.array(v) for v in zip(*population.p.knots))
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+
+    def integrate(fun, a, b, cuts):
+        pts = sorted({a, b} | {float(t) for t in cuts if a < t < b})
+        total = 0.0
+        for lo, hi in zip(pts, pts[1:]):
+            edges = np.linspace(lo, hi, 9)
+            for u, v in zip(edges, edges[1:]):
+                total += 0.5 * (v - u) * np.dot(weights, fun(0.5 * (v - u) * nodes + 0.5 * (u + v)))
+        return total
+
+    level = rho / (1.0 - c)
+    threshold = np.interp(level, py, px)  # band 0 idles at e0 = 0, p(0) = 0
+    floor = np.interp(threshold, gx, gy) * np.interp(c, fx, fy)
+    crossings = [np.interp(floor / np.interp(x, gx, gy), fy, fx) for x in np.concatenate([gx[1:], px[1:]])]
+    cuts = list(fx) + crossings
+    cost = integrate(lambda t: np.interp(np.interp(floor / np.interp(t, fx, fy), gy, gx), px, py), c, 1.0, cuts)
+    score = integrate(lambda t: np.full_like(t, floor), c, 1.0, cuts)  # g(e0) = 0: band 0 scores 0
+    return rho - cost, score, level * score
+
+
+def test_piecewise_population_welfare_exact():
+    rho = 0.2
+    for c in np.linspace(0.01, 1.0 - rho - 0.01, 100):
+        c = float(c)
+        report = welfare_report(solve(PIECEWISE_POPULATION, two_level(c, rho)))
+        got = (report.applicant_welfare, report.societal_utility, report.private_utility)
+        for value, expected in zip(got, _interp_reference(PIECEWISE_POPULATION, c, rho)):
+            assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+# --- Power families: results equal the per-theta formula bit for bit -------
+
+
+def _reference_band_effort(pop, band, theta):
+    if band.threshold_effort is None:
+        return pop.e0
+    target = pop.g.evaluate(band.threshold_effort) * pop.f.evaluate(band.lo) / pop.f.evaluate(theta)
+    if target <= pop.g.evaluate(pop.e0):
+        return pop.e0
+    return pop.g.invert(target)
+
+
+def _reference_band_score(pop, band, theta):
+    idle_score = pop.g.evaluate(pop.e0) * pop.f.evaluate(theta)
+    if band.threshold_effort is None:
+        return idle_score
+    return max(pop.g.evaluate(band.threshold_effort) * pop.f.evaluate(band.lo), idle_score)
+
+
+def _reference_pieces(band):
+    pts = {band.lo, band.hi}
+    if band.switch_point is not None:
+        pts.add(band.switch_point)
+    edge = band.lo
+    while 0.0 < edge < 0.125 * band.hi:
+        edge *= 2.0
+        pts.add(edge)
+    return sorted(pts)
+
+
+def _reference_report(schedule):
+    pop, policy = schedule.population, schedule.policy
+    per_band, err, societal, private = [], 0.0, 0.0, 0.0
+    for band in schedule.bands:
+        v, e = integrate_piecewise(
+            lambda t, band=band: pop.p.evaluate(_reference_band_effort(pop, band, t)), _reference_pieces(band)
+        )
+        per_band.append(v)
+        err += e
+    for band in schedule.bands:
+        societal += integrate_piecewise(
+            lambda t, band=band: _reference_band_score(pop, band, t), _reference_pieces(band)
+        )[0]
+    for band, level in zip(schedule.bands, policy.levels):
+        if level != 0.0:
+            private += integrate_piecewise(
+                lambda t, band=band, level=level: level * _reference_band_score(pop, band, t),
+                _reference_pieces(band),
+            )[0]
+    return WelfareReport(policy.capacity - sum(per_band), societal, private, tuple(per_band), err)
+
+
+POWER_POPULATIONS = [
+    PopulationSpec(
+        f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+        g=Power(1.0, 0.5, role=Role.EFFORT_TRANSFER),
+        p=Power(1.0, 2.0, role=Role.COST_FUNCTION),
+    ),
+    PopulationSpec(
+        f=Power(1.0, 8.0, role=Role.SKILL_QUANTILE),
+        g=Power(1.3, 0.6, role=Role.EFFORT_TRANSFER),
+        p=Power(0.7, 2.4, role=Role.COST_FUNCTION),
+    ),
+    PopulationSpec(  # g(e0) > 0: bands have switch points
+        f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+        g=AffinePower(1.0, 0.5, 0.4, role=Role.EFFORT_TRANSFER),
+        p=Power(1.0, 2.0, role=Role.COST_FUNCTION),
+    ),
+]
+
+
+@pytest.mark.parametrize("population", POWER_POPULATIONS)
+def test_power_families_match_per_theta_formula(population):
+    policies = [two_level(c, 0.2) for c in (1e-4, 0.01, 0.2, 0.5, 0.8)]
+    policies.append(RewardPolicy((0.0, 0.2, 0.5, 1.0), (0.4, 0.7, 0.9), 0.26))
+    thetas = np.linspace(0.0, 1.0, 257)
+    for policy in policies:
+        schedule = solve(population, policy)
+        assert welfare_report(schedule) == _reference_report(schedule)
+        for theta in thetas:
+            band = schedule.band_of(theta)
+            assert effort_at(schedule, theta) == _reference_band_effort(population, band, theta)
+            assert score_at(schedule, theta) == _reference_band_score(population, band, theta)
