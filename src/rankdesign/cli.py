@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -74,14 +75,31 @@ def _groups(config: dict) -> GroupSpec:
     return GroupSpec.from_json(config["groups"])
 
 
+def _number(value, what: str) -> float:
+    """A finite number from a config value; anything else is a config error."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 def _sweep_cutoffs(config: dict) -> list[float]:
     sweep = config.get("sweep")
     if not sweep:
         raise ConfigError("config is missing the 'sweep' field")
     if sweep.get("parameter", "c") != "c":
         raise ConfigError("only sweeps over the two-level cutoff 'c' are supported")
-    lo, hi = sweep["range"]
-    steps = int(sweep["steps"])
+    bounds = sweep["range"]
+    if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
+        raise ConfigError(f"sweep range must be [lo, hi], got {bounds!r}")
+    lo, hi = (_number(b, "sweep range bound") for b in bounds)
+    steps = _number(sweep["steps"], "sweep steps")
+    if not steps.is_integer():
+        raise ConfigError(f"sweep steps must be an integer, got {sweep['steps']!r}")
+    steps = int(steps)
     if steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
@@ -108,7 +126,12 @@ def _workers(args) -> int:
     if args.workers is not None:
         return max(1, args.workers)
     env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError as exc:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
 
 
 def cmd_eval(args, config: dict) -> int:
@@ -141,8 +164,9 @@ def cmd_sweep(args, config: dict) -> int:
     capacity = config.get("capacity")
     if capacity is None:
         raise ConfigError("sweep config needs a top-level 'capacity' field")
+    capacity = _number(capacity, "capacity")
     cutoffs = _sweep_cutoffs(config)
-    payloads = [(population.to_json(), c, float(capacity)) for c in cutoffs]
+    payloads = [(population.to_json(), c, capacity) for c in cutoffs]
     workers = _workers(args)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -176,11 +200,11 @@ def cmd_groups(args, config: dict) -> int:
     capacity = config.get("capacity")
     if capacity is None:
         raise ConfigError("groups config needs a top-level 'capacity' field")
-    capacity = float(capacity)
+    capacity = _number(capacity, "capacity")
     if "sweep" in config:
         cutoffs = _sweep_cutoffs(config)
     elif "policy" in config and "two_level" in config["policy"]:
-        cutoffs = [float(config["policy"]["two_level"]["c"])]
+        cutoffs = [_number(config["policy"]["two_level"]["c"], "two_level cutoff c")]
     else:
         raise ConfigError("groups command needs a two-level policy or a sweep")
     if args.format == "json" and len(cutoffs) == 1:
@@ -219,7 +243,7 @@ def cmd_optimize(args, config: dict) -> int:
         "societal": design.Objective.SOCIETAL_UTILITY,
         "private": design.Objective.PRIVATE_UTILITY,
     }[args.objective]
-    result = design.optimize_two_level(population, float(capacity), objective)
+    result = design.optimize_two_level(population, _number(capacity, "capacity"), objective)
     if args.output:
         with open(args.output, "w") as fh:
             writer = csv.writer(fh)

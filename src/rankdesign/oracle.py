@@ -117,9 +117,7 @@ class DiscreteInstance:
         return 1.0 - (positions + 0.5) / self.n
 
     def assigned_levels(self, scores: np.ndarray | None = None) -> np.ndarray:
-        ranks = self.slot_ranks(self.positions(scores))
-        bands = np.searchsorted(self.policy.cutpoints, ranks, side="right")
-        return np.asarray(self.policy.levels)[bands]
+        return np.asarray(self.policy.levels)[self.assigned_bands(scores)]
 
     def assigned_bands(self, scores: np.ndarray | None = None) -> np.ndarray:
         ranks = self.slot_ranks(self.positions(scores))
@@ -148,22 +146,25 @@ def default_effort_cap(population: PopulationSpec, policy: RewardPolicy, delta_e
 
 
 class _StandingScores:
-    """Counterfactual position/level lookups against the standing profile.
+    """Counterfactual position lookups against the standing profile.
 
     Maintains the full score multiset (every agent's standing score stays in
     place as a competitor) with incremental updates as the dynamics move one
-    agent at a time.
+    agent at a time.  ``position_levels[pos]`` is the reward of sorted
+    position pos, for pos in 0..n; position n lies below every standing score.
     """
 
-    def __init__(self, instance: DiscreteInstance, scores: np.ndarray):
-        self.n = instance.n
+    def __init__(self, instance: DiscreteInstance, scores: np.ndarray | list[float]):
+        n = instance.n
         self.sorted_scores: list[float] = sorted(float(s) for s in scores)
         # agent indices holding each distinct score value, ascending
         self.by_value: dict[float, list[int]] = {}
         for idx, s in enumerate(scores):
             self.by_value.setdefault(float(s), []).append(idx)
-        self.cutpoints = list(instance.policy.cutpoints)
-        self.levels = list(instance.policy.levels)
+        cutpoints, levels = instance.policy.cutpoints, instance.policy.levels
+        self.position_levels: list[float] = [
+            levels[bisect_right(cutpoints, 1.0 - (pos + 0.5) / n)] for pos in range(n + 1)
+        ]
 
     def update(self, agent: int, old: float, new: float) -> None:
         old, new = float(old), float(new)
@@ -175,32 +176,17 @@ class _StandingScores:
             del self.by_value[old]
         insort(self.by_value.setdefault(new, []), agent)
 
-    def position(self, agent: int, s: float) -> int:
-        above = self.n - bisect_right(self.sorted_scores, s)
-        holders = self.by_value.get(s)
-        if holders:
-            # lower-index holders outrank the deviator; the deviator's own
-            # standing copy never counts against them
-            above += bisect_left(holders, agent)
-        return above
 
-    def level_at(self, agent: int, s: float) -> float:
-        rank = 1.0 - (self.position(agent, s) + 0.5) / self.n
-        return self.levels[bisect_right(self.cutpoints, rank)]
+class _EffortValues(dict):
+    """Memo of (g(e), p(e)) per effort value; g and p are pure and frozen."""
 
-    def nth_highest(self, j: int) -> float:
-        return self.sorted_scores[self.n - 1 - j]
+    def __init__(self, population: PopulationSpec):
+        super().__init__()
+        self._g, self._p = population.g.evaluate, population.p.evaluate
 
-    def levels_for_vector(self, agent: int, s: np.ndarray) -> np.ndarray:
-        arr = np.asarray(self.sorted_scores)
-        pos = self.n - np.searchsorted(arr, s, side="right")
-        for idx in np.nonzero(np.isin(s, arr))[0]:
-            holders = self.by_value.get(float(s[idx]))
-            if holders:
-                pos[idx] += bisect_left(holders, agent)
-        ranks = 1.0 - (pos + 0.5) / self.n
-        bands = np.searchsorted(np.asarray(self.cutpoints), ranks, side="right")
-        return np.asarray(self.levels)[bands]
+    def __missing__(self, e: float) -> tuple[float, float]:
+        value = self[e] = (self._g(e), self._p(e))
+        return value
 
 
 @dataclass
@@ -221,65 +207,74 @@ def _band_entry_positions(instance: DiscreteInstance) -> list[int]:
     return out
 
 
-def _grid_ceil(value: float, delta_e: float) -> float:
-    k = math.ceil(value / delta_e - 1e-9)
-    return max(k, 0) * delta_e
-
-
-def _best_response(
+def _best_response_fn(
     instance: DiscreteInstance,
     standing: _StandingScores,
-    agent: int,
-    entry_positions: list[int],
+    effort_values: _EffortValues,
     improvement_eps: float,
-) -> float:
-    """Exact grid argmax of counterfactual welfare for one agent.
+):
+    """Exact grid best response ``(agent, skill, current) -> effort`` for one run.
 
     Within a band the reward is flat and cost increases with effort, so only
     the cheapest grid effort reaching each band needs testing, plus idling at
     e0 and standing pat.  Tie efforts (exactly matching a standing score) are
-    covered by also probing one grid step below each entry effort.
+    covered by also probing one grid step below each entry effort.  The
+    returned function reads ``standing`` as it is updated between calls; the
+    run's constants (g(e0), the grid, the entry positions) are bound once.
     """
     pop = instance.population
-    g, p = pop.g, pop.p
-    skill = float(instance.skill[agent])
-    current = float(instance.efforts[agent])
-    candidates = {current, float(pop.e0), 0.0}
-    if skill > 0.0:
-        idle = g.evaluate(pop.e0)
-        for j in entry_positions:
-            if not (0 <= j < instance.n):
-                continue
-            bar = standing.nth_highest(j)
-            if bar < 0.0:
-                continue
-            target = bar / skill
-            if target <= idle:
-                entry = pop.e0
-            else:
-                try:
-                    entry = g.invert(target)
-                except RangeError:
+    n, delta_e, e_max = instance.n, instance.delta_e, instance.e_max
+    # sorted_scores index of the bar score at each band's entry position
+    entry_bars = [n - 1 - j for j in _band_entry_positions(instance) if 0 <= j < n]
+    e0, invert, ceil = pop.e0, pop.g.invert, math.ceil
+    idle, e0_float = pop.g.evaluate(e0), float(e0)
+    sorted_scores, by_value = standing.sorted_scores, standing.by_value
+    position_levels = standing.position_levels
+
+    def best_response(agent: int, skill: float, current: float) -> float:
+        candidates = {current, e0_float, 0.0}
+        if skill > 0.0:
+            for j in entry_bars:
+                bar = sorted_scores[j]
+                if bar < 0.0:
                     continue
-            e = _grid_ceil(entry, instance.delta_e)
-            for cand in (e - instance.delta_e, e, e + instance.delta_e):
-                if 0.0 <= cand <= instance.e_max:
-                    candidates.add(round(cand / instance.delta_e) * instance.delta_e)
-    best_effort = current
-    best_gain = -math.inf
-    current_gain = None
-    for e in sorted(candidates):
-        if not (0.0 <= e <= instance.e_max):
-            continue
-        gain = standing.level_at(agent, g.evaluate(e) * skill) - p.evaluate(e)
-        if e == current:
-            current_gain = gain
-        if gain > best_gain:
-            best_gain = gain
-            best_effort = e
-    if current_gain is not None and best_gain > current_gain + improvement_eps:
-        return best_effort
-    return current
+                target = bar / skill
+                if target <= idle:
+                    entry = e0
+                else:
+                    try:
+                        entry = invert(target)
+                    except RangeError:
+                        continue
+                e = max(ceil(entry / delta_e - 1e-9), 0) * delta_e
+                for cand in (e - delta_e, e, e + delta_e):
+                    if 0.0 <= cand <= e_max:
+                        candidates.add(round(cand / delta_e) * delta_e)
+        best_effort = current
+        best_gain = -math.inf
+        current_gain = None
+        for e in sorted(candidates):
+            if not (0.0 <= e <= e_max):
+                continue
+            g_e, p_e = effort_values[e]
+            s = g_e * skill
+            pos = n - bisect_right(sorted_scores, s)
+            holders = by_value.get(s)
+            if holders:
+                # lower-index holders outrank the deviator; the deviator's own
+                # standing copy never counts against them
+                pos += bisect_left(holders, agent)
+            gain = position_levels[pos] - p_e
+            if e == current:
+                current_gain = gain
+            if gain > best_gain:
+                best_gain = gain
+                best_effort = e
+        if current_gain is not None and best_gain > current_gain + improvement_eps:
+            return best_effort
+        return current
+
+    return best_response
 
 
 def best_response_dynamics(
@@ -295,25 +290,26 @@ def best_response_dynamics(
     tolerance would stop the dynamics mid-escalation.
     Non-convergence reports the agents still moving in the final sweep.
     """
-    entry_positions = _band_entry_positions(instance)
     last_movers: tuple[int, ...] = ()
-    scores = instance.scores()
+    scores = instance.scores().tolist()
     standing = _StandingScores(instance, scores)
-    g = instance.population.g
+    effort_values = _EffortValues(instance.population)
+    best_response = _best_response_fn(instance, standing, effort_values, improvement_eps)
+    skills = instance.skill.tolist()
+    efforts = instance.efforts.tolist()
     for round_no in range(1, max_rounds + 1):
-        moved = False
         movers = []
-        for agent in range(instance.n):
-            new = _best_response(instance, standing, agent, entry_positions, improvement_eps)
-            if new != instance.efforts[agent]:
-                old_score = float(scores[agent])
-                new_score = g.evaluate(new) * float(instance.skill[agent])
-                instance.efforts[agent] = new
+        for agent, skill in enumerate(skills):
+            current = efforts[agent]
+            new = best_response(agent, skill, current)
+            if new != current:
+                old_score = scores[agent]
+                new_score = effort_values[new][0] * skill
+                efforts[agent] = instance.efforts[agent] = new
                 scores[agent] = new_score
                 standing.update(agent, old_score, new_score)
                 movers.append(agent)
-                moved = True
-        if not moved:
+        if not movers:
             return DynamicsResult(True, round_no, instance)
         last_movers = tuple(movers)
     return DynamicsResult(False, max_rounds, instance, last_movers)
@@ -337,33 +333,55 @@ class CertificationResult:
         }
 
 
+# (agent, grid effort) cells scanned per block of certify_equilibrium: large
+# enough for numpy to amortise its call overhead, small enough that the
+# block's temporaries stay a few hundred kB and peak memory does not grow
+# with N.
+_CERTIFY_BLOCK_CELLS = 1 << 14
+
+
 def certify_equilibrium(instance: DiscreteInstance, eps: float) -> CertificationResult:
     """Scan every agent and every grid effort for a counterfactual welfare gain.
 
     Certifies when no deviation gains more than eps over the agent's assigned
-    welfare in the standing profile.
+    welfare in the standing profile.  The scan is exhaustive; it runs over
+    blocks of agents, each against the whole effort grid.
     """
+    n = instance.n
     scores = instance.scores()
     standing = _StandingScores(instance, scores)
     grid = instance.effort_grid()
     g, p = instance.population.g, instance.population.p
     grid_g = np.array([g.evaluate(e) for e in grid])
     grid_cost = np.array([p.evaluate(e) for e in grid])
-    current_welfare = instance.assigned_levels(scores) - instance.costs()
     bands = instance.assigned_bands(scores)
+    current_welfare = np.asarray(instance.policy.levels)[bands] - instance.costs()
+    sorted_scores = np.asarray(standing.sorted_scores)
+    position_levels = np.asarray(standing.position_levels)
+    block = max(1, _CERTIFY_BLOCK_CELLS // len(grid))
     worst = -math.inf
     worst_agent = -1
     worst_effort = float("nan")
     per_band = [-math.inf] * instance.policy.k
-    for agent in range(instance.n):
-        s_dev = grid_g * instance.skill[agent]
-        gains = standing.levels_for_vector(agent, s_dev) - grid_cost - current_welfare[agent]
-        i = int(np.argmax(gains))
-        gain = float(gains[i])
-        band = int(bands[agent])
-        per_band[band] = max(per_band[band], gain)
-        if gain > worst:
-            worst, worst_agent, worst_effort = gain, agent, float(grid[i])
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        s_dev = instance.skill[start:stop, None] * grid_g
+        above = np.searchsorted(sorted_scores, s_dev, side="right")
+        pos = n - above
+        tied = (above > 0) & (sorted_scores[above - 1] == s_dev)
+        for row, col in zip(*np.nonzero(tied)):
+            # index tie-break against the holders of the tied standing score
+            holders = standing.by_value[float(s_dev[row, col])]
+            pos[row, col] += bisect_left(holders, start + int(row))
+        gains = (position_levels[pos] - grid_cost) - current_welfare[start:stop, None]
+        best = np.argmax(gains, axis=1)
+        best_gains = gains[np.arange(stop - start), best]
+        for row, agent in enumerate(range(start, stop)):
+            gain = float(best_gains[row])
+            band = int(bands[agent])
+            per_band[band] = max(per_band[band], gain)
+            if gain > worst:
+                worst, worst_agent, worst_effort = gain, agent, float(grid[best[row]])
     per_band = [0.0 if v == -math.inf else v for v in per_band]
     return CertificationResult(worst <= eps, worst, worst_agent, worst_effort, tuple(per_band))
 
@@ -371,8 +389,8 @@ def certify_equilibrium(instance: DiscreteInstance, eps: float) -> Certification
 def empirical_welfare(instance: DiscreteInstance) -> WelfareReport:
     """Sample means of the three welfare functionals over the instance."""
     scores = instance.scores()
-    levels = instance.assigned_levels(scores)
     bands = instance.assigned_bands(scores)
+    levels = np.asarray(instance.policy.levels)[bands]
     costs = instance.costs()
     per_band = []
     for k in range(instance.policy.k):
@@ -391,7 +409,7 @@ def instance_rows(instance: DiscreteInstance) -> list[tuple[int, float, float, f
     """Dump rows (agent, rank, effort, score, band, welfare) for CSV export."""
     scores = instance.scores()
     bands = instance.assigned_bands(scores)
-    welfare = instance.assigned_levels(scores) - instance.costs()
+    welfare = np.asarray(instance.policy.levels)[bands] - instance.costs()
     return [
         (
             i,

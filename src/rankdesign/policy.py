@@ -8,6 +8,7 @@ capacity under the uniform rank distribution.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -125,6 +126,8 @@ def two_level(c: float, capacity: float) -> RewardPolicy:
 
     c = 0 collapses to the one-level pure-randomization policy.
     """
+    if not (math.isfinite(c) and math.isfinite(capacity)):
+        raise DomainError(f"cutoff {c!r} and capacity {capacity!r} must be finite")
     if not (0.0 < capacity < 1.0):
         raise DomainError(f"capacity {capacity!r} outside (0, 1)")
     if c < 0.0 or c >= 1.0:
@@ -169,12 +172,17 @@ def policy_from_json(obj: dict) -> RewardPolicy:
     if "two_level" in obj:
         inner = obj["two_level"]
         try:
-            return two_level(float(inner["c"]), float(inner["capacity"]))
+            c, capacity = float(inner["c"]), float(inner["capacity"])
         except KeyError as exc:
             raise DomainError(f"two_level shorthand missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"two_level shorthand needs numeric c and capacity: {exc}") from exc
+        return two_level(c, capacity)
     try:
         return RewardPolicy(
             tuple(obj["levels"]), tuple(obj["cutpoints"]), float(obj["capacity"])
         )
     except KeyError as exc:
         raise DomainError(f"policy spec missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"policy levels, cutpoints and capacity must be numeric: {exc}") from exc

@@ -301,3 +301,50 @@ def test_non_numeric_population_exits_2(tmp_path, capsys, population):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "Traceback" not in err
+
+
+def _assert_config_error(capsys, code):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("c", ["q", None, [0.8]])
+def test_non_numeric_policy_exits_2(tmp_path, capsys, c):
+    cfg = write_config(
+        tmp_path,
+        {"population": BENCHMARK_POPULATION, "policy": {"two_level": {"c": c, "capacity": 0.2}}},
+    )
+    _assert_config_error(capsys, main(["--config", cfg, "eval"]))
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        {"range": [0.1], "steps": 5},
+        {"range": [0.1, 0.5, 0.7], "steps": 5},
+        {"range": ["a", 0.5], "steps": 5},
+        {"range": 0.5, "steps": 5},
+        {"range": [0.1, float("nan")], "steps": 5},
+        {"range": [0.1, 0.5], "steps": "x"},
+        {"range": [0.1, 0.5], "steps": 2.5},
+        {"range": [0.1, 0.5], "steps": None},
+    ],
+)
+def test_malformed_sweep_exits_2(tmp_path, capsys, sweep):
+    cfg = write_config(tmp_path, {**_sweep_config(0.1, 0.5, 5), "sweep": {"parameter": "c", **sweep}})
+    _assert_config_error(capsys, main(["--config", cfg, "sweep"]))
+
+
+def test_sweep_accepts_integral_float_steps(tmp_path, capsys):
+    cfg = write_config(tmp_path, _sweep_config(0.1, 0.5, 3.0))
+    code, out = run(capsys, ["--config", cfg, "sweep"])
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 3
+
+
+def test_malformed_workers_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RANKDESIGN_WORKERS", "abc")
+    cfg = write_config(tmp_path, _sweep_config(0.1, 0.5, 3))
+    _assert_config_error(capsys, main(["--config", cfg, "sweep"]))

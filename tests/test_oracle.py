@@ -1,8 +1,16 @@
+import math
+from bisect import bisect_left, bisect_right, insort
+
 import numpy as np
 import pytest
 
 from rankdesign import (
+    AffinePower,
     DiscreteInstance,
+    PopulationSpec,
+    Power,
+    RewardPolicy,
+    Role,
     best_response_dynamics,
     certify_equilibrium,
     effort_at,
@@ -11,6 +19,8 @@ from rankdesign import (
     solve,
     two_level,
 )
+from rankdesign.errors import RangeError
+from rankdesign.oracle import CertificationResult, DynamicsResult, _band_entry_positions
 
 
 def test_stratified_ranks(benchmark_population):
@@ -152,3 +162,276 @@ def test_instance_rows_shape(benchmark_population):
     agent, rank, effort, score, band, welfare = rows[-1]
     assert agent == 19 and band == 1
     assert welfare == pytest.approx(1.0 - benchmark_population.p.evaluate(effort))
+
+
+# -- bit-identity against the scalar oracle --------------------------------
+#
+# The scalar oracle below is the reference for the block-vectorised
+# certification and the hoisted best responses: one Python level lookup per
+# (agent, effort) cell and per candidate effort.  Its code is kept as it was;
+# only the two public entry points are renamed to ``reference_*``.  The fast
+# path must reproduce it bit for bit: same trajectory, same certification.
+
+
+class _StandingScores:
+    """Counterfactual position/level lookups against the standing profile.
+
+    Maintains the full score multiset (every agent's standing score stays in
+    place as a competitor) with incremental updates as the dynamics move one
+    agent at a time.
+    """
+
+    def __init__(self, instance: DiscreteInstance, scores: np.ndarray):
+        self.n = instance.n
+        self.sorted_scores: list[float] = sorted(float(s) for s in scores)
+        # agent indices holding each distinct score value, ascending
+        self.by_value: dict[float, list[int]] = {}
+        for idx, s in enumerate(scores):
+            self.by_value.setdefault(float(s), []).append(idx)
+        self.cutpoints = list(instance.policy.cutpoints)
+        self.levels = list(instance.policy.levels)
+
+    def update(self, agent: int, old: float, new: float) -> None:
+        old, new = float(old), float(new)
+        self.sorted_scores.pop(bisect_left(self.sorted_scores, old))
+        insort(self.sorted_scores, new)
+        holders = self.by_value[old]
+        holders.pop(bisect_left(holders, agent))
+        if not holders:
+            del self.by_value[old]
+        insort(self.by_value.setdefault(new, []), agent)
+
+    def position(self, agent: int, s: float) -> int:
+        above = self.n - bisect_right(self.sorted_scores, s)
+        holders = self.by_value.get(s)
+        if holders:
+            # lower-index holders outrank the deviator; the deviator's own
+            # standing copy never counts against them
+            above += bisect_left(holders, agent)
+        return above
+
+    def level_at(self, agent: int, s: float) -> float:
+        rank = 1.0 - (self.position(agent, s) + 0.5) / self.n
+        return self.levels[bisect_right(self.cutpoints, rank)]
+
+    def nth_highest(self, j: int) -> float:
+        return self.sorted_scores[self.n - 1 - j]
+
+    def levels_for_vector(self, agent: int, s: np.ndarray) -> np.ndarray:
+        arr = np.asarray(self.sorted_scores)
+        pos = self.n - np.searchsorted(arr, s, side="right")
+        for idx in np.nonzero(np.isin(s, arr))[0]:
+            holders = self.by_value.get(float(s[idx]))
+            if holders:
+                pos[idx] += bisect_left(holders, agent)
+        ranks = 1.0 - (pos + 0.5) / self.n
+        bands = np.searchsorted(np.asarray(self.cutpoints), ranks, side="right")
+        return np.asarray(self.levels)[bands]
+
+
+def _grid_ceil(value: float, delta_e: float) -> float:
+    k = math.ceil(value / delta_e - 1e-9)
+    return max(k, 0) * delta_e
+
+
+def _best_response(
+    instance: DiscreteInstance,
+    standing: _StandingScores,
+    agent: int,
+    entry_positions: list[int],
+    improvement_eps: float,
+) -> float:
+    """Exact grid argmax of counterfactual welfare for one agent.
+
+    Within a band the reward is flat and cost increases with effort, so only
+    the cheapest grid effort reaching each band needs testing, plus idling at
+    e0 and standing pat.  Tie efforts (exactly matching a standing score) are
+    covered by also probing one grid step below each entry effort.
+    """
+    pop = instance.population
+    g, p = pop.g, pop.p
+    skill = float(instance.skill[agent])
+    current = float(instance.efforts[agent])
+    candidates = {current, float(pop.e0), 0.0}
+    if skill > 0.0:
+        idle = g.evaluate(pop.e0)
+        for j in entry_positions:
+            if not (0 <= j < instance.n):
+                continue
+            bar = standing.nth_highest(j)
+            if bar < 0.0:
+                continue
+            target = bar / skill
+            if target <= idle:
+                entry = pop.e0
+            else:
+                try:
+                    entry = g.invert(target)
+                except RangeError:
+                    continue
+            e = _grid_ceil(entry, instance.delta_e)
+            for cand in (e - instance.delta_e, e, e + instance.delta_e):
+                if 0.0 <= cand <= instance.e_max:
+                    candidates.add(round(cand / instance.delta_e) * instance.delta_e)
+    best_effort = current
+    best_gain = -math.inf
+    current_gain = None
+    for e in sorted(candidates):
+        if not (0.0 <= e <= instance.e_max):
+            continue
+        gain = standing.level_at(agent, g.evaluate(e) * skill) - p.evaluate(e)
+        if e == current:
+            current_gain = gain
+        if gain > best_gain:
+            best_gain = gain
+            best_effort = e
+    if current_gain is not None and best_gain > current_gain + improvement_eps:
+        return best_effort
+    return current
+
+
+def reference_best_response_dynamics(
+    instance: DiscreteInstance,
+    max_rounds: int = 200,
+    improvement_eps: float = 1e-12,
+) -> DynamicsResult:
+    """Round-robin sweeps of exact grid best responses.
+
+    Converged on the first sweep that moves nobody.  One-grid-step sweeps are
+    not treated as converged: during a slow bidding war every contested agent
+    moves exactly one step per sweep for long stretches, so any nonzero
+    tolerance would stop the dynamics mid-escalation.
+    Non-convergence reports the agents still moving in the final sweep.
+    """
+    entry_positions = _band_entry_positions(instance)
+    last_movers: tuple[int, ...] = ()
+    scores = instance.scores()
+    standing = _StandingScores(instance, scores)
+    g = instance.population.g
+    for round_no in range(1, max_rounds + 1):
+        moved = False
+        movers = []
+        for agent in range(instance.n):
+            new = _best_response(instance, standing, agent, entry_positions, improvement_eps)
+            if new != instance.efforts[agent]:
+                old_score = float(scores[agent])
+                new_score = g.evaluate(new) * float(instance.skill[agent])
+                instance.efforts[agent] = new
+                scores[agent] = new_score
+                standing.update(agent, old_score, new_score)
+                movers.append(agent)
+                moved = True
+        if not moved:
+            return DynamicsResult(True, round_no, instance)
+        last_movers = tuple(movers)
+    return DynamicsResult(False, max_rounds, instance, last_movers)
+
+
+def reference_certify_equilibrium(instance: DiscreteInstance, eps: float) -> CertificationResult:
+    """Scan every agent and every grid effort for a counterfactual welfare gain.
+
+    Certifies when no deviation gains more than eps over the agent's assigned
+    welfare in the standing profile.
+    """
+    scores = instance.scores()
+    standing = _StandingScores(instance, scores)
+    grid = instance.effort_grid()
+    g, p = instance.population.g, instance.population.p
+    grid_g = np.array([g.evaluate(e) for e in grid])
+    grid_cost = np.array([p.evaluate(e) for e in grid])
+    current_welfare = instance.assigned_levels(scores) - instance.costs()
+    bands = instance.assigned_bands(scores)
+    worst = -math.inf
+    worst_agent = -1
+    worst_effort = float("nan")
+    per_band = [-math.inf] * instance.policy.k
+    for agent in range(instance.n):
+        s_dev = grid_g * instance.skill[agent]
+        gains = standing.levels_for_vector(agent, s_dev) - grid_cost - current_welfare[agent]
+        i = int(np.argmax(gains))
+        gain = float(gains[i])
+        band = int(bands[agent])
+        per_band[band] = max(per_band[band], gain)
+        if gain > worst:
+            worst, worst_agent, worst_effort = gain, agent, float(grid[i])
+    per_band = [0.0 if v == -math.inf else v for v in per_band]
+    return CertificationResult(worst <= eps, worst, worst_agent, worst_effort, tuple(per_band))
+
+
+def reference_assigned_levels(instance: DiscreteInstance, scores: np.ndarray) -> np.ndarray:
+    """Reward levels from their own position sort, as before the sort was shared."""
+    order = np.lexsort((np.arange(instance.n), -scores))
+    pos = np.empty(instance.n, dtype=int)
+    pos[order] = np.arange(instance.n)
+    ranks = 1.0 - (pos + 0.5) / instance.n
+    bands = np.searchsorted(instance.policy.cutpoints, ranks, side="right")
+    return np.asarray(instance.policy.levels)[bands]
+
+
+FOUR_LEVEL = RewardPolicy((0.0, 0.2, 0.5, 1.0), (0.4, 0.7, 0.9), 0.26)
+
+
+def _affine_population():
+    """g(0) = 0.1 > 0: idle effort already scores, so low bars enter at e0."""
+    return PopulationSpec(
+        f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+        g=AffinePower(1.0, 0.5, 0.1, role=Role.EFFORT_TRANSFER),
+        p=Power(1.0, 2.0, role=Role.COST_FUNCTION),
+        e0=0.0,
+    )
+
+
+def _tie_heavy(population):
+    """16 idle agents tie at score 0; 24 agents of equal skill tie on one grid
+    effort, and that tie straddles the cutoff: the index tie-break admits 20
+    of them and rejects 4."""
+    inst = DiscreteInstance.stratified(population, two_level(0.5, 0.2), 40, 1e-2)
+    inst.skill[16:] = 1.5
+    inst.efforts[16:] = inst.effort_grid()[30]
+    return inst
+
+
+# (name, builder of a fresh instance, max_rounds or None for certification only, eps)
+BIT_IDENTITY_CASES = {
+    "cold_start_c08_n200": (
+        lambda pop: DiscreteInstance.stratified(pop, two_level(0.8, 0.2), 200, 1e-3), 4000, 5 / 200),
+    "four_level_certify_n2000": (
+        lambda pop: DiscreteInstance.from_schedule(solve(pop, FOUR_LEVEL), 2000, 1e-3), None, 5 / 2000),
+    "tie_heavy": (_tie_heavy, 500, 5 / 40),
+    "affine_transfer": (
+        lambda pop: DiscreteInstance.stratified(_affine_population(), FOUR_LEVEL, 60, 5e-3), 2000, 5 / 60),
+    "monte_carlo_ranks": (
+        lambda pop: DiscreteInstance.stratified(pop, two_level(0.6, 0.2), 80, 2e-3, seed=7), 3000, 5 / 80),
+    "truncated_max_rounds_3": (
+        lambda pop: DiscreteInstance.stratified(pop, two_level(0.8, 0.2), 50, 1e-3), 3, 5 / 50),
+    "single_agent": (
+        lambda pop: DiscreteInstance.stratified(pop, two_level(0.8, 0.2), 1, 1e-3), 100, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIT_IDENTITY_CASES))
+def test_oracle_bit_identical_to_scalar_reference(benchmark_population, case):
+    build, max_rounds, eps = BIT_IDENTITY_CASES[case]
+    fast, ref = build(benchmark_population), build(benchmark_population)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    if max_rounds is not None:
+        # the starting profile, then the profile the dynamics reach
+        assert certify_equilibrium(fast, eps) == reference_certify_equilibrium(ref, eps)
+        got = best_response_dynamics(fast, max_rounds=max_rounds)
+        want = reference_best_response_dynamics(ref, max_rounds=max_rounds)
+        assert (got.converged, got.rounds, got.cycling_agents) == (
+            want.converged, want.rounds, want.cycling_agents)
+        assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert certify_equilibrium(fast, eps) == reference_certify_equilibrium(ref, eps)
+    scores = fast.scores()
+    assert fast.assigned_levels(scores).tobytes() == reference_assigned_levels(fast, scores).tobytes()
+
+
+def test_bit_identity_cases_exercise_ties_and_truncation(benchmark_population):
+    """The tie-heavy case ties in standing scores; the truncated run stops moving agents."""
+    tied = _tie_heavy(benchmark_population)
+    assert len(np.unique(tied.scores())) == 2
+    assert np.array_equal(np.nonzero(tied.assigned_bands() == 1)[0], np.arange(16, 36))
+    build, max_rounds, _ = BIT_IDENTITY_CASES["truncated_max_rounds_3"]
+    result = best_response_dynamics(build(benchmark_population), max_rounds=max_rounds)
+    assert not result.converged and result.cycling_agents

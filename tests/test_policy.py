@@ -109,6 +109,29 @@ def test_policy_json():
         policy_from_json({"levels": [0, 1]})
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"two_level": {"c": "q", "capacity": 0.2}},
+        {"two_level": {"c": 0.8, "capacity": None}},
+        {"two_level": [0.8, 0.2]},
+        {"levels": ["a", 1.0], "cutpoints": [0.8], "capacity": 0.2},
+        {"levels": 3, "cutpoints": [0.8], "capacity": 0.2},
+    ],
+)
+def test_policy_json_non_numeric_is_domain_error(spec):
+    with pytest.raises(DomainError):
+        policy_from_json(spec)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_two_level_rejects_non_finite(bad):
+    with pytest.raises(DomainError, match="finite"):
+        two_level(bad, 0.2)
+    with pytest.raises(DomainError, match="finite"):
+        two_level(0.5, bad)
+
+
 from hypothesis import given, strategies as st
 
 
