@@ -13,9 +13,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import design, groups as groups_mod, multidim as multidim_mod, oracle
 from .equilibrium import sample_schedule, solve
@@ -37,8 +35,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CERTIFICATION = 4
-
-WORKERS_ENV = "RANKDESIGN_WORKERS"
 
 
 def _load_config(path: str | None) -> dict:
@@ -86,6 +82,14 @@ def _number(value, what: str) -> float:
     return number
 
 
+def _integer(value, what: str) -> int:
+    """An integral number from a config value, such as 3 or 3.0; 2.5 is a config error."""
+    number = _number(value, what)
+    if not number.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _sweep_cutoffs(config: dict) -> list[float]:
     sweep = config.get("sweep")
     if not sweep:
@@ -96,10 +100,7 @@ def _sweep_cutoffs(config: dict) -> list[float]:
     if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
         raise ConfigError(f"sweep range must be [lo, hi], got {bounds!r}")
     lo, hi = (_number(b, "sweep range bound") for b in bounds)
-    steps = _number(sweep["steps"], "sweep steps")
-    if not steps.is_integer():
-        raise ConfigError(f"sweep steps must be an integer, got {sweep['steps']!r}")
-    steps = int(steps)
+    steps = _integer(sweep["steps"], "sweep steps")
     if steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
@@ -122,18 +123,6 @@ def _emit(args, payload, rows=None, header=None) -> None:
         sys.stdout.write(text)
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-
-
 def cmd_eval(args, config: dict) -> int:
     population = _population(config)
     policy = _policy(config)
@@ -145,9 +134,7 @@ def cmd_eval(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _sweep_point(payload):
-    population_json, c, capacity = payload
-    population = PopulationSpec.from_json(population_json)
+def _sweep_point(population: PopulationSpec, c: float, capacity: float):
     from .policy import two_level
 
     try:
@@ -165,14 +152,7 @@ def cmd_sweep(args, config: dict) -> int:
     if capacity is None:
         raise ConfigError("sweep config needs a top-level 'capacity' field")
     capacity = _number(capacity, "capacity")
-    cutoffs = _sweep_cutoffs(config)
-    payloads = [(population.to_json(), c, capacity) for c in cutoffs]
-    workers = _workers(args)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
-    else:
-        rows = [_sweep_point(p) for p in payloads]
+    rows = [_sweep_point(population, c, capacity) for c in _sweep_cutoffs(config)]
     if all(r[-1] for r in rows):
         raise ConfigError("every sweep point failed: " + rows[0][-1])
     header = ["c", "level1", "applicant_welfare", "societal_utility", "private_utility", "error"]
@@ -266,10 +246,10 @@ def cmd_multidim(args, config: dict) -> int:
             f=function_from_json(section["f"], Role.SKILL_QUANTILE),
             g=function_from_json(section["g"], Role.EFFORT_TRANSFER),
             p=function_from_json(section["p"], Role.COST_FUNCTION),
-            budget=float(section["budget"]),
-            capacity=float(section["capacity"]),
+            budget=_number(section["budget"], "multidim budget"),
+            capacity=_number(section["capacity"], "multidim capacity"),
         )
-        c = float(section["c"])
+        c = _number(section["c"], "multidim cutoff c")
         beta = multidim_mod.beta_for_interior_optimum(spec, c)
         payload.update(
             {
@@ -282,18 +262,21 @@ def cmd_multidim(args, config: dict) -> int:
         )
     if "skills" in section:
         sk = section["skills"]
+        weights = sk["weights"]
+        if not isinstance(weights, list):
+            raise ConfigError(f"multidim weights must be a list, got {weights!r}")
         spec = multidim_mod.MultiSkillSpec(
             quantiles=tuple(function_from_json(q, Role.SKILL_QUANTILE) for q in sk["quantiles"]),
-            weights=tuple(sk["weights"]),
-            transfer_slope=float(sk.get("transfer_slope", 1.0)),
+            weights=tuple(_number(w, "multidim weight") for w in weights),
+            transfer_slope=_number(sk.get("transfer_slope", 1.0), "multidim transfer_slope"),
             cost=function_from_json(sk["cost"], Role.COST_FUNCTION),
         )
         report = multidim_mod.check_multidim_rank_preservation(
             spec,
-            sample_size=int(sk.get("sample_size", 500)),
+            sample_size=_integer(sk.get("sample_size", 500), "multidim sample_size"),
             policy=_policy(config),
             seed=args.seed,
-            delta_e=float(sk.get("delta_e", 5e-3)),
+            delta_e=_number(sk.get("delta_e", 5e-3), "multidim delta_e"),
         )
         payload["rank_preservation"] = {
             "converged": report.converged,
@@ -322,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write result to this path instead of stdout")
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--grid", type=int, default=200)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("eval")

@@ -3,7 +3,9 @@
 Three roles appear throughout the library: a skill quantile on [0, 1],
 a concave effort-to-score transfer on [0, inf), and a convex effort cost
 on [0, inf).  All are represented by :class:`FunctionSpec` subclasses that
-support evaluation, exact inversion, and derivatives.  Parameters must be
+support evaluation, exact inversion, exact definite integrals and
+derivatives.  ``evaluate`` and ``invert`` take a number or a 1-d array of
+numbers; an array is checked and mapped as a whole.  Parameters must be
 finite; a non-finite one is rejected when the object is built.
 """
 
@@ -11,8 +13,10 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DomainError, ModelError, RangeError
 
@@ -30,7 +34,7 @@ class FunctionSpec:
     role: Role | None = field(default=None, kw_only=True)
 
     # subclasses must call _set_domain when built and define: evaluate,
-    # invert, derivative, exact_derivative, to_json
+    # invert, integral, derivative, exact_derivative, to_json
 
     def _set_domain(self, lo: float, hi: float) -> None:
         object.__setattr__(self, "_lo", lo)
@@ -45,12 +49,33 @@ class FunctionSpec:
         """Interior points of the domain where the function is not smooth."""
         return ()
 
-    def _check_domain(self, x: float) -> None:
-        if not (self._lo <= x <= self._hi):
-            raise DomainError(f"x={x!r} outside domain [{self._lo}, {self._hi}] of {self!r}")
+    def _check_domain(self, x) -> None:
+        try:
+            if self._lo <= x <= self._hi:
+                return
+        except ValueError:  # an array: the comparison has no single truth value
+            if _inside(x, self._lo, self._hi):
+                return
+        raise DomainError(f"x={x!r} outside domain [{self._lo}, {self._hi}] of {self!r}")
 
     def __call__(self, x: float) -> float:
         return self.evaluate(x)
+
+
+# Scalar arguments keep their plain comparisons: scalar callers such as the
+# group audits make about a million calls per pass, and a try block costs
+# them nothing.  An array makes those comparisons raise ValueError (it has no
+# single truth value), or is dispatched on its exact class, and these check
+# it value by value; NaN is outside.
+_ndarray = np.ndarray
+
+
+def _inside(v: np.ndarray, lo: float, hi: float) -> bool:
+    return bool(((lo <= v) & (v <= hi)).all())
+
+
+def _below(v: np.ndarray, bound: float) -> bool:
+    return bool((v < bound).any())
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -79,9 +104,19 @@ class Power(FunctionSpec):
         return self.scale * x**self.exponent
 
     def invert(self, y: float) -> float:
-        if y < 0.0:
-            raise RangeError(f"y={y!r} below image of {self!r}")
+        try:
+            if y < 0.0:
+                raise RangeError(f"y={y!r} below image of {self!r}")
+        except ValueError:  # an array
+            if _below(y, 0.0):
+                raise RangeError(f"y={y!r} below image of {self!r}") from None
         return (y / self.scale) ** (1.0 / self.exponent)
+
+    def integral(self, a: float, b: float) -> float:
+        self._check_domain(a)
+        self._check_domain(b)
+        k = self.exponent + 1.0
+        return self.scale * (b**k - a**k) / k
 
     def derivative(self, x: float) -> float:
         self._check_domain(x)
@@ -115,9 +150,19 @@ class AffinePower(FunctionSpec):
         return self.scale * x**self.exponent + self.offset
 
     def invert(self, y: float) -> float:
-        if y < self.offset:
-            raise RangeError(f"y={y!r} below image of {self!r}")
+        try:
+            if y < self.offset:
+                raise RangeError(f"y={y!r} below image of {self!r}")
+        except ValueError:  # an array
+            if _below(y, self.offset):
+                raise RangeError(f"y={y!r} below image of {self!r}") from None
         return ((y - self.offset) / self.scale) ** (1.0 / self.exponent)
+
+    def integral(self, a: float, b: float) -> float:
+        self._check_domain(a)
+        self._check_domain(b)
+        k = self.exponent + 1.0
+        return self.scale * (b**k - a**k) / k + self.offset * (b - a)
 
     def derivative(self, x: float) -> float:
         self._check_domain(x)
@@ -140,9 +185,11 @@ class PiecewiseMonotone(FunctionSpec):
 
     Evaluation and inversion locate the segment by binary search over the
     knot xs (or ys) and interpolate linearly, so the inverse is exact: a knot
-    y maps back to its knot x.  Derivatives are central finite differences
-    and therefore approximate, with one-sided differences at the domain
-    boundary.
+    y maps back to its knot x.  Arrays go through ``np.interp``, which
+    returns knot values exactly and agrees with the scalar formula elsewhere
+    to rounding.  The integral is the exact trapezoid sum over the knots.
+    Derivatives are central finite differences and therefore approximate,
+    with one-sided differences at the domain boundary.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -163,6 +210,8 @@ class PiecewiseMonotone(FunctionSpec):
             raise DomainError("knot y values must be strictly increasing")
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "_x_array", np.array(xs))
+        object.__setattr__(self, "_y_array", np.array(ys))
         self._set_domain(xs[0], xs[-1])
         _check_role_curvature(self)
 
@@ -178,6 +227,8 @@ class PiecewiseMonotone(FunctionSpec):
 
     def evaluate(self, x: float) -> float:
         self._check_domain(x)
+        if x.__class__ is _ndarray:
+            return np.interp(x, self._x_array, self._y_array)
         xs, ys = self._xs, self._ys
         i = bisect_left(xs, x, 1, len(xs) - 1)
         x0, y0 = xs[i - 1], ys[i - 1]
@@ -185,13 +236,24 @@ class PiecewiseMonotone(FunctionSpec):
 
     def invert(self, y: float) -> float:
         xs, ys = self._xs, self._ys
-        if not (ys[0] <= y <= ys[-1]):
+        array = y.__class__ is _ndarray
+        if not (_inside(y, ys[0], ys[-1]) if array else ys[0] <= y <= ys[-1]):
             raise RangeError(f"y={y!r} outside image [{ys[0]}, {ys[-1]}] of piecewise spec")
+        if array:
+            return np.interp(y, self._y_array, self._x_array)
         i = bisect_left(ys, y, 1, len(ys) - 1)
         if y == ys[i]:
             return xs[i]
         x0, y0 = xs[i - 1], ys[i - 1]
         return x0 + (xs[i] - x0) * (y - y0) / (ys[i] - y0)
+
+    def integral(self, a: float, b: float) -> float:
+        if b < a:
+            return -self.integral(b, a)
+        i, j = bisect_right(self._xs, a), bisect_left(self._xs, b)
+        xs = (a, *self._xs[i:j], b)
+        ys = (self.evaluate(a), *self._ys[i:j], self.evaluate(b))
+        return sum(0.5 * (y0 + y1) * (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
 
     def derivative(self, x: float) -> float:
         self._check_domain(x)

@@ -8,6 +8,7 @@ quantiles.  All closed forms below assume equal group shares and g(e0) = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ModelError, RegionError
@@ -30,6 +31,9 @@ class GroupSpec:
     share: float = GROUP_SHARE
 
     def __post_init__(self):
+        for name in ("gamma_a", "gamma_b", "share"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"group spec {name} must be finite, got {getattr(self, name)!r}")
         if not (self.gamma_a > 0.0 and self.gamma_b > 0.0):
             raise DomainError("environment factors must be positive")
         if self.gamma_a < self.gamma_b:
@@ -53,6 +57,8 @@ class GroupSpec:
             return GroupSpec(float(obj["gamma_a"]), float(obj["gamma_b"]), float(obj.get("share", GROUP_SHARE)))
         except KeyError as exc:
             raise DomainError(f"group spec missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"group spec values must be numbers: {exc}") from exc
 
 
 def _cdf_clamped(population: PopulationSpec, value: float) -> float:

@@ -23,7 +23,10 @@ from .errors import AssumptionError, DomainError, ModelError
 from .functions import FunctionSpec, PopulationSpec, Power, Role
 from .oracle import DiscreteInstance, best_response_dynamics
 from .policy import RewardPolicy
-from .quadrature import adaptive_simpson, integrate_piecewise
+from .quadrature import adaptive_simpson, geometric_breakpoints, integrate_piecewise  # noqa: F401
+
+# adaptive_simpson is not used here; it stays importable from this module
+# because perfbench/tracing.py wraps it here.
 
 
 @dataclass(frozen=True)
@@ -175,13 +178,12 @@ def unmeasurable_conditional_mean(spec: UnmeasurableSpec, c: float) -> float:
         )
     floor = spec.g.evaluate(tilde_e0) * spec.f.evaluate(c)
 
-    def leftover_transfer(theta: float) -> float:
+    def leftover_transfer(theta: np.ndarray) -> np.ndarray:
         e_m = spec.g.invert(floor / spec.f.evaluate(theta))
         return spec.g.evaluate(spec.budget - e_m)
 
-    mean_f, _ = adaptive_simpson(lambda q: spec.f.evaluate(q), 0.0, 1.0)
-    integral, _ = integrate_piecewise(leftover_transfer, [c, 1.0])
-    return mean_f * integral / (1.0 - c)
+    integral, _ = integrate_piecewise(leftover_transfer, [c, *geometric_breakpoints(c, 1.0), 1.0])
+    return spec.f.integral(0.0, 1.0) * integral / (1.0 - c)
 
 
 def _check_cutoff(spec: UnmeasurableSpec, c: float) -> None:

@@ -6,21 +6,27 @@ Three stakeholders, three functionals over the unit mass of applicants:
 * societal utility   = E[v]                  (everyone's score counts)
 * private utility    = E[v * reward]         (the school sees only admits)
 
-All are band-wise integrals of piecewise-smooth functions, so quadrature is
-split at band cutpoints, switch points and every kink the primitives put
-into a band's integrands.
+Within a band the score is the floor g(threshold) * f(lo) up to the switch
+point and g(e0) * f(theta) above it, so both utilities are closed forms in
+the exact integral of f.  Only the effort cost needs quadrature, and only
+below the switch point: above it, and in band 0, effort idles at e0 and
+p(e0) = 0.  The cost quadrature splits at every kink the primitives put
+into the band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equilibrium import EquilibriumSchedule, _band_effort, _band_functions, _band_score  # noqa: F401
-from .errors import DomainError, RangeError
-from .quadrature import DEFAULT_REL_TOL, integrate_piecewise
+import numpy as np
 
-# The integrands below use _band_functions; _band_effort and _band_score stay
-# importable from this module because perfbench/tracing.py wraps them here.
+from .equilibrium import EquilibriumSchedule, _band_effort, _band_score, _transfer_at  # noqa: F401
+from .errors import DomainError, ModelError, RangeError
+from .functions import PopulationSpec
+from .quadrature import DEFAULT_REL_TOL, geometric_breakpoints, integrate_piecewise
+
+# _band_effort and _band_score are not used here; they stay importable from
+# this module because perfbench/tracing.py wraps them here.
 
 
 @dataclass(frozen=True)
@@ -46,10 +52,10 @@ class WelfareReport:
 
 
 def _band_pieces(schedule: EquilibriumSchedule, k: int) -> list[float]:
-    """Breakpoints of band k's integrands: every kink, so each piece is smooth.
+    """Breakpoints of band k's effort cost: every kink, so each piece is smooth.
 
-    Effort and score bend at the switch point and at the kinks of f; effort
-    also bends where it crosses a kink x of g or p, at the rank theta where
+    Effort bends at the switch point, at the kinks of f, and where it
+    crosses a kink x of g or p, at the rank theta where
     g(threshold) * f(lo) / f(theta) = g(x).  Points whose image or domain
     check fails do not occur in the band and are skipped.
     """
@@ -68,25 +74,50 @@ def _band_pieces(schedule: EquilibriumSchedule, k: int) -> list[float]:
             except (DomainError, RangeError, ZeroDivisionError):
                 continue
     pts.update(theta for theta in candidates if lo < theta < hi)
-    # the integrand varies on the scale of the band's lower edge (effort decays
-    # like a power of lo/theta); a geometric ladder keeps each piece resolvable
-    edge = lo
-    while 0.0 < edge < 0.125 * hi:
-        edge *= 2.0
-        pts.add(edge)
+    pts.update(geometric_breakpoints(lo, hi))
     return sorted(pts)
 
 
+def _band_split(pop: PopulationSpec, band) -> tuple[float, float, float]:
+    """(floor, idle, m): band's score is floor on [lo, m] and idle * f(theta) on [m, hi].
+
+    idle = g(e0).  m is the switch point; a band without one follows a
+    single branch throughout, and band 0 only the idle one.
+    """
+    idle = pop.g.evaluate(pop.e0)
+    if band.threshold_effort is None:
+        return 0.0, idle, band.lo
+    floor = _transfer_at(pop, band.threshold_effort) * pop.f.evaluate(band.lo)
+    if band.switch_point is not None:
+        return floor, idle, band.switch_point
+    return floor, idle, band.hi if idle * pop.f.evaluate(band.hi) <= floor else band.lo
+
+
 def band_effort_cost(schedule: EquilibriumSchedule, k: int, rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float]:
-    """Integral of p(e(theta)) over band k."""
-    pop = schedule.population
-    effort, _ = _band_functions(pop, schedule.bands[k])
-    cost = pop.p.evaluate
+    """Integral of p(e(theta)) over band k, with its quadrature error estimate."""
+    pop, band = schedule.population, schedule.bands[k]
+    floor, idle, m = _band_split(pop, band)
+    if m == band.lo:
+        return 0.0, 0.0
+    f, g_invert, cost = pop.f.evaluate, pop.g.invert, pop.p.evaluate
 
-    def integrand(theta: float) -> float:
-        return cost(effort(theta))
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        # below the switch point the score target floor / f(theta) is at least
+        # idle; the maximum only absorbs rounding next to it
+        try:
+            return cost(g_invert(np.maximum(floor / f(theta), idle)))
+        except RangeError as exc:
+            raise ModelError("score target outside the image of the effort transfer") from exc
 
-    return integrate_piecewise(integrand, _band_pieces(schedule, k), rel_tol)
+    pieces = [t for t in _band_pieces(schedule, k) if t <= m]
+    return integrate_piecewise(integrand, pieces, rel_tol)
+
+
+def _band_score_integral(schedule: EquilibriumSchedule, k: int) -> float:
+    """Integral of the score v(theta) over band k, in closed form."""
+    pop, band = schedule.population, schedule.bands[k]
+    floor, idle, m = _band_split(pop, band)
+    return floor * (m - band.lo) + idle * pop.f.integral(m, band.hi)
 
 
 def total_effort_cost(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float]:
@@ -100,48 +131,29 @@ def applicant_welfare(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_RE
     return schedule.policy.capacity - cost
 
 
-def societal_utility(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def societal_utility(schedule: EquilibriumSchedule) -> float:
     """E[v] over the whole population."""
-    pop = schedule.population
-    total = 0.0
-    for k in range(schedule.policy.k):
-        _, score = _band_functions(pop, schedule.bands[k])
-        v, _ = integrate_piecewise(score, _band_pieces(schedule, k), rel_tol)
-        total += v
-    return total
+    return sum(_band_score_integral(schedule, k) for k in range(schedule.policy.k))
 
 
-def private_utility(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def private_utility(schedule: EquilibriumSchedule) -> float:
     """E[v * reward]; rank preservation lets the reward be read at the pre-effort rank."""
-    pop = schedule.population
-    total = 0.0
-    for k in range(schedule.policy.k):
-        level = schedule.policy.levels[k]
-        if level == 0.0:
-            continue
-        _, score = _band_functions(pop, schedule.bands[k])
-
-        def integrand(theta: float, score=score, level=level) -> float:
-            return level * score(theta)
-
-        v, _ = integrate_piecewise(integrand, _band_pieces(schedule, k), rel_tol)
-        total += v
-    return total
+    return sum(
+        level * _band_score_integral(schedule, k)
+        for k, level in enumerate(schedule.policy.levels)
+        if level != 0.0
+    )
 
 
 def welfare_report(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_REL_TOL) -> WelfareReport:
-    per_band = []
-    err_total = 0.0
-    for k in range(schedule.policy.k):
-        v, e = band_effort_cost(schedule, k, rel_tol)
-        per_band.append(v)
-        err_total += e
+    costs = [band_effort_cost(schedule, k, rel_tol) for k in range(schedule.policy.k)]
+    scores = [_band_score_integral(schedule, k) for k in range(schedule.policy.k)]
     return WelfareReport(
-        applicant_welfare=schedule.policy.capacity - sum(per_band),
-        societal_utility=societal_utility(schedule, rel_tol),
-        private_utility=private_utility(schedule, rel_tol),
-        per_band_effort_cost=tuple(per_band),
-        quadrature_error_estimate=err_total,
+        applicant_welfare=schedule.policy.capacity - sum(v for v, _ in costs),
+        societal_utility=sum(scores),
+        private_utility=sum(level * s for level, s in zip(schedule.policy.levels, scores) if level != 0.0),
+        per_band_effort_cost=tuple(v for v, _ in costs),
+        quadrature_error_estimate=sum(e for _, e in costs),
     )
 
 

@@ -231,14 +231,14 @@ def test_multidim_command(tmp_path, capsys):
     assert 0.0 < payload["beta"] < 1.0
 
 
-def test_output_file_and_env_workers(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RANKDESIGN_WORKERS", "1")
+def test_output_file(tmp_path, capsys):
     cfg = write_config(tmp_path, _sweep_config(0.1, 0.5, 3))
     out_path = tmp_path / "sweep.csv"
     code = main(["--config", cfg, "--output", str(out_path), "sweep"])
     assert code == 0
     rows = list(csv.DictReader(out_path.open()))
     assert len(rows) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_multidim_skills_rank_check(tmp_path, capsys):
@@ -344,7 +344,77 @@ def test_sweep_accepts_integral_float_steps(tmp_path, capsys):
     assert len(list(csv.DictReader(io.StringIO(out)))) == 3
 
 
-def test_malformed_workers_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RANKDESIGN_WORKERS", "abc")
+def test_sweep_has_no_worker_option(tmp_path, capsys, monkeypatch):
+    # sweeps run in this process: --workers is unknown and RANKDESIGN_WORKERS unread
     cfg = write_config(tmp_path, _sweep_config(0.1, 0.5, 3))
-    _assert_config_error(capsys, main(["--config", cfg, "sweep"]))
+    with pytest.raises(SystemExit) as info:
+        main(["--config", cfg, "--workers", "2", "sweep"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    monkeypatch.setenv("RANKDESIGN_WORKERS", "abc")
+    code, out = run(capsys, ["--config", cfg, "sweep"])
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 3
+
+
+UNMEASURABLE_SECTION = {
+    "f": {"family": "power", "scale": 1.0, "exponent": 1.0},
+    "g": {"family": "power", "scale": 1.0, "exponent": 0.5},
+    "p": {"family": "power", "scale": 1.0, "exponent": 2.0},
+    "budget": 2.0,
+    "capacity": 0.2,
+    "c": 0.4,
+}
+
+SKILLS_SECTION = {
+    "quantiles": [
+        {"family": "power", "scale": 1.0, "exponent": 1.0},
+        {"family": "power", "scale": 1.0, "exponent": 1.0},
+    ],
+    "weights": [0.5, 0.5],
+    "cost": {"family": "power", "scale": 1.0, "exponent": 2.0},
+    "transfer_slope": 1.0,
+    "delta_e": 5e-3,
+    "sample_size": 60,
+}
+
+
+@pytest.mark.parametrize("field", ["budget", "capacity", "c"])
+def test_non_numeric_unmeasurable_field_exits_2(tmp_path, capsys, field):
+    cfg = write_config(tmp_path, {"multidim": {**UNMEASURABLE_SECTION, field: "x"}})
+    _assert_config_error(capsys, main(["--config", cfg, "multidim"]))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("transfer_slope", "x"),
+        ("delta_e", "x"),
+        ("sample_size", "x"),
+        ("sample_size", 2.5),
+        ("weights", ["x", 0.5]),
+        ("weights", 0.5),
+    ],
+)
+def test_malformed_skills_field_exits_2(tmp_path, capsys, field, value):
+    cfg = write_config(
+        tmp_path,
+        {
+            "policy": {"two_level": {"c": 0.8, "capacity": 0.2}},
+            "multidim": {"skills": {**SKILLS_SECTION, field: value}},
+        },
+    )
+    _assert_config_error(capsys, main(["--config", cfg, "multidim"]))
+
+
+@pytest.mark.parametrize("gamma_a, named", [('"x"', False), ("1e999", True), ("NaN", True)])
+def test_malformed_group_factor_exits_2(tmp_path, capsys, gamma_a, named):
+    text = json.dumps({**GROUPS_CONFIG, "policy": {"two_level": {"c": 0.3, "capacity": 0.2}}})
+    path = tmp_path / "groups.json"
+    path.write_text(text.replace('"gamma_a": 2.0', f'"gamma_a": {gamma_a}'))
+    code = main(["--config", str(path), "groups"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err and "Traceback" not in err
+    # a non-finite factor is named, not reported later as a cost-function domain error
+    assert ("gamma_a must be finite" in err) == named

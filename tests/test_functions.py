@@ -241,3 +241,92 @@ def test_domain_check_rejects_nan():
             spec.evaluate(math.nan)
     with pytest.raises(RangeError):
         PIECEWISE.invert(math.nan)
+
+
+# --- exact integrals and array arguments ----------------------------------
+
+
+def _fine_integral(spec, a, b):
+    # composite trapezoid on every knot plus 2**16 even steps: exact for a
+    # piecewise-linear spec, O(h**2) for the smooth families
+    xs = np.union1d(np.linspace(a, b, 2**16 + 1), [x for x in spec.kinks if a < x < b])
+    return float(np.trapezoid(spec.evaluate(xs), xs))
+
+
+@pytest.mark.parametrize(
+    "spec, a, b, exact",
+    [
+        (Power(2.0, 1.0), 0.0, 1.0, 1.0),
+        (Power(1.0, 8.0), 0.25, 0.75, (0.75**9 - 0.25**9) / 9.0),
+        (Power(1.3, 0.6), 0.0, 2.0, 1.3 * 2.0**1.6 / 1.6),
+        (AffinePower(1.0, 0.5, 0.4), 0.1, 1.0, (1.0 - 0.1**1.5) / 1.5 + 0.4 * 0.9),
+        # knots (0, 0), (0.5, 0.2), (1, 1), (2, 3.5): trapezoids between them
+        (PIECEWISE, 0.0, 2.0, 0.05 + 0.3 + 2.25),
+        (PIECEWISE, 0.25, 1.5, 0.0375 + 0.3 + 0.8125),
+        (PIECEWISE, 1.25, 1.75, 0.5 * (1.625 + 2.875) * 0.5),
+        (PIECEWISE, 1.0, 1.0, 0.0),
+    ],
+)
+def test_integral_closed_forms(spec, a, b, exact):
+    assert spec.integral(a, b) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+    assert spec.integral(b, a) == pytest.approx(-exact, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("spec", PIECEWISE_SPECS + [Power(2.0, 1.5), AffinePower(0.7, 2.4, 0.1)])
+def test_integral_matches_fine_reference(spec):
+    lo, hi = spec.domain
+    hi = min(hi, 2.0)
+    rng = np.random.default_rng(23)
+    for a, b in [(lo, hi)] + [tuple(sorted(rng.uniform(lo, hi, 2))) for _ in range(6)]:
+        # piecewise specs are exact at any step; the smooth ones carry h**2 error
+        tol = 1e-13 if isinstance(spec, PiecewiseMonotone) else 1e-8
+        assert spec.integral(float(a), float(b)) == pytest.approx(_fine_integral(spec, a, b), rel=tol, abs=1e-15)
+
+
+def test_integral_checks_domain():
+    with pytest.raises(DomainError):
+        Power(1.0, 2.0).integral(-0.5, 1.0)
+    with pytest.raises(DomainError):
+        PIECEWISE.integral(0.0, 2.5)
+
+
+@pytest.mark.parametrize("spec", PIECEWISE_SPECS)
+def test_piecewise_array_matches_scalar(spec):
+    xs, ys = (np.array(v) for v in zip(*spec.knots))
+    # knots map exactly, both ways
+    assert spec.evaluate(xs).tolist() == [spec.evaluate(float(x)) for x in xs] == ys.tolist()
+    assert spec.invert(ys).tolist() == [spec.invert(float(y)) for y in ys] == xs.tolist()
+    # elsewhere within one ulp at the scale of the segment's endpoints
+    rng = np.random.default_rng(31)
+    for grid, other, fn in ((xs, ys, spec.evaluate), (ys, xs, spec.invert)):
+        points = rng.uniform(grid[0], grid[-1], 5000)
+        for point, value in zip(points, fn(points)):
+            i = max(1, int(np.searchsorted(grid, point)))
+            scale = max(abs(other[i - 1]), abs(other[i]))
+            assert abs(value - fn(float(point))) <= math.ulp(scale)
+
+
+@pytest.mark.parametrize("spec", [Power(1.3, 0.6), AffinePower(1.0, 0.5, 0.4)])
+def test_power_array_matches_scalar(spec):
+    # numpy's power and the interpreter's may round x**k differently by an ulp
+    ulps = 4 * np.finfo(float).eps
+    xs = np.linspace(0.0, 3.0, 301)
+    assert spec.evaluate(xs).tolist() == pytest.approx([spec.evaluate(float(x)) for x in xs], rel=ulps)
+    ys = spec.evaluate(xs)
+    assert spec.invert(ys).tolist() == pytest.approx([spec.invert(float(y)) for y in ys], rel=ulps)
+
+
+def test_array_domain_and_range_errors():
+    for spec in (Power(1.0, 2.0), AffinePower(1.0, 2.0, 0.5), PIECEWISE):
+        with pytest.raises(DomainError):
+            spec.evaluate(np.array([0.5, -0.1]))
+        with pytest.raises(DomainError):
+            spec.evaluate(np.array([0.5, math.nan]))
+    with pytest.raises(RangeError):
+        Power(1.0, 2.0).invert(np.array([0.5, -1.0]))
+    with pytest.raises(RangeError):
+        AffinePower(1.0, 2.0, 0.5).invert(np.array([0.6, 0.2]))
+    with pytest.raises(RangeError):
+        PIECEWISE.invert(np.array([1.0, 4.0]))
+    with pytest.raises(RangeError):
+        PIECEWISE.invert(np.array([1.0, math.nan]))

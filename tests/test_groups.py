@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,29 @@ def test_group_spec_validation():
     with pytest.raises(DomainError):
         GroupSpec(2.0, 1.0, share=0.3)
     GroupSpec(1.0, 1.0)  # equal factors allowed for the symmetric reduction
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((math.inf, 1.0), "gamma_a"),
+        ((math.nan, 1.0), "gamma_a"),
+        ((2.0, math.inf), "gamma_b"),
+        ((2.0, math.nan), "gamma_b"),
+        ((2.0, 1.0, math.nan), "share"),
+    ],
+)
+def test_group_spec_rejects_non_finite(args, field):
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        GroupSpec(*args)
+
+
+@pytest.mark.parametrize(
+    "obj", [{"gamma_a": "x", "gamma_b": 1.0}, {"gamma_a": 2.0, "gamma_b": None}, {"gamma_a": [2.0], "gamma_b": 1.0}, "x"]
+)
+def test_group_spec_from_json_rejects_non_numbers(obj):
+    with pytest.raises(DomainError):
+        GroupSpec.from_json(obj)
 
 
 def test_f_mix_inverse_linear(identity_population):

@@ -11,7 +11,6 @@ from rankdesign import (
     QuadratureError,
     RewardPolicy,
     Role,
-    WelfareReport,
     applicant_welfare,
     effort_at,
     private_utility,
@@ -95,6 +94,20 @@ def test_pure_randomization_extremes(benchmark_population):
     assert applicant_welfare(schedule) == 0.2  # exact: zero effort cost integrand
     assert societal_utility(schedule) == 0.0
     assert private_utility(schedule) == 0.0
+
+
+BENCHMARK_CUTOFFS = [float(c) for c in np.concatenate([np.geomspace(1e-4, 1e-2, 25), np.linspace(1e-2, 0.79, 60)])]
+
+
+def test_benchmark_welfare_matches_closed_forms(benchmark_population):
+    # scores are closed forms and the cost quadrature is 20-point Gauss-Legendre:
+    # both sit at rounding level, far inside the 1e-8 quadrature tolerance
+    for c in BENCHMARK_CUTOFFS:
+        report = welfare_report(solve(benchmark_population, two_level(c, 0.2)))
+        assert report.applicant_welfare == pytest.approx(analytic_applicant_welfare(c), rel=1e-12, abs=0.0)
+        assert report.societal_utility == pytest.approx(analytic_societal(c), rel=1e-12, abs=0.0)
+        assert report.private_utility == pytest.approx(analytic_private(c), rel=1e-12, abs=0.0)
+        assert 0.0 <= report.quadrature_error_estimate <= 1e-8 * report.per_band_effort_cost[1]
 
 
 def test_welfare_continuity_near_zero_cutoff(benchmark_population):
@@ -205,7 +218,7 @@ def test_piecewise_population_welfare_exact():
             assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
-# --- Power families: results equal the per-theta formula bit for bit -------
+# --- Power families: results match the per-theta formula -----------------
 
 
 def _reference_band_effort(pop, band, theta):
@@ -235,26 +248,21 @@ def _reference_pieces(band):
     return sorted(pts)
 
 
+def _simpson_pieces(fun, pts):
+    return sum(adaptive_simpson(fun, a, b)[0] for a, b in zip(pts, pts[1:]))
+
+
 def _reference_report(schedule):
+    """The per-theta formula integrated by scalar adaptive Simpson, band by band."""
     pop, policy = schedule.population, schedule.policy
-    per_band, err, societal, private = [], 0.0, 0.0, 0.0
-    for band in schedule.bands:
-        v, e = integrate_piecewise(
-            lambda t, band=band: pop.p.evaluate(_reference_band_effort(pop, band, t)), _reference_pieces(band)
-        )
-        per_band.append(v)
-        err += e
-    for band in schedule.bands:
-        societal += integrate_piecewise(
-            lambda t, band=band: _reference_band_score(pop, band, t), _reference_pieces(band)
-        )[0]
+    per_band, societal, private = [], 0.0, 0.0
     for band, level in zip(schedule.bands, policy.levels):
-        if level != 0.0:
-            private += integrate_piecewise(
-                lambda t, band=band, level=level: level * _reference_band_score(pop, band, t),
-                _reference_pieces(band),
-            )[0]
-    return WelfareReport(policy.capacity - sum(per_band), societal, private, tuple(per_band), err)
+        pts = _reference_pieces(band)
+        per_band.append(_simpson_pieces(lambda t: pop.p.evaluate(_reference_band_effort(pop, band, t)), pts))
+        score = _simpson_pieces(lambda t: _reference_band_score(pop, band, t), pts)
+        societal += score
+        private += level * score
+    return policy.capacity - sum(per_band), societal, private, per_band
 
 
 POWER_POPULATIONS = [
@@ -283,7 +291,15 @@ def test_power_families_match_per_theta_formula(population):
     thetas = np.linspace(0.0, 1.0, 257)
     for policy in policies:
         schedule = solve(population, policy)
-        assert welfare_report(schedule) == _reference_report(schedule)
+        report = welfare_report(schedule)
+        welfare, societal, private, per_band = _reference_report(schedule)
+        assert report.applicant_welfare == pytest.approx(welfare, rel=1e-10, abs=0.0)
+        assert report.societal_utility == pytest.approx(societal, rel=1e-10, abs=0.0)
+        assert report.private_utility == pytest.approx(private, rel=1e-10, abs=0.0)
+        # a band's own cost is as good as Simpson's 1e-8 tolerance: on the small
+        # band costs of the second population the reference is 1.5e-9 off
+        assert report.per_band_effort_cost == pytest.approx(per_band, rel=1e-8, abs=0.0)
+        assert math.isfinite(report.quadrature_error_estimate)
         for theta in thetas:
             band = schedule.band_of(theta)
             assert effort_at(schedule, theta) == _reference_band_effort(population, band, theta)
