@@ -49,10 +49,7 @@ from .functions import (
     PopulationSpec,
     Power,
     Role,
-    derivative,
-    evaluate,
     function_from_json,
-    invert,
 )
 from .groups import (
     FiniteDifference,

@@ -90,6 +90,13 @@ def _integer(value, what: str) -> int:
     return int(number)
 
 
+def _of_kind(value, kind: type, what: str):
+    """A config value that is a JSON object (dict) or list; anything else is a config error."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be {'a list' if kind is list else 'an object'}, got {value!r}")
+    return value
+
+
 def _sweep_cutoffs(config: dict) -> list[float]:
     sweep = config.get("sweep")
     if not sweep:
@@ -238,6 +245,7 @@ def cmd_multidim(args, config: dict) -> int:
     section = config.get("multidim")
     if not section:
         raise ConfigError("config is missing the 'multidim' field")
+    section = _of_kind(section, dict, "multidim section")
     from .functions import function_from_json, Role
 
     payload = {}
@@ -261,12 +269,11 @@ def cmd_multidim(args, config: dict) -> int:
             }
         )
     if "skills" in section:
-        sk = section["skills"]
-        weights = sk["weights"]
-        if not isinstance(weights, list):
-            raise ConfigError(f"multidim weights must be a list, got {weights!r}")
+        sk = _of_kind(section["skills"], dict, "multidim skills")
+        quantiles = _of_kind(sk["quantiles"], list, "multidim quantiles")
+        weights = _of_kind(sk["weights"], list, "multidim weights")
         spec = multidim_mod.MultiSkillSpec(
-            quantiles=tuple(function_from_json(q, Role.SKILL_QUANTILE) for q in sk["quantiles"]),
+            quantiles=tuple(function_from_json(q, Role.SKILL_QUANTILE) for q in quantiles),
             weights=tuple(_number(w, "multidim weight") for w in weights),
             transfer_slope=_number(sk.get("transfer_slope", 1.0), "multidim transfer_slope"),
             cost=function_from_json(sk["cost"], Role.COST_FUNCTION),

@@ -184,12 +184,13 @@ class PiecewiseMonotone(FunctionSpec):
     """Linear interpolation through finite knots with strictly increasing y.
 
     Evaluation and inversion locate the segment by binary search over the
-    knot xs (or ys) and interpolate linearly, so the inverse is exact: a knot
-    y maps back to its knot x.  Arrays go through ``np.interp``, which
-    returns knot values exactly and agrees with the scalar formula elsewhere
-    to rounding.  The integral is the exact trapezoid sum over the knots.
-    Derivatives are central finite differences and therefore approximate,
-    with one-sided differences at the domain boundary.
+    knot xs (or ys) and interpolate linearly, so the inverse is exact; a knot
+    x maps to its knot y and a knot y to its knot x exactly.  Arrays go
+    through ``np.interp``, which also returns knot values exactly and agrees
+    with the scalar formula elsewhere to rounding.  The integral is the exact
+    trapezoid sum over the knots.  Derivatives are central finite differences
+    and therefore approximate, with one-sided differences at the domain
+    boundary.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -231,6 +232,8 @@ class PiecewiseMonotone(FunctionSpec):
             return np.interp(x, self._x_array, self._y_array)
         xs, ys = self._xs, self._ys
         i = bisect_left(xs, x, 1, len(xs) - 1)
+        if x == xs[i]:
+            return ys[i]
         x0, y0 = xs[i - 1], ys[i - 1]
         return y0 + (ys[i] - y0) * (x - x0) / (xs[i] - x0)
 
@@ -287,21 +290,6 @@ def _check_role_curvature(spec: FunctionSpec) -> None:
         if role is Role.COST_FUNCTION:
             if any(b <= a for a, b in zip(slopes, slopes[1:])):
                 raise ModelError("cost function must have strictly increasing slopes")
-
-
-# module-level operation aliases; most call sites use the methods directly
-
-
-def evaluate(spec: FunctionSpec, x: float) -> float:
-    return spec.evaluate(x)
-
-
-def invert(spec: FunctionSpec, y: float) -> float:
-    return spec.invert(y)
-
-
-def derivative(spec: FunctionSpec, x: float) -> float:
-    return spec.derivative(x)
 
 
 _FAMILIES = {"power": Power, "affine_power": AffinePower, "piecewise_monotone": PiecewiseMonotone}

@@ -1,21 +1,28 @@
 """Two-group environment extension: scaled ranks, thresholds, gap and access.
 
 Groups share the skill distribution but scores scale with an environment
-factor, v = gamma * g(e) * f(theta_true).  Ranking then happens on the mixed
-population of scaled skills, whose CDF averages the two group-wise scaled
-quantiles.  All closed forms below assume equal group shares and g(e0) = 0.
+factor, v = gamma * g(e) * f(theta_true).  Ranking happens on the mixed
+population of scaled skills, so the two-group model is the single-group
+model with f replaced by the mixed scaled skill's quantile
+(``_MixedQuantile``): its equilibrium is ``solve`` on that population, and a
+group-G applicant at skill rank theta_true sits at the mixed rank
+H(gamma_G * f(theta_true)).  Any transfer and cost that ``solve`` accepts
+work, g(e0) > 0 included.  Group shares must be equal, and the welfare gap
+and access take a two-level policy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 
-from .errors import DomainError, ModelError, RegionError
-from .functions import PopulationSpec
-from .policy import TwoLevelPolicy
+from .equilibrium import EquilibriumSchedule, effort_at, solve
+from .errors import DomainError, RegionError
+from .functions import FunctionSpec, PiecewiseMonotone, PopulationSpec, Power
+from .policy import TwoLevelPolicy, reward_at
 
-GROUP_SHARE = 0.5  # equal halves; the only share the closed forms support
+GROUP_SHARE = 0.5  # equal halves; GroupSpec accepts no other share
 
 
 @dataclass(frozen=True)
@@ -61,44 +68,96 @@ class GroupSpec:
             raise DomainError(f"group spec values must be numbers: {exc}") from exc
 
 
-def _cdf_clamped(population: PopulationSpec, value: float) -> float:
-    """f_inverse extended to a CDF: 0 below the image, 1 above it."""
-    f = population.f
-    if value <= f.evaluate(0.0):
-        return 0.0
-    if value >= f.evaluate(1.0):
-        return 1.0
-    return min(1.0, max(0.0, f.invert(value)))
+@dataclass(frozen=True)
+class _MixedQuantile(FunctionSpec):
+    """Quantile of the environment-scaled skill over the mixed population.
+
+    ``invert`` is its CDF H(x) = w * F(x / gamma_a) + (1 - w) * F(x / gamma_b)
+    on every x, with F the skill CDF clamped to [0, 1] and w group A's share.
+    H is computed once at the breakpoints gamma * f(t), t = 0, 1 and f's
+    knots in (0, 1); their ranks are the kinks.  Between two breakpoints each
+    group's F is constant or f's inverse, so the quantile is exact: with one
+    group unclamped, x = gamma * f((q - base) / w_group), base being the
+    share of a group wholly below the segment; with both, H is linear for ``PiecewiseMonotone``
+    and C * f_inverse(x) for ``Power`` f, so x = f(q / C); any other f
+    bisects the segment.  Scalars only.
+    """
+
+    skill: FunctionSpec
+    groups: GroupSpec
+
+    def __post_init__(self):
+        f, groups = self.skill, self.groups
+        ys = [f.evaluate(t) for t in (0.0, *(t for t in f.kinks if 0.0 < t < 1.0), 1.0)]
+        # (share, factor, lowest and highest scaled skill) of groups A and B
+        parts = tuple(
+            (w, gamma, gamma * ys[0], gamma * ys[-1])
+            for w, gamma in ((groups.share, groups.gamma_a), (1.0 - groups.share, groups.gamma_b))
+        )
+        object.__setattr__(self, "_parts", parts)
+        xs = sorted({gamma * y for _, gamma, _, _ in parts for y in ys})
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_hs", [self.invert(x) for x in xs])
+        if isinstance(f, Power):
+            power_c = sum(w * gamma ** (-1.0 / f.exponent) for w, gamma, _, _ in parts)
+            object.__setattr__(self, "_power_c", power_c)
+        self._set_domain(0.0, 1.0)
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        return tuple(sorted({h for h in self._hs if 0.0 < h < 1.0}))
+
+    def group_ranks(self, x: float) -> tuple[float, float]:
+        """Skill ranks in groups A and B whose scaled skill is x, clamped to [0, 1]."""
+        return tuple(self._rank(x, part) for part in self._parts)
+
+    def _rank(self, x: float, part: tuple) -> float:
+        _, gamma, x0, x1 = part
+        if x <= x0:
+            return 0.0
+        if x >= x1:
+            return 1.0
+        # x0 < x < x1 puts x / gamma in f's image: rounding is monotone
+        return min(1.0, max(0.0, self.skill.invert(x / gamma)))
+
+    def invert(self, x: float) -> float:
+        return sum(part[0] * self._rank(x, part) for part in self._parts)
+
+    def evaluate(self, q: float) -> float:
+        self._check_domain(q)
+        xs, hs = self._xs, self._hs
+        i = bisect_left(hs, q)
+        if hs[i] == q:  # a breakpoint or q = 0; on a flat stretch its lowest x
+            return xs[i]
+        lo, hi = xs[i - 1], xs[i]
+        f = self.skill
+        if isinstance(f, PiecewiseMonotone):
+            return lo + (hi - lo) * (q - hs[i - 1]) / (hs[i] - hs[i - 1])
+        live = [(w, gamma) for w, gamma, x0, x1 in self._parts if x0 <= lo and hi <= x1]
+        if len(live) == 1:
+            ((w, gamma),) = live
+            base = sum(w for w, _, _, x1 in self._parts if x1 <= lo)
+            x = gamma * f.evaluate((q - base) / w)
+        elif isinstance(f, Power):
+            x = f.evaluate(q / self._power_c)
+        else:
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if self.invert(mid) < q:
+                    lo = mid
+                else:
+                    hi = mid
+            return hi
+        return min(max(x, lo), hi)
 
 
 def f_mix_inverse(population: PopulationSpec, groups: GroupSpec, x: float) -> float:
     """CDF of the environment-scaled skill over the mixed population."""
-    if x < 0.0:
-        return 0.0
-    return 0.5 * _cdf_clamped(population, x / groups.gamma_a) + 0.5 * _cdf_clamped(
-        population, x / groups.gamma_b
-    )
+    return _MixedQuantile(population.f, groups).invert(x)
 
 
 def f_mix(population: PopulationSpec, groups: GroupSpec, q: float) -> float:
-    """Quantile of the mixed scaled skill; bisection inverse of f_mix_inverse."""
-    if not (0.0 <= q <= 1.0):
-        raise DomainError(f"quantile {q!r} outside [0, 1]")
-    hi = population.f.evaluate(1.0) * groups.gamma_a
-    if q <= 0.0:
-        return population.f.evaluate(0.0) * groups.gamma_b
-    if q >= 1.0:
-        return hi
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f_mix_inverse(population, groups, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    """Quantile of the mixed scaled skill, exact (see ``_MixedQuantile``)."""
+    return _MixedQuantile(population.f, groups).evaluate(q)
 
 
 def pre_rank(population: PopulationSpec, groups: GroupSpec, theta_true: float, group: str) -> float:
@@ -110,39 +169,25 @@ def pre_rank(population: PopulationSpec, groups: GroupSpec, theta_true: float, g
 
 
 def group_thresholds(population: PopulationSpec, groups: GroupSpec, c: float) -> tuple[float, float]:
-    """Skill ranks above which each group reaches the admitted band."""
-    xm = f_mix(population, groups, c)
-    tau_a = _cdf_clamped(population, xm / groups.gamma_a)
-    tau_b = _cdf_clamped(population, xm / groups.gamma_b)
-    return tau_a, tau_b
+    """Skill ranks above which each group reaches the admitted band; (0, 0) at c = 0."""
+    mixed = _MixedQuantile(population.f, groups)
+    return mixed.group_ranks(mixed.evaluate(c))
 
 
-def _require_idle_score_zero(population: PopulationSpec) -> None:
-    if population.g.evaluate(population.e0) != 0.0:
-        raise ModelError("group welfare formulas require g(e0) = 0")
+def _welfare(schedule: EquilibriumSchedule, x: float) -> float:
+    """Equilibrium welfare of an applicant whose scaled skill is x."""
+    q = schedule.population.f.invert(x)
+    return reward_at(schedule.policy, q) - schedule.population.p.evaluate(effort_at(schedule, q))
 
 
-def _group_welfare(
-    population: PopulationSpec,
-    groups: GroupSpec,
-    policy: TwoLevelPolicy,
-    theta_true: float,
-    group: str,
-    thresholds: tuple[float, float],
+def _gap(
+    schedule: EquilibriumSchedule, population: PopulationSpec, groups: GroupSpec, theta_true: float
 ) -> float:
-    c = policy.c
-    tau = thresholds[0] if group == "A" else thresholds[1]
-    if theta_true < tau:
-        return 0.0
-    level = policy.level1
-    tilde_e0 = population.cost_inverse(level)
-    target = (
-        population.g.evaluate(tilde_e0)
-        * f_mix(population, groups, c)
-        / (population.f.evaluate(theta_true) * groups.factor(group))
-    )
-    effort = population.g.invert(target)
-    return level - population.p.evaluate(effort)
+    """Welfare of a group-A minus a group-B applicant at skill rank theta_true."""
+    if not (0.0 <= theta_true <= 1.0):
+        raise DomainError(f"theta_true {theta_true!r} outside [0, 1]")
+    skill = population.f.evaluate(theta_true)
+    return _welfare(schedule, groups.gamma_a * skill) - _welfare(schedule, groups.gamma_b * skill)
 
 
 def welfare_gap(
@@ -152,15 +197,8 @@ def welfare_gap(
     theta_true: float,
 ) -> float:
     """Welfare of a group-A applicant minus a group-B applicant at equal skill."""
-    if not (0.0 <= theta_true <= 1.0):
-        raise DomainError(f"theta_true {theta_true!r} outside [0, 1]")
-    _require_idle_score_zero(population)
-    if policy.c == 0.0:
-        return 0.0  # pure randomization: no effort, identical admission odds
-    thresholds = group_thresholds(population, groups, policy.c)
-    wa = _group_welfare(population, groups, policy, theta_true, "A", thresholds)
-    wb = _group_welfare(population, groups, policy, theta_true, "B", thresholds)
-    return wa - wb
+    schedule = solve(replace(population, f=_MixedQuantile(population.f, groups)), policy.policy())
+    return _gap(schedule, population, groups, theta_true)
 
 
 @dataclass(frozen=True)
@@ -206,8 +244,6 @@ def welfare_gap_derivative(
 
 def access(population: PopulationSpec, groups: GroupSpec, policy: TwoLevelPolicy) -> float:
     """Overall admission probability of the disadvantaged group."""
-    if policy.c == 0.0:
-        return policy.capacity
     _, tau_b = group_thresholds(population, groups, policy.c)
     return policy.level1 * (1.0 - tau_b)
 
@@ -219,16 +255,20 @@ def audit_sweep(
     cs,
     gap_quantiles=(0.25, 0.5, 0.75),
 ):
-    """Disparate-impact audit rows per cutoff: thresholds, access, gap quantiles."""
+    """Disparate-impact audit rows per cutoff: thresholds, access, gap quantiles.
+
+    The mixed quantile is built once per sweep and the equilibrium solved
+    once per cutoff.
+    """
+    mixed = _MixedQuantile(population.f, groups)
+    mixed_population = replace(population, f=mixed)
     rows = []
     for c in cs:
         pol = TwoLevelPolicy(c, capacity)
-        if c == 0.0:
-            tau_a = tau_b = 0.0
-        else:
-            tau_a, tau_b = group_thresholds(population, groups, c)
-        gaps = [welfare_gap(population, groups, pol, q) for q in gap_quantiles]
-        rows.append((c, tau_a, tau_b, access(population, groups, pol), *gaps))
+        tau_a, tau_b = mixed.group_ranks(mixed.evaluate(c))
+        schedule = solve(mixed_population, pol.policy())
+        gaps = [_gap(schedule, population, groups, q) for q in gap_quantiles]
+        rows.append((c, tau_a, tau_b, pol.level1 * (1.0 - tau_b), *gaps))
     return rows
 
 

@@ -418,3 +418,19 @@ def test_malformed_group_factor_exits_2(tmp_path, capsys, gamma_a, named):
     assert "configuration error" in err and "Traceback" not in err
     # a non-finite factor is named, not reported later as a cost-function domain error
     assert ("gamma_a must be finite" in err) == named
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"skills": 5},
+        {"skills": {**SKILLS_SECTION, "quantiles": 5}},
+        ["budget", "skills"],
+    ],
+    ids=["skills-not-object", "quantiles-not-list", "section-is-list"],
+)
+def test_malformed_multidim_structure_exits_2(tmp_path, capsys, section):
+    cfg = write_config(
+        tmp_path, {"policy": {"two_level": {"c": 0.8, "capacity": 0.2}}, "multidim": section}
+    )
+    _assert_config_error(capsys, main(["--config", cfg, "multidim"]))

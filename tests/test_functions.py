@@ -330,3 +330,11 @@ def test_array_domain_and_range_errors():
         PIECEWISE.invert(np.array([1.0, 4.0]))
     with pytest.raises(RangeError):
         PIECEWISE.invert(np.array([1.0, math.nan]))
+
+
+def test_piecewise_scalar_evaluate_returns_knot_ys_exactly():
+    # the segment formula alone gives 0.20000000000000018 at x = 0.1
+    spec = PiecewiseMonotone(((-1.0, -5.0), (0.1, 0.2), (0.4, 0.9), (2.5, 11.0)))
+    for x, y in spec.knots:
+        assert spec.evaluate(x) == y
+        assert spec.invert(y) == x

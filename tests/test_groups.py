@@ -1,23 +1,36 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rankdesign import (
+    AffinePower,
+    DiscreteInstance,
     DomainError,
     GroupSpec,
+    PiecewiseMonotone,
+    Power,
     RegionError,
+    RewardPolicy,
+    Role,
     TwoLevelPolicy,
     access,
     audit_sweep,
+    certify_equilibrium,
+    effort_at,
     f_mix,
     f_mix_inverse,
     group_thresholds,
     pre_rank,
     region_table,
+    solve,
+    two_level,
     welfare_gap,
     welfare_gap_derivative,
 )
+from rankdesign.groups import _MixedQuantile
+from rankdesign.oracle import default_effort_cap
 
 GROUPS = GroupSpec(2.0, 1.0)
 
@@ -183,3 +196,137 @@ def test_region_table(identity_population):
     assert table["middle"]["admit_a"] == pytest.approx(0.2 / 0.7, abs=1e-12)
     assert table["middle"]["admit_b"] == 0.0
     assert table["high"]["admit_b"] == pytest.approx(0.2 / 0.7, abs=1e-12)
+
+
+# -- the exact mixed quantile against the bisection it replaced ------------
+
+
+def _reference_cdf_clamped(f, value):
+    if value <= f.evaluate(0.0):
+        return 0.0
+    if value >= f.evaluate(1.0):
+        return 1.0
+    return min(1.0, max(0.0, f.invert(value)))
+
+
+def _reference_f_mix_inverse(f, groups, x):
+    if x < 0.0:
+        return 0.0
+    return 0.5 * _reference_cdf_clamped(f, x / groups.gamma_a) + 0.5 * _reference_cdf_clamped(
+        f, x / groups.gamma_b
+    )
+
+
+def _reference_f_mix(f, groups, q):
+    """The 200-step bisection quantile the library used before the exact one."""
+    hi = f.evaluate(1.0) * groups.gamma_a
+    if q <= 0.0:
+        return f.evaluate(0.0) * groups.gamma_b
+    if q >= 1.0:
+        return hi
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _reference_f_mix_inverse(f, groups, mid) < q:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+NINE_KNOTS = PiecewiseMonotone(tuple((x, 0.25 + 2.0 * x**1.5) for x in np.linspace(0.0, 1.0, 9)))
+MIXED_SKILLS = [Power(1.0, 1.0), Power(2.0, 1.5), AffinePower(1.0, 2.0, 0.5), NINE_KNOTS]
+GAMMA_PAIRS = [(2.0, 1.0), (1.0, 1.0), (1.5, 1.5), (1.3, 0.7), (4.0, 1.0)]
+
+
+@pytest.mark.parametrize("gammas", GAMMA_PAIRS)
+@pytest.mark.parametrize("f", MIXED_SKILLS)
+def test_mixed_quantile_matches_bisection(f, gammas):
+    groups = GroupSpec(*gammas)
+    mixed = _MixedQuantile(f, groups)
+    top = f.evaluate(1.0) * groups.gamma_a
+    # the bisection stops within 1e-12 * max(1, top)
+    tol = 2e-12 * max(1.0, top)
+    for q in np.random.default_rng(5).uniform(0.0, 1.0, 400).tolist() + [0.0, 1.0]:
+        assert mixed.evaluate(q) == pytest.approx(_reference_f_mix(f, groups, q), abs=tol)
+    for x in np.random.default_rng(6).uniform(-0.1, 1.1 * top, 400).tolist():
+        assert mixed.invert(x) == pytest.approx(_reference_f_mix_inverse(f, groups, x), abs=1e-14)
+
+
+@pytest.mark.parametrize("gammas", GAMMA_PAIRS)
+@pytest.mark.parametrize("f", MIXED_SKILLS)
+def test_mixed_quantile_monotone_and_round_trip(f, gammas):
+    mixed = _MixedQuantile(f, GroupSpec(*gammas))
+    qs = np.linspace(0.0, 1.0, 2001).tolist()
+    xs = [mixed.evaluate(q) for q in qs]
+    assert all(b >= a for a, b in zip(xs, xs[1:]))
+    for q, x in zip(qs, xs):
+        assert mixed.invert(x) == pytest.approx(q, abs=1e-13)
+
+
+@pytest.mark.parametrize("gammas", GAMMA_PAIRS)
+@pytest.mark.parametrize("f", MIXED_SKILLS)
+def test_mixed_quantile_breakpoints_exact(f, gammas):
+    groups = GroupSpec(*gammas)
+    mixed = _MixedQuantile(f, groups)
+    ts = [0.0, *(t for t in f.kinks if 0.0 < t < 1.0), 1.0]
+    xs = sorted({gamma * f.evaluate(t) for gamma in gammas for t in ts})
+    hs = [mixed.invert(x) for x in xs]
+    assert hs[0] == 0.0 and hs[-1] == 1.0
+    assert mixed.kinks == tuple(sorted({h for h in hs if 0.0 < h < 1.0}))
+    for i, (x, h) in enumerate(zip(xs, hs)):
+        # on a flat stretch of the CDF the quantile is its lowest x
+        if i == 0 or h > hs[i - 1]:
+            assert mixed.evaluate(h) == x
+
+
+# -- two-group oracle cross-check -------------------------------------------
+
+
+def _three_level(x, c1, c2):
+    capacity = RewardPolicy((0.0, x, 1.0), (c1, c2), 0.0).expected_reward()
+    return RewardPolicy((0.0, x, 1.0), (c1, c2), capacity)
+
+
+@pytest.mark.parametrize(
+    "g", [Power(1.0, 0.5, role=Role.EFFORT_TRANSFER), AffinePower(1.0, 0.5, 0.1, role=Role.EFFORT_TRANSFER)]
+)
+@pytest.mark.parametrize("policy", [two_level(0.4, 0.2), _three_level(0.25, 0.5, 0.85)])
+def test_two_group_instance_certifies(identity_population, g, policy):
+    # Agents of both groups at stratified skill ranks, ranked by scaled skill
+    # gamma_G * f(theta) and seeded with the closed-form efforts of solve on
+    # the mixed population; g(0) > 0 in the AffinePower case.
+    population = replace(identity_population, g=g)
+    mixed = replace(population, f=_MixedQuantile(population.f, GROUPS))
+    half = 250
+    thetas = (np.arange(half) + 0.5) / half
+    skill = np.concatenate([GROUPS.gamma_a * thetas, GROUPS.gamma_b * thetas])
+    in_b = np.repeat([False, True], half)
+    agent_theta = np.concatenate([thetas, thetas])
+    ranks = np.array([mixed.f.invert(x) for x in skill])
+    order = np.argsort(ranks, kind="stable")
+    ranks, skill, in_b, agent_theta = ranks[order], skill[order], in_b[order], agent_theta[order]
+    schedule = solve(mixed, policy)
+    efforts = [effort_at(schedule, q) for q in ranks]
+    n = 2 * half
+    cap = default_effort_cap(mixed, policy, 1e-3)
+    inst = DiscreteInstance(mixed, policy, ranks, skill, efforts, 1e-3, cap)
+    result = certify_equilibrium(inst, eps=5 / n)
+    assert result.is_eps_equilibrium, result
+    # each group's admitted share against its thresholds at every cutpoint
+    levels = inst.assigned_levels()
+    thresholds = [group_thresholds(population, GROUPS, c) for c in policy.cutpoints]
+    for index, mask in ((0, ~in_b), (1, in_b)):
+        taus = [0.0, *(pair[index] for pair in thresholds), 1.0]
+        expected = sum(level * (hi - lo) for level, lo, hi in zip(policy.levels, taus, taus[1:]))
+        assert levels[mask].mean() == pytest.approx(expected, abs=1.0 / half)
+    if policy.k == 2:  # expected is now group B's share, which access gives in closed form
+        two = TwoLevelPolicy(policy.cutpoints[0], policy.capacity)
+        assert access(population, GROUPS, two) == pytest.approx(expected, abs=1e-12)
+        # the gap at skill ranks away from both thresholds: neither, only A, both admitted
+        welfare = inst.welfares()
+        for theta in thetas[[24, 99, 224]]:
+            a, b = (int(np.flatnonzero((agent_theta == theta) & (in_b == side))[0]) for side in (False, True))
+            assert welfare[a] - welfare[b] == pytest.approx(welfare_gap(population, GROUPS, two, theta), abs=1e-12)
