@@ -42,7 +42,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _of_kind(json.load(fh), dict, "config")
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -101,6 +101,7 @@ def _sweep_cutoffs(config: dict) -> list[float]:
     sweep = config.get("sweep")
     if not sweep:
         raise ConfigError("config is missing the 'sweep' field")
+    sweep = _of_kind(sweep, dict, "sweep")
     if sweep.get("parameter", "c") != "c":
         raise ConfigError("only sweeps over the two-level cutoff 'c' are supported")
     bounds = sweep["range"]
@@ -190,10 +191,12 @@ def cmd_groups(args, config: dict) -> int:
     capacity = _number(capacity, "capacity")
     if "sweep" in config:
         cutoffs = _sweep_cutoffs(config)
-    elif "policy" in config and "two_level" in config["policy"]:
-        cutoffs = [_number(config["policy"]["two_level"]["c"], "two_level cutoff c")]
     else:
-        raise ConfigError("groups command needs a two-level policy or a sweep")
+        policy = _of_kind(config.get("policy", {}), dict, "policy")
+        if "two_level" not in policy:
+            raise ConfigError("groups command needs a two-level policy or a sweep")
+        two_level = _of_kind(policy["two_level"], dict, "two_level policy")
+        cutoffs = [_number(two_level.get("c"), "two_level cutoff c")]
     if args.format == "json" and len(cutoffs) == 1:
         table = groups_mod.region_table(population, gspec, TwoLevelPolicy(cutoffs[0], capacity))
         _emit(args, table)

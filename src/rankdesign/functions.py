@@ -304,7 +304,7 @@ def function_from_json(obj: dict, role: Role | None = None) -> FunctionSpec:
     if not isinstance(obj, dict) or "family" not in obj:
         raise DomainError(f"function spec must be an object with a 'family' field, got {obj!r}")
     family = obj["family"]
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise DomainError(f"unknown function family {family!r}")
     try:
         if family == "power":

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibrium import EquilibriumSchedule, effort_at
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, RankDesignError
 from .functions import PopulationSpec
 from .policy import RewardPolicy
 from .welfare import WelfareReport
@@ -195,6 +195,8 @@ class DynamicsResult:
     rounds: int
     instance: DiscreteInstance
     cycling_agents: tuple[int, ...] = field(default_factory=tuple)
+    movers_per_sweep: tuple[int, ...] = field(default_factory=tuple)
+    best_responses: int = 0  # evaluated, i.e. not skipped by the idle screen
 
 
 def _band_entry_positions(instance: DiscreteInstance) -> list[int]:
@@ -277,6 +279,91 @@ def _best_response_fn(
     return best_response
 
 
+# Upward relative cushion on the idle screen's bounds: many times the rounding
+# of the few operations behind each bound and each gain comparison, so that
+# rounding can only make the screen skip fewer best responses.
+_SCREEN_CUSHION = 1e-9
+
+
+def _idle_screen(
+    instance: DiscreteInstance,
+    standing: _StandingScores,
+    effort_values: _EffortValues,
+    improvement_eps: float,
+    skills: list[float],
+    scores: list[float],
+) -> list[tuple[tuple[int, float], ...] | None]:
+    """Per agent, the standing bars that keep them idle at e0, or None.
+
+    An entry ``((j, limit), ...)`` means: while the agent's effort is e0 and
+    ``sorted_scores[j] >= limit`` for every pair, their best response is e0.
+    The bars are the standing scores at the band entry positions, lowest
+    first; see ``best_response_dynamics`` for the argument.  Every entry is
+    None when a precondition of that argument fails for this run.
+    """
+    n, pop = instance.n, instance.population
+    nobody: list = [None] * n
+    levels = standing.position_levels
+    entries = sorted({j for j in _band_entry_positions(instance) if 0 <= j < n}, reverse=True)
+    low = levels[n]
+    positives = [s for s in skills if s > 0.0]
+    try:
+        g_e0, p_e0 = effort_values[float(pop.e0)]
+        g_zero, p_zero = effort_values[0.0]
+        g_max = effort_values[float(instance.e_max)][0]
+    except (RankDesignError, ArithmeticError, ValueError):
+        # some grid effort has no score or cost: the best responses raise
+        return nobody
+    if not (
+        positives
+        and improvement_eps >= 0.0
+        # a non-finite score or skill leaves the standing order without meaning
+        and math.isfinite(sum(map(abs, scores)) + sum(map(abs, skills)) + abs(g_zero) + abs(g_max))
+        # rewards never fall with a better position, and are flat below the lowest bar
+        and all(a >= b for a, b in zip(levels, levels[1:]))
+        and levels[(entries[0] if entries else -1) + 1] == low
+        # p is increasing, so no grid effort costs less than p(0)
+        and p_zero >= p_e0
+    ):
+        return nobody
+    # The largest target bar / skill any best response can meet must not make
+    # the entry-effort arithmetic raise: g.invert is increasing, so it bounds the rest.
+    bar_max = max(max(map(abs, scores)), max(map(abs, skills)) * max(abs(g_zero), abs(g_max)))
+    try:
+        math.ceil(pop.g.invert(bar_max / min(positives)) / instance.delta_e - 1e-9)
+    except RangeError:
+        pass
+    except (RankDesignError, ArithmeticError, ValueError):
+        return nobody
+    # Score per unit skill that reaching each bar must buy for the move to pay.
+    unit_limits = []
+    for m, j in enumerate(entries):
+        cap = levels[entries[m + 1] + 1] if m + 1 < len(entries) else levels[0]
+        cost = cap - low + p_e0 - improvement_eps
+        cost += _SCREEN_CUSHION * (abs(cap) + abs(low) + abs(p_e0) + improvement_eps)
+        if not cost > 0.0:
+            return nobody
+        try:
+            unit_limits.append((n - 1 - j, pop.g.evaluate(pop.p.invert(cost))))
+        except (RankDesignError, ArithmeticError, ValueError):
+            return nobody
+    out = []
+    for skill in skills:
+        if not skill > 0.0:
+            out.append(None)
+            continue
+        row = []
+        for m, (j, unit) in enumerate(unit_limits):
+            limit = skill * unit
+            limit += _SCREEN_CUSHION * abs(limit)
+            if m == 0:
+                # the idle score itself lies strictly below the lowest bar
+                limit = max(limit, math.nextafter(g_e0 * skill, math.inf))
+            row.append((j, limit))
+        out.append(tuple(row))
+    return out
+
+
 def best_response_dynamics(
     instance: DiscreteInstance,
     max_rounds: int = 200,
@@ -289,6 +376,24 @@ def best_response_dynamics(
     moves exactly one step per sweep for long stretches, so any nonzero
     tolerance would stop the dynamics mid-escalation.
     Non-convergence reports the agents still moving in the final sweep.
+    The result also records the movers of every sweep and how many best
+    responses were evaluated.
+
+    An idle screen skips the best response of an agent at e0 whose move is
+    ruled out by a bound computed once per run; the trajectory is the one
+    every best response would give.  The argument: let B_1 < ... < B_M be
+    the standing bars, the scores at the band entry positions, and L the
+    reward below B_1.  Suppose rewards never fall with a better position,
+    are flat below B_1, no grid effort costs less than p(e0), and the idle
+    score g(e0)*s lies strictly below B_1.  Then staying earns exactly
+    L - p(e0), any effort scoring below B_1 earns at most that, and an
+    effort scoring in [B_m, B_m+1) earns at most the reward cap_m just below
+    B_m+1 (the top reward for m = M) at a cost of at least p(g^-1(B_m/s)).
+    So no effort gains more than ``improvement_eps`` over staying when every
+    B_m >= s*g(p^-1(cap_m - L + p(e0) - improvement_eps)).  Both sides of
+    that test are cushioned upward, so rounding only screens fewer agents;
+    an agent or run where a bound cannot be computed, or where some best
+    response could raise, is never screened.
     """
     last_movers: tuple[int, ...] = ()
     scores = instance.scores().tolist()
@@ -297,10 +402,23 @@ def best_response_dynamics(
     best_response = _best_response_fn(instance, standing, effort_values, improvement_eps)
     skills = instance.skill.tolist()
     efforts = instance.efforts.tolist()
+    screen = _idle_screen(instance, standing, effort_values, improvement_eps, skills, scores)
+    sorted_scores, e0 = standing.sorted_scores, float(instance.population.e0)
+    movers_per_sweep = []
+    responses = 0
     for round_no in range(1, max_rounds + 1):
         movers = []
         for agent, skill in enumerate(skills):
             current = efforts[agent]
+            if current == e0:
+                bars = screen[agent]
+                if bars is not None:
+                    for j, limit in bars:
+                        if not sorted_scores[j] >= limit:
+                            break
+                    else:
+                        continue
+            responses += 1
             new = best_response(agent, skill, current)
             if new != current:
                 old_score = scores[agent]
@@ -309,10 +427,11 @@ def best_response_dynamics(
                 scores[agent] = new_score
                 standing.update(agent, old_score, new_score)
                 movers.append(agent)
+        movers_per_sweep.append(len(movers))
         if not movers:
-            return DynamicsResult(True, round_no, instance)
+            return DynamicsResult(True, round_no, instance, (), tuple(movers_per_sweep), responses)
         last_movers = tuple(movers)
-    return DynamicsResult(False, max_rounds, instance, last_movers)
+    return DynamicsResult(False, max_rounds, instance, last_movers, tuple(movers_per_sweep), responses)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
+import contextlib
+import copy
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankdesign.cli import main
 
@@ -434,3 +439,78 @@ def test_malformed_multidim_structure_exits_2(tmp_path, capsys, section):
         tmp_path, {"policy": {"two_level": {"c": 0.8, "capacity": 0.2}}, "multidim": section}
     )
     _assert_config_error(capsys, main(["--config", cfg, "multidim"]))
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sweep", {**_sweep_config(0.1, 0.5, 3), "sweep": 5}),
+        ("groups", {**GROUPS_CONFIG, "sweep": 5}),
+        ("groups", {**GROUPS_CONFIG, "policy": 5}),
+        ("groups", {**GROUPS_CONFIG, "policy": {"two_level": 5}}),
+    ],
+    ids=["sweep-sweep-not-object", "groups-sweep-not-object", "groups-policy-not-object",
+         "groups-two-level-not-object"],
+)
+def test_malformed_structure_exits_2(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, config)
+    _assert_config_error(capsys, main(["--config", cfg, command]))
+
+
+# -- fuzzing: valid configs with one value replaced --------------------------
+
+PIECEWISE_POPULATION = {
+    "f": {"family": "piecewise_monotone", "knots": [[0.0, 0.0], [0.5, 0.4], [1.0, 1.0]]},
+    "g": {"family": "affine_power", "scale": 1.0, "exponent": 0.5, "offset": 0.0},
+    "p": {"family": "power", "scale": 1.0, "exponent": 2.0},
+}
+FUZZ_SWEEP = {"parameter": "c", "range": [0.1, 0.7], "steps": 3}
+FUZZ_GROUPS = {"gamma_a": 2.0, "gamma_b": 1.0, "share": 0.5}
+FUZZ_CONFIGS = [
+    ("eval", {"population": BENCHMARK_POPULATION, "policy": {"two_level": {"c": 0.8, "capacity": 0.2}}}),
+    ("eval", {"population": PIECEWISE_POPULATION,
+              "policy": {"levels": [0.0, 0.5, 1.0], "cutpoints": [0.5, 0.9], "capacity": 0.3}}),
+    ("sweep", {"population": BENCHMARK_POPULATION, "capacity": 0.2, "sweep": FUZZ_SWEEP}),
+    ("groups", {"population": BENCHMARK_POPULATION, "capacity": 0.2, "groups": FUZZ_GROUPS,
+                "sweep": FUZZ_SWEEP}),
+    ("groups", {"population": PIECEWISE_POPULATION, "capacity": 0.2, "groups": FUZZ_GROUPS,
+                "policy": {"two_level": {"c": 0.3, "capacity": 0.2}}}),
+]
+
+
+def _key_paths(node, prefix=()):
+    """Every key path below node, through objects and lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+FUZZ_CASES = [(command, config, path) for command, config in FUZZ_CONFIGS for path in _key_paths(config)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from([5, "x", [], {}, None]))
+def test_cli_fuzz_one_value_replaced(case, value):
+    command, config, path = case
+    config = copy.deepcopy(config)
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["--config", str(cfg), command])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_fuzz_configs_are_valid(capsys):
+    """Unmutated, every fuzz config runs to exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (command, config) in enumerate(FUZZ_CONFIGS):
+            cfg = Path(tmp) / f"config{i}.json"
+            cfg.write_text(json.dumps(config))
+            assert main(["--config", str(cfg), command]) == 0, (command, capsys.readouterr().err)

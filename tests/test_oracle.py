@@ -3,10 +3,12 @@ from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankdesign import (
     AffinePower,
     DiscreteInstance,
+    PiecewiseMonotone,
     PopulationSpec,
     Power,
     RewardPolicy,
@@ -435,3 +437,193 @@ def test_bit_identity_cases_exercise_ties_and_truncation(benchmark_population):
     build, max_rounds, _ = BIT_IDENTITY_CASES["truncated_max_rounds_3"]
     result = best_response_dynamics(build(benchmark_population), max_rounds=max_rounds)
     assert not result.converged and result.cycling_agents
+
+
+# -- the idle screen ----------------------------------------------------------
+#
+# best_response_dynamics skips the best responses of idle agents that provably
+# stay at e0.  These tests hold it to the scalar reference above, which
+# evaluates every best response, on instances chosen to switch the screen off
+# as well as on.
+
+
+def test_movers_per_sweep_count_the_reference_moves(benchmark_population, monkeypatch):
+    moves = 0
+    update = _StandingScores.update
+
+    def counted_update(self, *args):
+        nonlocal moves
+        moves += 1
+        update(self, *args)
+
+    monkeypatch.setattr(_StandingScores, "update", counted_update)
+    fast, ref = (DiscreteInstance.stratified(benchmark_population, FOUR_LEVEL, 60, 5e-3) for _ in range(2))
+    want = reference_best_response_dynamics(ref, max_rounds=2000)
+    got = best_response_dynamics(fast, max_rounds=2000)
+    assert want.converged and got.rounds == want.rounds
+    assert len(got.movers_per_sweep) == got.rounds and got.movers_per_sweep[-1] == 0
+    assert sum(got.movers_per_sweep) == moves > 0
+    assert 0 < got.best_responses <= got.rounds * fast.n
+
+
+def test_idle_screen_fires_on_the_cold_start(benchmark_population):
+    inst = DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 200, 1e-3)
+    result = best_response_dynamics(inst, max_rounds=4000)
+    assert result.converged
+    assert result.best_responses < result.rounds * inst.n / 2
+
+
+def test_idle_screen_off_for_decreasing_levels(benchmark_population):
+    """Rewards that fall with a better position void the bound: nobody is screened."""
+    policy = RewardPolicy((1.0, 0.0), (0.5,), 0.2)
+    inst = DiscreteInstance.stratified(benchmark_population, policy, 20, 1e-2)
+    result = best_response_dynamics(inst, max_rounds=50)
+    assert result.best_responses == result.rounds * inst.n
+
+
+def _increasing_cost_below_e0():
+    """e0 = 0.2 with p(0) < p(e0) = 0: the cheapest grid effort undercuts idling."""
+    return PopulationSpec(
+        f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+        g=Power(1.0, 0.5, role=Role.EFFORT_TRANSFER),
+        p=PiecewiseMonotone(((0.0, -0.1), (0.2, 0.0), (1.0, 1.0), (3.0, 8.0)), role=Role.COST_FUNCTION),
+        e0=0.2,
+    )
+
+
+def test_idle_screen_off_when_effort_below_e0_is_cheaper():
+    inst = DiscreteInstance.stratified(_increasing_cost_below_e0(), two_level(0.8, 0.2), 20, 1e-2)
+    result = best_response_dynamics(inst, max_rounds=1)
+    assert result.best_responses == inst.n
+
+
+def test_idle_screen_bit_identical_on_rank_check_instance():
+    """The shape check_multidim_rank_preservation runs: skills overwritten after stratified."""
+    rng = np.random.default_rng(1)
+    index = np.sort(0.5 * rng.uniform(0.0, 1.0, size=(200, 2)).max(axis=1))
+    population = PopulationSpec(
+        f=Power(1.0, 1.0, role=Role.SKILL_QUANTILE),
+        g=Power(1.0, 1.0, role=Role.EFFORT_TRANSFER),
+        p=Power(1.0, 2.0, role=Role.COST_FUNCTION),
+        e0=0.0,
+    )
+    fast, ref = (DiscreteInstance.stratified(population, two_level(0.8, 0.2), 200, 5e-3) for _ in range(2))
+    fast.skill = index.copy()
+    ref.skill = index.copy()
+    got = best_response_dynamics(fast, max_rounds=2000)
+    want = reference_best_response_dynamics(ref, max_rounds=2000)
+    assert got.converged
+    assert (got.converged, got.rounds, got.cycling_agents) == (want.converged, want.rounds, want.cycling_agents)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert got.best_responses < got.rounds * fast.n
+
+
+def test_idle_screen_never_skips_a_paying_entry(benchmark_population):
+    """The top 8 of 40 agents hold the band at score 1, so an idle agent of skill s
+    enters at cost about s^-4.  Skills below 1 never pay and are skipped; agent 19,
+    of skill 1.0006, gains 0.002 by entering on the grid and must be evaluated."""
+    fast, ref = (DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 40, 1e-3)
+                 for _ in range(2))
+    for inst in (fast, ref):
+        inst.efforts[32:] = [(1.0 / s) ** 2 for s in inst.skill[32:]]
+        inst.skill[19] = 1.0006
+    got = best_response_dynamics(fast, max_rounds=1)
+    reference_best_response_dynamics(ref, max_rounds=1)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert fast.efforts[19] == pytest.approx(0.999)
+    assert got.best_responses == fast.n - 19  # agents 0..18 skipped
+
+
+def test_idle_screen_keeps_the_reference_error(benchmark_population):
+    """A near-zero skill overflows the entry effort in the reference best response; the
+    screen must not skip that agent and turn the error into a result."""
+    fast, ref = (DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 20, 1e-2)
+                 for _ in range(2))
+    fast.skill[3] = ref.skill[3] = 1e-300
+    with pytest.raises(OverflowError):
+        reference_best_response_dynamics(ref)
+    with pytest.raises(OverflowError):
+        best_response_dynamics(fast)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+
+
+_SKILLS = [
+    Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+    PiecewiseMonotone(((0.0, 0.0), (0.3, 0.5), (1.0, 1.2)), role=Role.SKILL_QUANTILE),
+]
+_TRANSFERS = [
+    Power(1.0, 0.5, role=Role.EFFORT_TRANSFER),
+    Power(1.5, 1.0, role=Role.EFFORT_TRANSFER),
+    AffinePower(1.0, 0.5, 0.1, role=Role.EFFORT_TRANSFER),  # g(0) > 0
+    PiecewiseMonotone(((0.0, 0.0), (0.3, 0.6), (1.0, 1.0), (5.0, 2.0)), role=Role.EFFORT_TRANSFER),
+    # a domain shorter than the effort cap: best responses can raise
+    PiecewiseMonotone(((0.0, 0.0), (0.4, 0.7), (0.8, 0.9)), role=Role.EFFORT_TRANSFER),
+]
+_COSTS = [  # (p, e0) with p(e0) = 0
+    (Power(1.0, 2.0, role=Role.COST_FUNCTION), 0.0),
+    (Power(2.0, 1.5, role=Role.COST_FUNCTION), 0.0),
+    (PiecewiseMonotone(((0.0, 0.0), (0.5, 0.3), (1.0, 1.0), (3.0, 8.0)), role=Role.COST_FUNCTION), 0.0),
+    # e0 > 0 with an increasing p: p(0) < p(e0)
+    (AffinePower(1.0, 2.0, -0.04, role=Role.COST_FUNCTION), 0.2),
+    (_increasing_cost_below_e0().p, 0.2),
+]
+
+
+@st.composite
+def _screen_instances(draw):
+    k = draw(st.integers(1, 4))
+    cutpoints = sorted(draw(st.lists(st.sampled_from([0.1, 0.3, 0.45, 0.6, 0.75, 0.9]),
+                                     min_size=k - 1, max_size=k - 1, unique=True)))
+    levels = sorted(draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), min_size=k, max_size=k)))
+    order = draw(st.sampled_from(["non-decreasing", "decreasing", "shuffled"]))
+    if order == "decreasing":
+        levels.reverse()
+    elif order == "shuffled":
+        levels = draw(st.permutations(levels))
+    p, e0 = draw(st.sampled_from(_COSTS))
+    population = PopulationSpec(f=draw(st.sampled_from(_SKILLS)), g=draw(st.sampled_from(_TRANSFERS)), p=p, e0=e0)
+    policy = RewardPolicy(tuple(levels), tuple(cutpoints), 0.2)
+    n = draw(st.integers(1, 30))
+    seed = draw(st.one_of(st.none(), st.integers(0, 1000)))  # stratified or Monte Carlo ranks
+    delta_e = draw(st.sampled_from([1e-2, 2e-2, 5e-2]))
+    skills = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=n, max_size=n))
+    overwrite = draw(st.sampled_from(["none", "zeros", "all"]))
+    # a cold start, or a warm one where some agents already hold grid efforts and
+    # idle agents face bars at every distance from their entry cost
+    warm = draw(st.one_of(st.none(), st.lists(st.one_of(st.none(), st.integers(0, 200)), min_size=n, max_size=n)))
+
+    def build():
+        inst = DiscreteInstance.stratified(population, policy, n, delta_e, seed=seed)
+        if overwrite == "zeros":
+            inst.skill[np.asarray(skills) == 0.0] = 0.0
+        elif overwrite == "all":
+            inst.skill = np.sort(np.asarray(skills))
+        if warm is not None:
+            grid = inst.effort_grid()
+            for agent, step in enumerate(warm):
+                if step is not None:
+                    inst.efforts[agent] = grid[step % len(grid)]
+        return inst
+
+    return build
+
+
+def _outcome(dynamics, instance, max_rounds, eps):
+    try:
+        result = dynamics(instance, max_rounds=max_rounds, improvement_eps=eps)
+    except Exception as exc:  # the screen must not hide or move an error either
+        return type(exc).__name__
+    return (result.converged, result.rounds, result.cycling_agents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    build=_screen_instances(),
+    max_rounds=st.integers(1, 300),
+    eps=st.sampled_from([1e-12, 0.0, 1e-3, -1e-12]),
+)
+def test_idle_screen_bit_identical_to_scalar_reference(build, max_rounds, eps):
+    fast, ref = build(), build()
+    assert _outcome(best_response_dynamics, fast, max_rounds, eps) == _outcome(
+        reference_best_response_dynamics, ref, max_rounds, eps)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
