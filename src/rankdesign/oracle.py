@@ -21,6 +21,15 @@ The position of a deviation score s for agent i is therefore
 which reduces to the agent's current position when s equals their current
 score, counts the standing copy of their own score for downward moves, and
 applies the index tie-break otherwise.
+
+Only the reward of a deviation matters, and it changes with the position at
+no more than K - 1 reward steps b.  Let desc[b] be the (b+1)-th highest
+standing score, the step's *bar*.  For any standing multiset pos(i, s) <= b
+exactly when s > desc[b], and pos(i, s) > b exactly when s < desc[b]; only
+s == desc[b] needs the formula above.  So best responses and certification
+read a deviation's reward from at most K - 1 float comparisons against the
+bars, and apply the index tie-break on exact ties.  This holds for any order
+of the levels, including decreasing and repeated ones.
 """
 
 from __future__ import annotations
@@ -139,10 +148,19 @@ class DiscreteInstance:
 
 
 def default_effort_cap(population: PopulationSpec, policy: RewardPolicy, delta_e: float) -> float:
-    """Efforts costing more than the top reward are never best responses."""
+    """Efforts costing more than the top reward are never best responses.
+
+    The cap stays inside the domains of g and p: where the effort grid up to
+    it would pass the smaller upper end, it is the last grid effort inside.
+    """
     span = policy.levels[-1] - policy.levels[0]
     cap = population.cost_inverse(span) if span > 0 else population.e0
-    return max(cap, population.e0) + 2.0 * delta_e
+    cap = max(cap, population.e0) + 2.0 * delta_e
+    top = min(population.g.domain[1], population.p.domain[1])
+    if cap + 0.5 * delta_e > top:
+        steps = math.floor(top / delta_e + 1e-9)
+        cap = (steps if steps * delta_e <= top else steps - 1) * delta_e
+    return cap
 
 
 class _StandingScores:
@@ -152,6 +170,9 @@ class _StandingScores:
     place as a competitor) with incremental updates as the dynamics move one
     agent at a time.  ``position_levels[pos]`` is the reward of sorted
     position pos, for pos in 0..n; position n lies below every standing score.
+    ``steps`` lists, for each reward step b (``position_levels[b] !=
+    position_levels[b + 1]``) in ascending b, the index n - 1 - b of that
+    step's bar in ``sorted_scores`` and the reward at positions <= b.
     """
 
     def __init__(self, instance: DiscreteInstance, scores: np.ndarray | list[float]):
@@ -165,6 +186,8 @@ class _StandingScores:
         self.position_levels: list[float] = [
             levels[bisect_right(cutpoints, 1.0 - (pos + 0.5) / n)] for pos in range(n + 1)
         ]
+        pl = self.position_levels
+        self.steps: list[tuple[int, float]] = [(n - 1 - b, pl[b]) for b in range(n) if pl[b] != pl[b + 1]]
 
     def update(self, agent: int, old: float, new: float) -> None:
         old, new = float(old), float(new)
@@ -222,7 +245,10 @@ def _best_response_fn(
     e0 and standing pat.  Tie efforts (exactly matching a standing score) are
     covered by also probing one grid step below each entry effort.  The
     returned function reads ``standing`` as it is updated between calls; the
-    run's constants (g(e0), the grid, the entry positions) are bound once.
+    run's constants (g(e0), the grid, the entry positions) are bound once, and
+    the candidates around each entry grid step are computed once per run.
+    Each candidate's reward is read from the standing bars (see the module
+    docstring).
     """
     pop = instance.population
     n, delta_e, e_max = instance.n, instance.delta_e, instance.e_max
@@ -231,7 +257,9 @@ def _best_response_fn(
     e0, invert, ceil = pop.e0, pop.g.invert, math.ceil
     idle, e0_float = pop.g.evaluate(e0), float(e0)
     sorted_scores, by_value = standing.sorted_scores, standing.by_value
-    position_levels = standing.position_levels
+    position_levels, steps = standing.position_levels, standing.steps
+    bottom = position_levels[n]
+    near_entry: dict[int, list[float]] = {}  # grid step of an entry effort -> its candidates
 
     def best_response(agent: int, skill: float, current: float) -> float:
         candidates = {current, e0_float, 0.0}
@@ -248,10 +276,18 @@ def _best_response_fn(
                         entry = invert(target)
                     except RangeError:
                         continue
-                e = max(ceil(entry / delta_e - 1e-9), 0) * delta_e
-                for cand in (e - delta_e, e, e + delta_e):
-                    if 0.0 <= cand <= e_max:
-                        candidates.add(round(cand / delta_e) * delta_e)
+                k = max(ceil(entry / delta_e - 1e-9), 0)
+                near = near_entry.get(k)
+                if near is None:
+                    e = k * delta_e
+                    near = near_entry[k] = [
+                        round(cand / delta_e) * delta_e
+                        for cand in (e - delta_e, e, e + delta_e)
+                        if 0.0 <= cand <= e_max
+                    ]
+                candidates.update(near)
+        # (bar, reward at or above it), highest bar first
+        bars = [(sorted_scores[j], reward) for j, reward in steps]
         best_effort = current
         best_gain = -math.inf
         current_gain = None
@@ -260,13 +296,17 @@ def _best_response_fn(
                 continue
             g_e, p_e = effort_values[e]
             s = g_e * skill
-            pos = n - bisect_right(sorted_scores, s)
-            holders = by_value.get(s)
-            if holders:
-                # lower-index holders outrank the deviator; the deviator's own
-                # standing copy never counts against them
-                pos += bisect_left(holders, agent)
-            gain = position_levels[pos] - p_e
+            for bar, reward in bars:
+                if not s < bar:
+                    if s == bar:
+                        # lower-index holders outrank the deviator; the
+                        # deviator's own standing copy never counts against them
+                        pos = n - bisect_right(sorted_scores, s) + bisect_left(by_value[s], agent)
+                        reward = position_levels[pos]
+                    break
+            else:
+                reward = bottom
+            gain = reward - p_e
             if e == current:
                 current_gain = gain
             if gain > best_gain:
@@ -377,7 +417,11 @@ def best_response_dynamics(
     tolerance would stop the dynamics mid-escalation.
     Non-convergence reports the agents still moving in the final sweep.
     The result also records the movers of every sweep and how many best
-    responses were evaluated.
+    responses were evaluated.  Each best response prices its candidates
+    against the standing bars (see the module docstring): pos <= b exactly
+    when the candidate's score beats desc[b], the bar of reward step b, and
+    only a score equal to a bar takes the full position with the index
+    tie-break.
 
     An idle screen skips the best response of an agent at e0 whose move is
     ruled out by a bound computed once per run; the trajectory is the one
@@ -464,7 +508,12 @@ def certify_equilibrium(instance: DiscreteInstance, eps: float) -> Certification
 
     Certifies when no deviation gains more than eps over the agent's assigned
     welfare in the standing profile.  The scan is exhaustive; it runs over
-    blocks of agents, each against the whole effort grid.
+    blocks of agents, each against the whole effort grid.  A deviation's
+    reward is read from the standing bars of the reward steps: the position
+    of a score s is at most b exactly when s beats the bar desc[b], the
+    (b+1)-th highest standing score, and above b exactly when s falls short
+    of it; only a score equal to a bar needs its full position, with the
+    index tie-break.  The worst gain is the first largest in agent order.
     """
     n = instance.n
     scores = instance.scores()
@@ -475,33 +524,43 @@ def certify_equilibrium(instance: DiscreteInstance, eps: float) -> Certification
     grid_cost = np.array([p.evaluate(e) for e in grid])
     bands = instance.assigned_bands(scores)
     current_welfare = np.asarray(instance.policy.levels)[bands] - instance.costs()
-    sorted_scores = np.asarray(standing.sorted_scores)
-    position_levels = np.asarray(standing.position_levels)
+    sorted_scores, position_levels = standing.sorted_scores, standing.position_levels
+    # (bar, reward at or above it), lowest bar first
+    bars = [(sorted_scores[j], reward) for j, reward in reversed(standing.steps)]
     block = max(1, _CERTIFY_BLOCK_CELLS // len(grid))
-    worst = -math.inf
-    worst_agent = -1
-    worst_effort = float("nan")
-    per_band = [-math.inf] * instance.policy.k
+    best_gain = np.empty(n)
+    best_col = np.empty(n, dtype=np.intp)
     for start in range(0, n, block):
         stop = min(start + block, n)
         s_dev = instance.skill[start:stop, None] * grid_g
-        above = np.searchsorted(sorted_scores, s_dev, side="right")
-        pos = n - above
-        tied = (above > 0) & (sorted_scores[above - 1] == s_dev)
-        for row, col in zip(*np.nonzero(tied)):
-            # index tie-break against the holders of the tied standing score
-            holders = standing.by_value[float(s_dev[row, col])]
-            pos[row, col] += bisect_left(holders, start + int(row))
-        gains = (position_levels[pos] - grid_cost) - current_welfare[start:stop, None]
+        reward = position_levels[n]
+        for bar, above in bars:
+            # a score that is not below the bar (or is NaN, as a sorted search
+            # would place it) takes the reward above it
+            reward = np.where(s_dev < bar, reward, above)
+        for bar in {bar for bar, _ in bars}:
+            rows, cols = np.nonzero(s_dev == bar)
+            holders, higher = standing.by_value[bar], n - bisect_right(sorted_scores, bar)
+            for row, col in zip(rows.tolist(), cols.tolist()):
+                # index tie-break against the holders of the tied standing score
+                reward[row, col] = position_levels[higher + bisect_left(holders, start + row)]
+        gains = (reward - grid_cost) - current_welfare[start:stop, None]
         best = np.argmax(gains, axis=1)
-        best_gains = gains[np.arange(stop - start), best]
-        for row, agent in enumerate(range(start, stop)):
-            gain = float(best_gains[row])
-            band = int(bands[agent])
-            per_band[band] = max(per_band[band], gain)
-            if gain > worst:
-                worst, worst_agent, worst_effort = gain, agent, float(grid[best[row]])
-    per_band = [0.0 if v == -math.inf else v for v in per_band]
+        best_col[start:stop] = best
+        best_gain[start:stop] = gains[np.arange(stop - start), best]
+    # a strict ">" scan keeps the first largest gain and never takes a NaN one
+    best_gain = np.where(best_gain > -math.inf, best_gain, -math.inf)
+    worst_agent = int(np.argmax(best_gain))
+    worst = float(best_gain[worst_agent])
+    if worst > -math.inf:
+        worst_effort = float(grid[best_col[worst_agent]])
+    else:
+        worst_agent, worst_effort = -1, float("nan")
+    per_band = []
+    for k in range(instance.policy.k):
+        in_band = best_gain[bands == k]
+        top = float(in_band[np.argmax(in_band)]) if len(in_band) else -math.inf
+        per_band.append(top if top > -math.inf else 0.0)
     return CertificationResult(worst <= eps, worst, worst_agent, worst_effort, tuple(per_band))
 
 

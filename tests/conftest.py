@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from rankdesign import PopulationSpec, Power, Role
 
@@ -23,3 +24,8 @@ def identity_population():
         p=Power(1.0, 2.0, role=Role.COST_FUNCTION),
         e0=0.0,
     )
+
+
+# CI reruns the oracle equivalence property tests of tests/test_oracle.py with
+# ``--hypothesis-profile oracle-deep``: five times their local example budget.
+settings.register_profile("oracle-deep", max_examples=300)

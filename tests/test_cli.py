@@ -475,7 +475,16 @@ FUZZ_CONFIGS = [
                 "sweep": FUZZ_SWEEP}),
     ("groups", {"population": PIECEWISE_POPULATION, "capacity": 0.2, "groups": FUZZ_GROUPS,
                 "policy": {"two_level": {"c": 0.3, "capacity": 0.2}}}),
+    ("verify", {"population": BENCHMARK_POPULATION, "policy": {"two_level": {"c": 0.8, "capacity": 0.2}}}),
+    ("verify", {"population": PIECEWISE_POPULATION,
+                "policy": {"levels": [0.0, 0.5, 1.0], "cutpoints": [0.5, 0.9], "capacity": 0.3}}),
+    ("optimize", {"population": BENCHMARK_POPULATION, "capacity": 0.2}),
+    ("multidim", {"policy": {"two_level": {"c": 0.8, "capacity": 0.2}},
+                  "multidim": {**UNMEASURABLE_SECTION,
+                               "skills": {**SKILLS_SECTION, "delta_e": 1e-2, "sample_size": 20}}}),
 ]
+# command-line arguments after the command; small N keeps each run short
+FUZZ_ARGS = {"verify": ["--n", "20", "--delta-e", "1e-2"], "optimize": ["--objective", "private"]}
 
 
 def _key_paths(node, prefix=()):
@@ -489,7 +498,7 @@ def _key_paths(node, prefix=()):
 FUZZ_CASES = [(command, config, path) for command, config in FUZZ_CONFIGS for path in _key_paths(config)]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from([5, "x", [], {}, None]))
 def test_cli_fuzz_one_value_replaced(case, value):
     command, config, path = case
@@ -502,7 +511,7 @@ def test_cli_fuzz_one_value_replaced(case, value):
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(config))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main(["--config", str(cfg), command])
+            code = main(["--config", str(cfg), command, *FUZZ_ARGS.get(command, ())])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
 
@@ -513,4 +522,5 @@ def test_fuzz_configs_are_valid(capsys):
         for i, (command, config) in enumerate(FUZZ_CONFIGS):
             cfg = Path(tmp) / f"config{i}.json"
             cfg.write_text(json.dumps(config))
-            assert main(["--config", str(cfg), command]) == 0, (command, capsys.readouterr().err)
+            code = main(["--config", str(cfg), command, *FUZZ_ARGS.get(command, ())])
+            assert code == 0, (command, capsys.readouterr().err)

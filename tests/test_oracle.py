@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
@@ -21,8 +22,9 @@ from rankdesign import (
     solve,
     two_level,
 )
+from rankdesign import oracle
 from rankdesign.errors import RangeError
-from rankdesign.oracle import CertificationResult, DynamicsResult, _band_entry_positions
+from rankdesign.oracle import CertificationResult, DynamicsResult, _band_entry_positions, default_effort_cap
 
 
 def test_stratified_ranks(benchmark_population):
@@ -556,7 +558,7 @@ _TRANSFERS = [
     Power(1.5, 1.0, role=Role.EFFORT_TRANSFER),
     AffinePower(1.0, 0.5, 0.1, role=Role.EFFORT_TRANSFER),  # g(0) > 0
     PiecewiseMonotone(((0.0, 0.0), (0.3, 0.6), (1.0, 1.0), (5.0, 2.0)), role=Role.EFFORT_TRANSFER),
-    # a domain shorter than the effort cap: best responses can raise
+    # a domain shorter than the uncapped effort bound: the cap stops at its end
     PiecewiseMonotone(((0.0, 0.0), (0.4, 0.7), (0.8, 0.9)), role=Role.EFFORT_TRANSFER),
 ]
 _COSTS = [  # (p, e0) with p(e0) = 0
@@ -570,7 +572,8 @@ _COSTS = [  # (p, e0) with p(e0) = 0
 
 
 @st.composite
-def _screen_instances(draw):
+def _policies(draw):
+    """1-4 levels, non-decreasing, decreasing or shuffled, duplicates allowed."""
     k = draw(st.integers(1, 4))
     cutpoints = sorted(draw(st.lists(st.sampled_from([0.1, 0.3, 0.45, 0.6, 0.75, 0.9]),
                                      min_size=k - 1, max_size=k - 1, unique=True)))
@@ -580,9 +583,14 @@ def _screen_instances(draw):
         levels.reverse()
     elif order == "shuffled":
         levels = draw(st.permutations(levels))
+    return RewardPolicy(tuple(levels), tuple(cutpoints), 0.2)
+
+
+@st.composite
+def _screen_instances(draw):
+    policy = draw(_policies())
     p, e0 = draw(st.sampled_from(_COSTS))
     population = PopulationSpec(f=draw(st.sampled_from(_SKILLS)), g=draw(st.sampled_from(_TRANSFERS)), p=p, e0=e0)
-    policy = RewardPolicy(tuple(levels), tuple(cutpoints), 0.2)
     n = draw(st.integers(1, 30))
     seed = draw(st.one_of(st.none(), st.integers(0, 1000)))  # stratified or Monte Carlo ranks
     delta_e = draw(st.sampled_from([1e-2, 2e-2, 5e-2]))
@@ -616,14 +624,142 @@ def _outcome(dynamics, instance, max_rounds, eps):
     return (result.converged, result.rounds, result.cycling_agents)
 
 
-@settings(max_examples=60, deadline=None)
+def _certification(certify, instance, eps):
+    try:
+        return certify(instance, eps)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def _assert_oracle_matches_reference(fast, ref, max_rounds, eps):
+    """Certification, then the dynamics, then certification again, against the reference."""
+    assert _certification(certify_equilibrium, fast, eps) == _certification(reference_certify_equilibrium, ref, eps)
+    assert _outcome(best_response_dynamics, fast, max_rounds, eps) == _outcome(
+        reference_best_response_dynamics, ref, max_rounds, eps)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert _certification(certify_equilibrium, fast, eps) == _certification(reference_certify_equilibrium, ref, eps)
+
+
+def _examples(local: int) -> int:
+    """``local``, or the example budget of the ``oracle-deep`` profile (tests/conftest.py)
+    when pytest runs with ``--hypothesis-profile oracle-deep``."""
+    deep = settings.get_profile("oracle-deep")
+    return deep.max_examples if settings.default is deep else local
+
+
+@settings(max_examples=_examples(60), deadline=None)
 @given(
     build=_screen_instances(),
     max_rounds=st.integers(1, 300),
     eps=st.sampled_from([1e-12, 0.0, 1e-3, -1e-12]),
 )
 def test_idle_screen_bit_identical_to_scalar_reference(build, max_rounds, eps):
+    _assert_oracle_matches_reference(build(), build(), max_rounds, eps)
+
+
+# -- reward-step bars ---------------------------------------------------------
+#
+# Best responses and certification read a deviation's reward from the standing
+# bars of the reward steps; only a score equal to a bar takes the full position.
+# Dyadic grids, skills and transfers make such exact ties common.
+
+_DYADIC_TRANSFERS = [
+    Power(1.0, 1.0, role=Role.EFFORT_TRANSFER),
+    Power(2.0, 1.0, role=Role.EFFORT_TRANSFER),
+    Power(1.0, 0.5, role=Role.EFFORT_TRANSFER),  # exact on the even powers of two
+]
+
+
+@st.composite
+def _tied_instances(draw):
+    policy = draw(_policies())
+    population = PopulationSpec(f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+                                g=draw(st.sampled_from(_DYADIC_TRANSFERS)), p=Power(1.0, 2.0, role=Role.COST_FUNCTION))
+    n = draw(st.integers(1, 12))
+    delta_e = draw(st.sampled_from([1 / 8, 1 / 16, 1 / 32]))
+    skills = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=n, max_size=n))
+    steps = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+
+    def build():
+        inst = DiscreteInstance.stratified(population, policy, n, delta_e)
+        inst.skill = np.asarray(skills, dtype=float)  # any order: the index tie-break matters
+        grid = inst.effort_grid()
+        inst.efforts = grid[np.asarray(steps) % len(grid)]
+        return inst
+
+    return build
+
+
+@settings(max_examples=_examples(60), deadline=None)
+@given(build=_tied_instances(), max_rounds=st.integers(1, 100), eps=st.sampled_from([1e-12, 0.0]))
+def test_bars_bit_identical_on_tied_profiles(build, max_rounds, eps):
+    _assert_oracle_matches_reference(build(), build(), max_rounds, eps)
+
+
+def test_exact_tie_at_a_bar_takes_the_full_position(monkeypatch):
+    """Four agents of skill 1 with score = effort on a dyadic grid; agents 2 and 3
+    stand at 0.5, the bar of the only reward step (the second highest score).
+    Agent 0 or 1 deviating to 0.5 ties that bar, and the index tie-break puts
+    them first: both the best response and the scan must take that path."""
+    population = PopulationSpec(
+        f=Power(1.0, 1.0, role=Role.SKILL_QUANTILE),
+        g=Power(1.0, 1.0, role=Role.EFFORT_TRANSFER),
+        p=Power(1.0, 2.0, role=Role.COST_FUNCTION),
+        e0=0.0,
+    )
+
+    def build():
+        inst = DiscreteInstance.stratified(population, two_level(0.5, 0.2), 4, 0.125)
+        inst.skill = np.ones(4)
+        inst.efforts = np.array([0.0, 0.0, 0.5, 0.5])
+        return inst
+
     fast, ref = build(), build()
-    assert _outcome(best_response_dynamics, fast, max_rounds, eps) == _outcome(
-        reference_best_response_dynamics, ref, max_rounds, eps)
+    assert oracle._StandingScores(fast, fast.scores()).steps == [(2, 0.4)]  # bar desc[1], reward 0.4 above it
+    searched = []
+
+    def spy(a, x, *args):
+        searched.append(x)
+        return bisect_right(a, x, *args)
+
+    monkeypatch.setattr(oracle, "bisect_right", spy)
+    cert = certify_equilibrium(fast, 0.0)
+    assert 0.5 in searched  # the scan resolved a tie cell
+    assert cert == reference_certify_equilibrium(ref, 0.0)
+    assert cert.worst_agent == 0 and cert.worst_effort == 0.5
+    assert cert.worst_gain == pytest.approx(0.4 - 0.25)
+    searched.clear()
+    got = best_response_dynamics(fast, max_rounds=1)
+    assert 0.5 in searched  # so did a best response
+    want = reference_best_response_dynamics(ref, max_rounds=1)
+    # agents 0 and 1 enter at the bar by the tie-break; 2 and 3, now outranked, step above it
+    assert fast.efforts.tolist() == [0.5, 0.5, 0.625, 0.625]
+    assert (got.converged, got.rounds, got.cycling_agents) == (want.converged, want.rounds, want.cycling_agents)
     assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    _assert_oracle_matches_reference(fast, ref, 200, 1e-12)
+
+
+def _short_transfer_population():
+    return PopulationSpec(
+        f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+        g=PiecewiseMonotone(((0.0, 0.0), (0.4, 0.7), (0.8, 0.9)), role=Role.EFFORT_TRANSFER),
+        p=Power(1.0, 2.0, role=Role.COST_FUNCTION),
+        e0=0.0,
+    )
+
+
+def test_effort_cap_stays_inside_the_transfer_domain():
+    """p^-1(1) + 2 delta = 1.02 would pass g's last knot at 0.8, where the
+    dynamics used to raise DomainError; the cap is g's last grid effort."""
+    population = _short_transfer_population()
+    policy = two_level(0.8, 0.2)
+    assert default_effort_cap(population, policy, 1e-2) == 0.8
+    assert default_effort_cap(population, policy, 3e-2) == pytest.approx(0.78)
+    inst = DiscreteInstance.stratified(population, policy, 20, 1e-2)
+    assert inst.effort_grid()[-1] == inst.e_max == 0.8
+    result = best_response_dynamics(inst, max_rounds=2000)
+    assert result.converged
+    assert certify_equilibrium(inst, 5 / 20).is_eps_equilibrium
+    # unbounded domains keep the uncapped bound
+    assert default_effort_cap(replace(population, g=Power(1.0, 0.5, role=Role.EFFORT_TRANSFER)),
+                              policy, 1e-2) == 1.0 + 2e-2
