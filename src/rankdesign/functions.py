@@ -3,10 +3,10 @@
 Three roles appear throughout the library: a skill quantile on [0, 1],
 a concave effort-to-score transfer on [0, inf), and a convex effort cost
 on [0, inf).  All are represented by :class:`FunctionSpec` subclasses that
-support evaluation, exact inversion, exact definite integrals and
-derivatives.  ``evaluate`` and ``invert`` take a number or a 1-d array of
-numbers; an array is checked and mapped as a whole.  Parameters must be
-finite; a non-finite one is rejected when the object is built.
+support evaluation, exact inversion and exact definite integrals.
+``evaluate`` and ``invert`` take a number or a 1-d array of numbers; an
+array is checked and mapped as a whole.  Parameters must be finite; a
+non-finite one is rejected when the object is built.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class FunctionSpec:
     role: Role | None = field(default=None, kw_only=True)
 
     # subclasses must call _set_domain when built and define: evaluate,
-    # invert, integral, derivative, exact_derivative, to_json
+    # invert, integral, to_json
 
     def _set_domain(self, lo: float, hi: float) -> None:
         object.__setattr__(self, "_lo", lo)
@@ -90,8 +90,6 @@ class Power(FunctionSpec):
     scale: float
     exponent: float
 
-    exact_derivative = True
-
     def __post_init__(self):
         _require_finite("Power", self.scale, self.exponent)
         if self.scale <= 0 or self.exponent <= 0:
@@ -118,12 +116,6 @@ class Power(FunctionSpec):
         k = self.exponent + 1.0
         return self.scale * (b**k - a**k) / k
 
-    def derivative(self, x: float) -> float:
-        self._check_domain(x)
-        if x == 0.0 and self.exponent < 1.0:
-            return math.inf
-        return self.scale * self.exponent * x ** (self.exponent - 1.0)
-
     def to_json(self) -> dict:
         return {"family": "power", "scale": self.scale, "exponent": self.exponent}
 
@@ -135,8 +127,6 @@ class AffinePower(FunctionSpec):
     scale: float
     exponent: float
     offset: float
-
-    exact_derivative = True
 
     def __post_init__(self):
         _require_finite("AffinePower", self.scale, self.exponent, self.offset)
@@ -164,12 +154,6 @@ class AffinePower(FunctionSpec):
         k = self.exponent + 1.0
         return self.scale * (b**k - a**k) / k + self.offset * (b - a)
 
-    def derivative(self, x: float) -> float:
-        self._check_domain(x)
-        if x == 0.0 and self.exponent < 1.0:
-            return math.inf
-        return self.scale * self.exponent * x ** (self.exponent - 1.0)
-
     def to_json(self) -> dict:
         return {
             "family": "affine_power",
@@ -188,14 +172,10 @@ class PiecewiseMonotone(FunctionSpec):
     x maps to its knot y and a knot y to its knot x exactly.  Arrays go
     through ``np.interp``, which also returns knot values exactly and agrees
     with the scalar formula elsewhere to rounding.  The integral is the exact
-    trapezoid sum over the knots.  Derivatives are central finite differences
-    and therefore approximate, with one-sided differences at the domain
-    boundary.
+    trapezoid sum over the knots.
     """
 
     knots: tuple[tuple[float, float], ...]
-
-    exact_derivative = False
 
     def __post_init__(self):
         knots = tuple((float(x), float(y)) for x, y in self.knots)
@@ -257,16 +237,6 @@ class PiecewiseMonotone(FunctionSpec):
         xs = (a, *self._xs[i:j], b)
         ys = (self.evaluate(a), *self._ys[i:j], self.evaluate(b))
         return sum(0.5 * (y0 + y1) * (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
-
-    def derivative(self, x: float) -> float:
-        self._check_domain(x)
-        lo, hi = self._lo, self._hi
-        h = 1e-6 * max(1.0, abs(x))
-        if x - h < lo:
-            return (self.evaluate(x + h) - self.evaluate(x)) / h
-        if x + h > hi:
-            return (self.evaluate(x) - self.evaluate(x - h)) / h
-        return (self.evaluate(x + h) - self.evaluate(x - h)) / (2.0 * h)
 
     def to_json(self) -> dict:
         return {"family": "piecewise_monotone", "knots": [list(k) for k in self.knots]}

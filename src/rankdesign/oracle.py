@@ -30,6 +30,16 @@ s == desc[b] needs the formula above.  So best responses and certification
 read a deviation's reward from at most K - 1 float comparisons against the
 bars, and apply the index tie-break on exact ties.  This holds for any order
 of the levels, including decreasing and repeated ones.
+
+Certification prices few cells per agent.  For a finite skill >= 0 on a
+grid where g and p never decrease, the deviation scores skill * g(e_k)
+never decrease along the grid, so the comparisons against each bar change
+at most twice along a row: where the score stops being below the bar and
+where it passes it.  Between those change points the reward is constant and
+the cost never falls, so the first column of each constant stretch earns at
+least as much as the rest of it, and the first largest gain of the row lies
+on one of these at most 2(K - 1) + 1 columns.  Other rows are scanned in
+full.
 """
 
 from __future__ import annotations
@@ -40,7 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import EquilibriumSchedule, effort_at
+# effort_at is unused here but stays importable: perfbench/tracing.py times it as oracle.effort_at
+from .equilibrium import EquilibriumSchedule, _band_functions, effort_at  # noqa: F401
 from .errors import DomainError, RangeError, RankDesignError
 from .functions import PopulationSpec
 from .policy import RewardPolicy
@@ -105,7 +116,9 @@ class DiscreteInstance:
     ) -> "DiscreteInstance":
         """Instance seeded with the closed-form efforts at stratified ranks."""
         inst = DiscreteInstance.stratified(schedule.population, schedule.policy, n, delta_e, e_max)
-        inst.efforts = np.array([effort_at(schedule, t) for t in inst.ranks])
+        # effort_at(schedule, t), with each band's effort function built once
+        band_effort = [_band_functions(schedule.population, band)[0] for band in schedule.bands]
+        inst.efforts = np.array([band_effort[schedule.band_of(t).k](t) for t in inst.ranks])
         return inst
 
     # -- scoring and reward assignment --------------------------------------
@@ -140,7 +153,9 @@ class DiscreteInstance:
         return self.assigned_levels() - self.costs()
 
     def effort_grid(self) -> np.ndarray:
+        """Multiples of delta_e up to e_max (no best response goes above it), plus e0."""
         grid = np.arange(0.0, self.e_max + 0.5 * self.delta_e, self.delta_e)
+        grid = grid[grid <= self.e_max]
         e0 = self.population.e0
         if e0 > 0 and not np.any(np.isclose(grid, e0)):
             grid = np.sort(np.append(grid, e0))
@@ -166,8 +181,9 @@ def default_effort_cap(population: PopulationSpec, policy: RewardPolicy, delta_e
 class _StandingScores:
     """Counterfactual position lookups against the standing profile.
 
-    Maintains the full score multiset (every agent's standing score stays in
-    place as a competitor) with incremental updates as the dynamics move one
+    Maintains every agent's standing score, in agent order (``scores``) and
+    as a sorted multiset (``sorted_scores``; every standing score stays in
+    place as a competitor), with incremental updates as the dynamics move one
     agent at a time.  ``position_levels[pos]`` is the reward of sorted
     position pos, for pos in 0..n; position n lies below every standing score.
     ``steps`` lists, for each reward step b (``position_levels[b] !=
@@ -176,39 +192,34 @@ class _StandingScores:
     """
 
     def __init__(self, instance: DiscreteInstance, scores: np.ndarray | list[float]):
-        n = instance.n
-        self.sorted_scores: list[float] = sorted(float(s) for s in scores)
-        # agent indices holding each distinct score value, ascending
-        self.by_value: dict[float, list[int]] = {}
-        for idx, s in enumerate(scores):
-            self.by_value.setdefault(float(s), []).append(idx)
-        cutpoints, levels = instance.policy.cutpoints, instance.policy.levels
-        self.position_levels: list[float] = [
-            levels[bisect_right(cutpoints, 1.0 - (pos + 0.5) / n)] for pos in range(n + 1)
-        ]
-        pl = self.position_levels
-        self.steps: list[tuple[int, float]] = [(n - 1 - b, pl[b]) for b in range(n) if pl[b] != pl[b + 1]]
+        self.scores: list[float] = [float(s) for s in scores]
+        self.sorted_scores: list[float] = sorted(self.scores)
+        self.position_levels, self.steps = _reward_steps(instance)
 
     def update(self, agent: int, old: float, new: float) -> None:
         old, new = float(old), float(new)
         self.sorted_scores.pop(bisect_left(self.sorted_scores, old))
         insort(self.sorted_scores, new)
-        holders = self.by_value[old]
-        holders.pop(bisect_left(holders, agent))
-        if not holders:
-            del self.by_value[old]
-        insort(self.by_value.setdefault(new, []), agent)
+        self.scores[agent] = new
+
+
+def _reward_steps(instance: DiscreteInstance) -> tuple[list[float], list[tuple[int, float]]]:
+    """``position_levels`` and ``steps`` of ``_StandingScores``."""
+    n = instance.n
+    cutpoints, levels = instance.policy.cutpoints, instance.policy.levels
+    pl = [levels[bisect_right(cutpoints, 1.0 - (pos + 0.5) / n)] for pos in range(n + 1)]
+    return pl, [(n - 1 - b, pl[b]) for b in range(n) if pl[b] != pl[b + 1]]
 
 
 class _EffortValues(dict):
-    """Memo of (g(e), p(e)) per effort value; g and p are pure and frozen."""
+    """Memo of (e, g(e), p(e)) per effort value e; g and p are pure and frozen."""
 
     def __init__(self, population: PopulationSpec):
         super().__init__()
         self._g, self._p = population.g.evaluate, population.p.evaluate
 
-    def __missing__(self, e: float) -> tuple[float, float]:
-        value = self[e] = (self._g(e), self._p(e))
+    def __missing__(self, e: float) -> tuple[float, float, float]:
+        value = self[e] = (e, self._g(e), self._p(e))
         return value
 
 
@@ -246,9 +257,10 @@ def _best_response_fn(
     covered by also probing one grid step below each entry effort.  The
     returned function reads ``standing`` as it is updated between calls; the
     run's constants (g(e0), the grid, the entry positions) are bound once, and
-    the candidates around each entry grid step are computed once per run.
-    Each candidate's reward is read from the standing bars (see the module
-    docstring).
+    the (e, g(e), p(e)) candidates around each entry grid step are built once
+    per run.  Each candidate's reward is read from the standing bars (see the
+    module docstring).  The largest gain wins, and among equal gains the
+    smallest effort, as an ascending scan with a strict ">" would pick.
     """
     pop = instance.population
     n, delta_e, e_max = instance.n, instance.delta_e, instance.e_max
@@ -256,60 +268,59 @@ def _best_response_fn(
     entry_bars = [n - 1 - j for j in _band_entry_positions(instance) if 0 <= j < n]
     e0, invert, ceil = pop.e0, pop.g.invert, math.ceil
     idle, e0_float = pop.g.evaluate(e0), float(e0)
-    sorted_scores, by_value = standing.sorted_scores, standing.by_value
+    sorted_scores, scores = standing.sorted_scores, standing.scores
     position_levels, steps = standing.position_levels, standing.steps
     bottom = position_levels[n]
-    near_entry: dict[int, list[float]] = {}  # grid step of an entry effort -> its candidates
+    # grid step of an entry effort -> its (e, g(e), p(e)) candidates
+    near_entry: dict[int, list[tuple[float, float, float]]] = {}
+    # e0 and 0.0, evaluated on the first call, so that a run evaluating no best
+    # response evaluates g and p at neither
+    resting: list[tuple[float, float, float]] | None = None
 
     def best_response(agent: int, skill: float, current: float) -> float:
-        candidates = {current, e0_float, 0.0}
+        nonlocal resting
+        if resting is None:
+            resting = [effort_values[e] for e in dict.fromkeys((e0_float, 0.0)) if 0.0 <= e <= e_max]
+        candidates = [effort_values[current], *resting] if 0.0 <= current <= e_max else resting.copy()
         if skill > 0.0:
             for j in entry_bars:
                 bar = sorted_scores[j]
                 if bar < 0.0:
                     continue
                 target = bar / skill
-                if target <= idle:
-                    entry = e0
-                else:
-                    try:
-                        entry = invert(target)
-                    except RangeError:
-                        continue
-                k = max(ceil(entry / delta_e - 1e-9), 0)
+                try:
+                    entry = e0 if target <= idle else invert(target)
+                    k = max(ceil(entry / delta_e - 1e-9), 0)
+                except (RangeError, OverflowError):
+                    continue  # no effort reaches the bar
                 near = near_entry.get(k)
                 if near is None:
-                    e = k * delta_e
-                    near = near_entry[k] = [
-                        round(cand / delta_e) * delta_e
-                        for cand in (e - delta_e, e, e + delta_e)
-                        if 0.0 <= cand <= e_max
-                    ]
-                candidates.update(near)
+                    # grid steps k - 1, k, k + 1 inside [0, e_max] before and after rounding
+                    e_k = k * delta_e
+                    rounded = [round(cand / delta_e) * delta_e
+                               for cand in (e_k - delta_e, e_k, e_k + delta_e) if 0.0 <= cand <= e_max]
+                    near = near_entry[k] = [effort_values[e] for e in rounded if 0.0 <= e <= e_max]
+                candidates += near
         # (bar, reward at or above it), highest bar first
         bars = [(sorted_scores[j], reward) for j, reward in steps]
         best_effort = current
         best_gain = -math.inf
         current_gain = None
-        for e in sorted(candidates):
-            if not (0.0 <= e <= e_max):
-                continue
-            g_e, p_e = effort_values[e]
+        for e, g_e, p_e in candidates:
             s = g_e * skill
             for bar, reward in bars:
                 if not s < bar:
                     if s == bar:
                         # lower-index holders outrank the deviator; the
                         # deviator's own standing copy never counts against them
-                        pos = n - bisect_right(sorted_scores, s) + bisect_left(by_value[s], agent)
-                        reward = position_levels[pos]
+                        reward = position_levels[n - bisect_right(sorted_scores, s) + scores[:agent].count(s)]
                     break
             else:
                 reward = bottom
             gain = reward - p_e
             if e == current:
                 current_gain = gain
-            if gain > best_gain:
+            if gain > best_gain or (gain == best_gain and e < best_effort):
                 best_gain = gain
                 best_effort = e
         if current_gain is not None and best_gain > current_gain + improvement_eps:
@@ -348,9 +359,9 @@ def _idle_screen(
     low = levels[n]
     positives = [s for s in skills if s > 0.0]
     try:
-        g_e0, p_e0 = effort_values[float(pop.e0)]
-        g_zero, p_zero = effort_values[0.0]
-        g_max = effort_values[float(instance.e_max)][0]
+        _, g_e0, p_e0 = effort_values[float(pop.e0)]
+        _, g_zero, p_zero = effort_values[0.0]
+        g_max = effort_values[float(instance.e_max)][1]
     except (RankDesignError, ArithmeticError, ValueError):
         # some grid effort has no score or cost: the best responses raise
         return nobody
@@ -440,8 +451,8 @@ def best_response_dynamics(
     response could raise, is never screened.
     """
     last_movers: tuple[int, ...] = ()
-    scores = instance.scores().tolist()
-    standing = _StandingScores(instance, scores)
+    standing = _StandingScores(instance, instance.scores())
+    scores = standing.scores  # kept current by standing.update
     effort_values = _EffortValues(instance.population)
     best_response = _best_response_fn(instance, standing, effort_values, improvement_eps)
     skills = instance.skill.tolist()
@@ -466,9 +477,8 @@ def best_response_dynamics(
             new = best_response(agent, skill, current)
             if new != current:
                 old_score = scores[agent]
-                new_score = effort_values[new][0] * skill
+                new_score = effort_values[new][1] * skill
                 efforts[agent] = instance.efforts[agent] = new
-                scores[agent] = new_score
                 standing.update(agent, old_score, new_score)
                 movers.append(agent)
         movers_per_sweep.append(len(movers))
@@ -496,58 +506,116 @@ class CertificationResult:
         }
 
 
-# (agent, grid effort) cells scanned per block of certify_equilibrium: large
-# enough for numpy to amortise its call overhead, small enough that the
-# block's temporaries stay a few hundred kB and peak memory does not grow
-# with N.
+# (agent, grid effort) cells scanned per block of the rows certify_equilibrium
+# scans in full: large enough for numpy to amortise its call overhead, small
+# enough that the block's temporaries stay a few hundred kB and peak memory
+# does not grow with N.
 _CERTIFY_BLOCK_CELLS = 1 << 14
 
 
+def _first_columns(skill: np.ndarray, grid_g: np.ndarray, bars: np.ndarray, below) -> np.ndarray:
+    """Per agent and bar, the first grid column k where ``below(skill * grid_g[k], bar)``
+    fails, or ``len(grid_g)`` where it holds everywhere.
+
+    ``below`` is ``np.less`` or ``np.less_equal``.  Each agent's scores must
+    not decrease along the grid, so the columns where it holds are a prefix;
+    a branch-free binary search finds its end for all agents and bars at
+    once, comparing the same products skill * g(e_k) as a full scan.
+    """
+    skill = skill[:, None]
+    base = np.zeros((len(skill), len(bars)), dtype=np.intp)
+    size = len(grid_g)
+    while size > 1:
+        half = size // 2
+        base += half * below(skill * grid_g[base + half], bars)
+        size -= half
+    return base + below(skill * grid_g[base], bars)
+
+
 def certify_equilibrium(instance: DiscreteInstance, eps: float) -> CertificationResult:
-    """Scan every agent and every grid effort for a counterfactual welfare gain.
+    """Find each agent's largest counterfactual welfare gain on the effort grid.
 
     Certifies when no deviation gains more than eps over the agent's assigned
-    welfare in the standing profile.  The scan is exhaustive; it runs over
-    blocks of agents, each against the whole effort grid.  A deviation's
-    reward is read from the standing bars of the reward steps: the position
-    of a score s is at most b exactly when s beats the bar desc[b], the
-    (b+1)-th highest standing score, and above b exactly when s falls short
-    of it; only a score equal to a bar needs its full position, with the
-    index tie-break.  The worst gain is the first largest in agent order.
+    welfare in the standing profile.  A deviation's reward is read from the
+    standing bars of the reward steps: the position of a score s is at most b
+    exactly when s beats the bar desc[b], the (b+1)-th highest standing
+    score, and above b exactly when s falls short of it; only a score equal
+    to a bar needs its full position, with the index tie-break.  Standing
+    scores are ordered as np.sort orders them, a NaN above every number.
+    When g and p are finite and never decrease on the grid, an agent with a
+    finite skill >= 0 is priced only at column 0 and, per bar, the first
+    column not below it and the first above it (see the module docstring);
+    any other agent, or every agent on any other grid, is scanned over the
+    whole grid in blocks.  Both find the first largest gain of the full
+    scan.  The worst gain is the first largest in agent order.
     """
     n = instance.n
     scores = instance.scores()
-    standing = _StandingScores(instance, scores)
     grid = instance.effort_grid()
     g, p = instance.population.g, instance.population.p
     grid_g = np.array([g.evaluate(e) for e in grid])
     grid_cost = np.array([p.evaluate(e) for e in grid])
     bands = instance.assigned_bands(scores)
     current_welfare = np.asarray(instance.policy.levels)[bands] - instance.costs()
-    sorted_scores, position_levels = standing.sorted_scores, standing.position_levels
+    position_levels, steps = _reward_steps(instance)
+    position_levels = np.asarray(position_levels)
+    # the standing scores in np.sort order: any NaN last, above every number
+    sorted_scores = np.sort(scores).tolist()
+    numbers = n - int(np.isnan(scores).sum())
     # (bar, reward at or above it), lowest bar first
-    bars = [(sorted_scores[j], reward) for j, reward in reversed(standing.steps)]
-    block = max(1, _CERTIFY_BLOCK_CELLS // len(grid))
-    best_gain = np.empty(n)
-    best_col = np.empty(n, dtype=np.intp)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        s_dev = instance.skill[start:stop, None] * grid_g
+    bars = [(sorted_scores[j], reward) for j, reward in reversed(steps)]
+    bar_values = {bar for bar, _ in bars}
+    skill = instance.skill
+
+    def gains(agents: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Gain of each agent's deviation to grid columns ``cols`` (one row, or one per agent)."""
+        s_dev = skill[agents, None] * grid_g[cols]
         reward = position_levels[n]
         for bar, above in bars:
-            # a score that is not below the bar (or is NaN, as a sorted search
-            # would place it) takes the reward above it
-            reward = np.where(s_dev < bar, reward, above)
-        for bar in {bar for bar, _ in bars}:
-            rows, cols = np.nonzero(s_dev == bar)
-            holders, higher = standing.by_value[bar], n - bisect_right(sorted_scores, bar)
-            for row, col in zip(rows.tolist(), cols.tolist()):
-                # index tie-break against the holders of the tied standing score
-                reward[row, col] = position_levels[higher + bisect_left(holders, start + row)]
-        gains = (reward - grid_cost) - current_welfare[start:stop, None]
-        best = np.argmax(gains, axis=1)
-        best_col[start:stop] = best
-        best_gain[start:stop] = gains[np.arange(stop - start), best]
+            # a score that is not below the bar takes the reward above it; as
+            # np.searchsorted orders them, a NaN bar lies above every number
+            # and a NaN score is below no bar
+            reward = np.where(s_dev < bar if bar == bar else s_dev == s_dev, reward, above)
+        for bar in bar_values:
+            rows, cells = np.nonzero(s_dev == bar)
+            if len(rows):
+                # index tie-break against the lower-index holders of the tied standing score
+                holders = np.flatnonzero(scores == bar)
+                higher = n - bisect_right(sorted_scores, bar, 0, numbers)
+                reward[rows, cells] = position_levels[higher + np.searchsorted(holders, agents[rows])]
+        return (reward - grid_cost[cols]) - current_welfare[agents, None]
+
+    best_gain = np.empty(n)
+    best_col = np.empty(n, dtype=np.intp)
+
+    def keep_best(agents: np.ndarray, row_gains: np.ndarray, cols: np.ndarray | None = None) -> None:
+        best = np.argmax(row_gains, axis=1)  # the first largest, or the first NaN
+        rows = np.arange(len(agents))
+        best_gain[agents] = row_gains[rows, best]
+        best_col[agents] = best if cols is None else cols[rows, best]
+
+    steady = bool(
+        np.isfinite(grid_g).all() and np.isfinite(grid_cost).all()
+        and (grid_g[1:] >= grid_g[:-1]).all() and (grid_cost[1:] >= grid_cost[:-1]).all()
+    )
+    pruned = (np.isfinite(skill) & (skill >= 0.0)) if steady else np.zeros(n, dtype=bool)
+    agents = np.flatnonzero(pruned)
+    if len(agents):
+        keys = np.array(list(bar_values), dtype=float)
+        cols = np.concatenate((
+            np.zeros((len(agents), 1), dtype=np.intp),
+            _first_columns(skill[agents], grid_g, keys, np.less),
+            _first_columns(skill[agents], grid_g, keys, np.less_equal),
+        ), axis=1)
+        # ascending, so the first largest gain is the first of the full scan
+        cols = np.sort(np.minimum(cols, len(grid) - 1), axis=1)
+        keep_best(agents, gains(agents, cols), cols)
+    rest = np.flatnonzero(~pruned)
+    block = max(1, _CERTIFY_BLOCK_CELLS // len(grid))
+    every = np.arange(len(grid))
+    for start in range(0, len(rest), block):
+        agents = rest[start:start + block]
+        keep_best(agents, gains(agents, every))
     # a strict ">" scan keeps the first largest gain and never takes a NaN one
     best_gain = np.where(best_gain > -math.inf, best_gain, -math.inf)
     worst_agent = int(np.argmax(best_gain))

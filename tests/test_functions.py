@@ -31,12 +31,6 @@ def test_invert_examples():
     assert x == pytest.approx(1.44, abs=1e-12)
 
 
-def test_derivative_examples():
-    assert Power(1, 2).derivative(1.0) == pytest.approx(2.0, abs=1e-15)
-    assert Power(2, 1).derivative(0.3) == pytest.approx(2.0, abs=1e-15)
-    assert Power(1, 0.5).derivative(4.0) == pytest.approx(0.25, abs=1e-15)
-
-
 def test_domain_and_range_errors():
     with pytest.raises(DomainError):
         Power(1, 2).evaluate(-0.1)
@@ -107,19 +101,11 @@ def test_role_validation():
     PiecewiseMonotone(((0, 0), (1, 1), (2, 3)), role=Role.COST_FUNCTION)
 
 
-def test_piecewise_inverse_and_derivative():
+def test_piecewise_inverse():
     y = PIECEWISE.evaluate(0.73)
     assert abs(PIECEWISE.invert(y) - 0.73) < 1e-9
-    # slope of the middle segment is (1.0 - 0.2) / 0.5 = 1.6
-    assert PIECEWISE.derivative(0.75) == pytest.approx(1.6, rel=1e-5)
-    assert not PIECEWISE.exact_derivative
     with pytest.raises(RangeError):
         PIECEWISE.invert(4.0)
-
-
-def test_piecewise_boundary_derivative_one_sided():
-    val = PIECEWISE.derivative(0.0)
-    assert val == pytest.approx(0.4, rel=1e-4)  # first segment slope
 
 
 @given(

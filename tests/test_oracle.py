@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
@@ -170,11 +170,12 @@ def test_instance_rows_shape(benchmark_population):
 
 # -- bit-identity against the scalar oracle --------------------------------
 #
-# The scalar oracle below is the reference for the block-vectorised
-# certification and the hoisted best responses: one Python level lookup per
-# (agent, effort) cell and per candidate effort.  Its code is kept as it was;
-# only the two public entry points are renamed to ``reference_*``.  The fast
-# path must reproduce it bit for bit: same trajectory, same certification.
+# The scalar oracle below is the reference for the pruned certification and
+# the hoisted best responses: one Python level lookup per (agent, effort) cell
+# and per candidate effort.  Its code is kept as it was, except that an entry
+# effort that overflows, like one out of range, reaches no grid step; only the
+# two public entry points are renamed to ``reference_*``.  The fast path must
+# reproduce it bit for bit: same trajectory, same certification.
 
 
 class _StandingScores:
@@ -271,9 +272,12 @@ def _best_response(
             else:
                 try:
                     entry = g.invert(target)
-                except RangeError:
+                except (RangeError, OverflowError):
                     continue
-            e = _grid_ceil(entry, instance.delta_e)
+            try:
+                e = _grid_ceil(entry, instance.delta_e)
+            except OverflowError:  # an infinite entry effort reaches no grid step
+                continue
             for cand in (e - instance.delta_e, e, e + instance.delta_e):
                 if 0.0 <= cand <= instance.e_max:
                     candidates.add(round(cand / instance.delta_e) * instance.delta_e)
@@ -431,6 +435,15 @@ def test_oracle_bit_identical_to_scalar_reference(benchmark_population, case):
     assert fast.assigned_levels(scores).tobytes() == reference_assigned_levels(fast, scores).tobytes()
 
 
+def test_from_schedule_seeds_effort_at(benchmark_population):
+    """The closed-form seeding equals effort_at at every stratified rank, also where g(e0) > 0."""
+    for population, policy in ((benchmark_population, two_level(0.8, 0.2)), (benchmark_population, FOUR_LEVEL),
+                               (_affine_population(), FOUR_LEVEL)):
+        schedule = solve(population, policy)
+        inst = DiscreteInstance.from_schedule(schedule, 300, 1e-3)
+        assert inst.efforts.tolist() == [effort_at(schedule, t) for t in inst.ranks]
+
+
 def test_bit_identity_cases_exercise_ties_and_truncation(benchmark_population):
     """The tie-heavy case ties in standing scores; the truncated run stops moving agents."""
     tied = _tie_heavy(benchmark_population)
@@ -537,16 +550,18 @@ def test_idle_screen_never_skips_a_paying_entry(benchmark_population):
 
 
 def test_idle_screen_keeps_the_reference_error(benchmark_population):
-    """A near-zero skill overflows the entry effort in the reference best response; the
-    screen must not skip that agent and turn the error into a result."""
-    fast, ref = (DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 20, 1e-2)
-                 for _ in range(2))
-    fast.skill[3] = ref.skill[3] = 1e-300
-    with pytest.raises(OverflowError):
-        reference_best_response_dynamics(ref)
-    with pytest.raises(OverflowError):
-        best_response_dynamics(fast)
-    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    """A near-zero skill overflows the entry effort (g.invert for 1e-300, ceil of an
+    infinite entry for a subnormal skill); no grid effort reaches the bar, so that
+    agent stays idle in the reference and in the fast path, screened or not."""
+    for tiny in (1e-300, 5e-324):
+        fast, ref = (DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 20, 1e-2)
+                     for _ in range(2))
+        fast.skill[3] = ref.skill[3] = tiny
+        want = reference_best_response_dynamics(ref)
+        got = best_response_dynamics(fast)
+        assert (got.converged, got.rounds) == (want.converged, want.rounds)
+        assert fast.efforts.tobytes() == ref.efforts.tobytes()
+        assert fast.efforts[3] == 0.0
 
 
 _SKILLS = [
@@ -737,6 +752,141 @@ def test_exact_tie_at_a_bar_takes_the_full_position(monkeypatch):
     assert (got.converged, got.rounds, got.cycling_agents) == (want.converged, want.rounds, want.cycling_agents)
     assert fast.efforts.tobytes() == ref.efforts.tobytes()
     _assert_oracle_matches_reference(fast, ref, 200, 1e-12)
+
+
+# -- pruned certification ----------------------------------------------------
+#
+# certify_equilibrium prices an agent of finite skill >= 0 only where their
+# deviation reward can change along the grid; other agents are scanned in full.
+# Random grid profiles, not only equilibria, give positive worst gains, so the
+# argmax and its ties matter.
+
+
+@st.composite
+def _grid_profiles(draw):
+    """Dyadic or decimal grids, tied and untied skills, zeros, one NaN or negative skill."""
+    policy = draw(_policies())
+    p, e0 = draw(st.sampled_from(_COSTS))
+    g = draw(st.sampled_from(_DYADIC_TRANSFERS + _TRANSFERS))
+    population = PopulationSpec(f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE), g=g, p=p, e0=e0)
+    n = draw(st.integers(1, 24))
+    delta_e = draw(st.sampled_from([1 / 8, 1 / 16, 1 / 32, 1e-2, 3e-2]))
+    skills = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), st.floats(0.0, 2.0)),
+                           min_size=n, max_size=n))
+    odd = draw(st.sampled_from([None, math.nan, -0.5, -1.0]))
+    if odd is not None:
+        # the reference searches its Python-sorted standing list with np.searchsorted,
+        # which needs a NaN last: Python's sort leaves a lone NaN last (below 64
+        # scores) when it is the last agent's
+        skills[n - 1 if odd != odd else draw(st.integers(0, n - 1))] = odd
+    steps = draw(st.lists(st.integers(0, 200), min_size=n, max_size=n))
+
+    def build():
+        inst = DiscreteInstance.stratified(population, policy, n, delta_e)
+        inst.skill = np.asarray(skills, dtype=float)  # any order: the index tie-break matters
+        grid = inst.effort_grid()
+        inst.efforts = grid[np.asarray(steps) % len(grid)]
+        return inst
+
+    return build
+
+
+@settings(max_examples=_examples(60), deadline=None)
+@given(build=_grid_profiles(), eps=st.sampled_from([0.0, 1e-3]))
+def test_pruned_certification_bit_identical_on_grid_profiles(build, eps):
+    assert _certification(certify_equilibrium, build(), eps) == _certification(
+        reference_certify_equilibrium, build(), eps)
+
+
+def test_pruned_certification_runs_on_the_benchmark_instance(benchmark_population, monkeypatch):
+    """Every agent of the closed-form profile is priced at its change points only."""
+    searched = []
+    first_columns = oracle._first_columns
+
+    def spy(skill, *args):
+        searched.append(len(skill))
+        return first_columns(skill, *args)
+
+    monkeypatch.setattr(oracle, "_first_columns", spy)
+    for policy in (two_level(0.8, 0.2), FOUR_LEVEL):
+        inst = DiscreteInstance.from_schedule(solve(benchmark_population, policy), 500, 1e-3)
+        searched.clear()
+        assert certify_equilibrium(inst, 5 / 500) == reference_certify_equilibrium(inst, 5 / 500)
+        assert searched == [500, 500]  # where each bar is reached, then passed, for all 500 agents
+
+
+def _unit_agents(levels, cutpoints, skills, efforts):
+    """Agents with score = skill * effort and cost effort^2 on the grid of step 1/8."""
+    population = PopulationSpec(f=Power(1.0, 1.0, role=Role.SKILL_QUANTILE),
+                                g=Power(1.0, 1.0, role=Role.EFFORT_TRANSFER), p=Power(1.0, 2.0, role=Role.COST_FUNCTION))
+    inst = DiscreteInstance.stratified(population, RewardPolicy(levels, cutpoints, 0.5), len(skills), 0.125)
+    inst.skill = np.asarray(skills, dtype=float)
+    inst.efforts = np.asarray(efforts, dtype=float)
+    return inst
+
+
+def test_equal_gains_take_the_smallest_effort():
+    """Agent 0 holds the top reward at effort 1 for a welfare of 0, exactly what idling
+    at 0 earns: the scan reports the smaller effort, and with a negative tolerance the
+    best response moves there, as the reference's ascending scan does."""
+    def build():
+        return _unit_agents((0.0, 1.0), (0.5,), [1.0, 1.0], [1.0, 0.0])
+
+    cert = certify_equilibrium(build(), 0.0)
+    assert cert == reference_certify_equilibrium(build(), 0.0)
+    assert (cert.worst_gain, cert.worst_agent, cert.worst_effort) == (0.0, 0, 0.0)
+    fast, ref = build(), build()
+    best_response_dynamics(fast, max_rounds=1, improvement_eps=-1e-12)
+    reference_best_response_dynamics(ref, max_rounds=1, improvement_eps=-1e-12)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert fast.efforts[0] == 0.0
+
+
+def test_nan_standing_score_ranks_above_every_number():
+    """As the reference's np.searchsorted orders it, agent 2's NaN score stands above
+    0.5, the bar of the lower reward step, so agent 0 matching that bar places second."""
+    def build():
+        return _unit_agents((0.0, 0.2, 0.5), (0.3, 0.6), [1.0, 1.0, math.nan], [0.0, 0.5, 0.0])
+
+    assert certify_equilibrium(build(), 0.0) == reference_certify_equilibrium(build(), 0.0)
+
+
+@dataclass(frozen=True)
+class _DippingCost(Power):
+    """x^2, but 0.5 cheaper on [0.5, 0.6): the cost falls once along the grid."""
+
+    def evaluate(self, x):
+        return super().evaluate(x) - (0.5 if 0.5 <= x < 0.6 else 0.0)
+
+
+def test_certification_scans_in_full_where_the_cost_falls(monkeypatch):
+    """From the idle profile every positive score takes the top reward, so pricing the
+    first column of each constant-reward stretch would find 0.01; the cheapest
+    effort is 0.5, and every agent is scanned over the whole grid to find it."""
+    population = PopulationSpec(f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+                                g=Power(1.0, 0.5, role=Role.EFFORT_TRANSFER), p=_DippingCost(1.0, 2.0))
+
+    def build():
+        return DiscreteInstance.stratified(population, two_level(0.5, 0.2), 20, 1e-2, e_max=1.0)
+
+    monkeypatch.setattr(oracle, "_first_columns", None)  # the pruned path would fail on it
+    cert = certify_equilibrium(build(), 0.0)
+    assert cert == reference_certify_equilibrium(build(), 0.0)
+    assert (cert.worst_agent, cert.worst_effort) == (10, 0.5)  # the first agent outside the band
+
+
+def test_effort_grid_stops_at_e_max(benchmark_population):
+    """No best response takes an effort above e_max, so certification prices none."""
+    inst = DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 10, 1e-2, e_max=0.806)
+    assert inst.effort_grid()[-1] == pytest.approx(0.80)
+    inst = DiscreteInstance.stratified(benchmark_population, two_level(0.5, 0.3), 10, 1e-3)
+    grid = inst.effort_grid()
+    assert inst.e_max == pytest.approx(0.7766, abs=1e-4)
+    assert grid.max() <= inst.e_max and grid[-1] == pytest.approx(0.776)
+    # e0 off the grid is still appended
+    inst = DiscreteInstance.stratified(_increasing_cost_below_e0(), two_level(0.8, 0.2), 10, 3e-2)
+    grid = inst.effort_grid()
+    assert 0.2 in grid and grid.max() <= inst.e_max
 
 
 def _short_transfer_population():
