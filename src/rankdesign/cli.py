@@ -29,7 +29,7 @@ from .errors import (
 from .functions import PopulationSpec
 from .groups import GroupSpec
 from .policy import TwoLevelPolicy, policy_from_json, validate
-from .welfare import welfare_report
+from .welfare import two_level_sweep, welfare_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,13 +143,9 @@ def cmd_eval(args, config: dict) -> int:
 
 
 def _sweep_point(population: PopulationSpec, c: float, capacity: float):
-    from .policy import two_level
-
     try:
-        schedule = solve(population, two_level(c, capacity))
-        rep = welfare_report(schedule)
-        level1 = schedule.policy.levels[-1]
-        return (c, level1, rep.applicant_welfare, rep.societal_utility, rep.private_utility, "")
+        (row,) = two_level_sweep(population, capacity, [c])
+        return (*row, "")
     except RankDesignError as exc:
         return (c, "", "", "", "", type(exc).__name__)
 

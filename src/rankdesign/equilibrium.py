@@ -8,15 +8,22 @@ satisfies
 
     p(threshold_k) = p(e_{k-1}(c_k)) + levels[k] - levels[k-1]
 
-and within band k the effort is max(g_inverse(g(threshold_k) * f(c_k) / f(theta)), e0).
-Evaluation is lazy: no grid is built, every query applies the band formula.
+and band k is entered at the score floor g(threshold_k) * f(c_k).  Within the
+band the score is max(floor, g(e0) * f(theta)) and the effort
+max(g_inverse(floor / f(theta)), e0): above its switch point the band idles
+at e0.  ``solve`` computes each band's floor and idle transfer g(e0) once and
+stores them on its ``BandSolution``; ``_band_effort`` and ``_band_score`` are
+the one band formula every other module reads, for a rank or an array of
+ranks.  No grid is built.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ModelError, PerturbationError, RangeError
 from .functions import PopulationSpec
@@ -27,11 +34,14 @@ INDIFFERENCE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BandSolution:
-    """Per-band solution: threshold effort and optional interior switch point.
+    """Band k's constants: threshold effort, score floor, idle transfer, switch point.
 
-    ``threshold_effort`` is None for band 0 (everyone idles at e0).  The
-    switch point, when present, is the rank where the band formula crosses
-    from the score-matching branch to the idle branch g(e0) * f(theta).
+    ``floor`` = g(threshold_effort) * f(lo) is the score that enters the band
+    and ``idle`` = g(e0) the transfer of idle effort, so the band's score is
+    max(floor, idle * f(theta)).  Band 0 has no threshold and no floor
+    (both None): everyone idles at e0.  The switch point, when present, is
+    the rank inside (lo, hi) where the idle branch idle * f(theta) overtakes
+    the floor.
     """
 
     k: int
@@ -39,6 +49,8 @@ class BandSolution:
     hi: float
     threshold_effort: float | None
     switch_point: float | None
+    floor: float | None
+    idle: float
 
 
 @dataclass(frozen=True)
@@ -63,43 +75,47 @@ def _transfer_at(pop: PopulationSpec, effort: float) -> float:
         ) from exc
 
 
-def _band_functions(pop: PopulationSpec, band: BandSolution):
-    """Band k's effort and score as functions of theta: (effort, score).
-
-    The band constants, the score floor g(threshold_k) * f(c_k) and the idle
-    transfer g(e0), are computed once here rather than at every theta.
-    """
-    e0 = pop.e0
-    f = pop.f.evaluate
-    idle = pop.g.evaluate(e0)
-    if band.threshold_effort is None:
-        return (lambda theta: e0), (lambda theta: idle * f(theta))
-    floor = _transfer_at(pop, band.threshold_effort) * f(band.lo)
-    g_invert = pop.g.invert
-
-    def effort(theta: float) -> float:
-        target = floor / f(theta)
-        if target <= idle:
-            return e0
+def _entered_band(pop: PopulationSpec, k: int, lo: float, hi: float, threshold: float, idle: float) -> BandSolution:
+    """Band k >= 1 on [lo, hi) entered at the threshold effort, with its floor and switch point."""
+    floor = _transfer_at(pop, threshold) * pop.f.evaluate(lo)
+    switch = None
+    if idle > 0.0:
         try:
-            return g_invert(target)
-        except RangeError as exc:
-            raise ModelError(
-                f"score target {target!r} outside the image of the effort transfer"
-            ) from exc
-
-    def score(theta: float) -> float:
-        return max(floor, idle * f(theta))
-
-    return effort, score
+            theta = pop.f.invert(floor / idle)
+            switch = theta if lo < theta < hi else None
+        except RangeError:
+            pass
+    return BandSolution(k, lo, hi, threshold, switch, floor, idle)
 
 
-def _band_effort(pop: PopulationSpec, band: BandSolution, theta: float) -> float:
-    return _band_functions(pop, band)[0](theta)
+def _band_effort(pop: PopulationSpec, band: BandSolution, theta):
+    """Effort in ``band`` at rank theta, a number or an array of ranks.
+
+    A number stays on Python float arithmetic, so ``effort_at`` gives the
+    same bits wherever it is read.  An array clamps the score target at the
+    idle transfer instead, g_inverse(max(target, g(e0))), which is e0 to
+    rounding where the band idles.
+    """
+    array = theta.__class__ is np.ndarray
+    if band.floor is None:
+        return np.full_like(theta, pop.e0) if array else pop.e0
+    target = band.floor / pop.f.evaluate(theta)
+    try:
+        if array:
+            return pop.g.invert(np.maximum(target, band.idle))
+        return pop.e0 if target <= band.idle else pop.g.invert(target)
+    except RangeError as exc:
+        raise ModelError(f"score target {target!r} outside the image of the effort transfer") from exc
 
 
-def _band_score(pop: PopulationSpec, band: BandSolution, theta: float) -> float:
-    return _band_functions(pop, band)[1](theta)
+def _band_score(pop: PopulationSpec, band: BandSolution, theta):
+    """Score in ``band`` at rank theta, a number or an array of ranks."""
+    idle_score = band.idle * pop.f.evaluate(theta)
+    if band.floor is None:
+        return idle_score
+    if theta.__class__ is np.ndarray:
+        return np.maximum(band.floor, idle_score)
+    return max(band.floor, idle_score)
 
 
 def solve(population: PopulationSpec, policy: RewardPolicy) -> EquilibriumSchedule:
@@ -108,30 +124,15 @@ def solve(population: PopulationSpec, policy: RewardPolicy) -> EquilibriumSchedu
     if not report.ok:
         raise DomainError("invalid policy: " + "; ".join(str(v) for v in report.violations))
     bounds = (0.0,) + policy.cutpoints + (1.0,)
-    bands: list[BandSolution] = [BandSolution(0, 0.0, bounds[1], None, None)]
+    idle = population.g.evaluate(population.e0)
+    bands: list[BandSolution] = [BandSolution(0, 0.0, bounds[1], None, None, None, idle)]
     for k in range(1, policy.k):
         lo, hi = bounds[k], bounds[k + 1]
-        prev = bands[k - 1]
-        boundary_effort = _band_effort(population, prev, lo)
+        boundary_effort = _band_effort(population, bands[k - 1], lo)
         jump = policy.levels[k] - policy.levels[k - 1]
         threshold = population.cost_inverse(population.p.evaluate(boundary_effort) + jump)
-        switch = _switch_point(population, threshold, lo, hi)
-        bands.append(BandSolution(k, lo, hi, threshold, switch))
+        bands.append(_entered_band(population, k, lo, hi, threshold, idle))
     return EquilibriumSchedule(population, policy, tuple(bands))
-
-
-def _switch_point(pop: PopulationSpec, threshold: float, lo: float, hi: float) -> float | None:
-    idle = pop.g.evaluate(pop.e0)
-    if idle <= 0.0:
-        return None
-    target = pop.g.evaluate(threshold) * pop.f.evaluate(lo) / idle
-    try:
-        theta = pop.f.invert(target)
-    except RangeError:
-        return None
-    if lo < theta < hi:
-        return theta
-    return None
 
 
 def effort_at(schedule: EquilibriumSchedule, theta: float) -> float:
@@ -187,7 +188,6 @@ def check_rank_preservation(schedule: EquilibriumSchedule, grid_size: int) -> Ra
     policy = schedule.policy
     thetas = [i / (grid_size - 1) for i in range(grid_size)]
     thetas = sorted(set(thetas) | set(policy.cutpoints))
-    scores = [_band_functions(schedule.population, b)[1] for b in schedule.bands]
     violations: list[RankCheckViolation] = []
     band_min: dict[int, float] = {}
     band_max: dict[int, float] = {}
@@ -197,7 +197,7 @@ def check_rank_preservation(schedule: EquilibriumSchedule, grid_size: int) -> Ra
         actual = policy.levels[policy.band_of(theta)]
         if actual != expected:
             violations.append(RankCheckViolation(theta, "reward-mismatch", actual - expected))
-        s = scores[band.k](theta)
+        s = _band_score(schedule.population, band, theta)
         band_min[band.k] = min(band_min.get(band.k, math.inf), s)
         band_max[band.k] = max(band_max.get(band.k, -math.inf), s)
     for k in range(1, policy.k):
@@ -279,19 +279,22 @@ def sample_schedule(schedule: EquilibriumSchedule, grid: int) -> list[tuple[floa
         raise DomainError("grid must be at least 2")
     thetas = {i / (grid - 1) for i in range(grid)}
     thetas.update(schedule.policy.cutpoints)
-    functions = [_band_functions(schedule.population, b) for b in schedule.bands]
+    pop = schedule.population
     rows = []
     for theta in sorted(thetas):
-        k = schedule.band_of(theta).k
-        effort, score = functions[k]
-        rows.append((theta, k, effort(theta), score(theta)))
+        band = schedule.band_of(theta)
+        rows.append((theta, band.k, _band_effort(pop, band, theta), _band_score(pop, band, theta)))
     return rows
 
 
 def corrupted_schedule(schedule: EquilibriumSchedule, k: int, factor: float) -> EquilibriumSchedule:
-    """Copy of the schedule with band k's threshold effort scaled; for negative controls."""
+    """Copy of the schedule with band k's threshold effort scaled; for negative controls.
+
+    The band's floor and switch point are recomputed from the scaled threshold.
+    """
     if not (1 <= k < schedule.policy.k):
         raise DomainError("only bands k >= 1 carry a threshold effort")
     bands = list(schedule.bands)
-    bands[k] = replace(bands[k], threshold_effort=bands[k].threshold_effort * factor)
+    b = bands[k]
+    bands[k] = _entered_band(schedule.population, k, b.lo, b.hi, b.threshold_effort * factor, b.idle)
     return EquilibriumSchedule(schedule.population, schedule.policy, tuple(bands))

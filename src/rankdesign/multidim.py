@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DomainError, ModelError
+from .equilibrium import BandSolution, _band_effort, solve
 from .functions import FunctionSpec, PopulationSpec, Power, Role
 from .oracle import DiscreteInstance, best_response_dynamics
-from .policy import RewardPolicy
+from .policy import RewardPolicy, two_level
 from .quadrature import adaptive_simpson, geometric_breakpoints, integrate_piecewise  # noqa: F401
 
 # adaptive_simpson is not used here; it stays importable from this module
@@ -154,41 +155,40 @@ class UnmeasurableSpec:
             raise DomainError("beta must lie in (0, 1)")
         if self.g.evaluate(0.0) != 0.0:
             raise ModelError("unmeasurable-skill formulas require g(0) = 0")
-
-    def _population(self) -> PopulationSpec:
-        return PopulationSpec(f=self.f, g=self.g, p=self.p, e0=0.0)
+        object.__setattr__(self, "_population", PopulationSpec(f=self.f, g=self.g, p=self.p, e0=0.0))
 
 
-def measurable_conditional_mean(spec: UnmeasurableSpec, c: float) -> float:
-    """E[score of the ranked skill | admitted] = g(threshold effort) * f(c)."""
-    _check_cutoff(spec, c)
-    pop = spec._population()
-    tilde_e0 = pop.cost_inverse(spec.capacity / (1.0 - c))
-    return spec.g.evaluate(tilde_e0) * spec.f.evaluate(c)
+def _admitted_band(spec: UnmeasurableSpec, c: float) -> BandSolution:
+    """Band 1 of the equilibrium under ``two_level(c, capacity)``.
+
+    Every admitted applicant scores its floor g(threshold effort) * f(c),
+    the measurable conditional mean.
+    """
+    if not (0.0 < c < 1.0 - spec.capacity):
+        raise DomainError(f"cutoff {c!r} outside (0, 1 - capacity)")
+    return solve(spec._population, two_level(c, spec.capacity)).bands[1]
 
 
-def unmeasurable_conditional_mean(spec: UnmeasurableSpec, c: float) -> float:
-    """E[score of the unranked skill | admitted] under the budget split."""
-    _check_cutoff(spec, c)
-    pop = spec._population()
-    tilde_e0 = pop.cost_inverse(spec.capacity / (1.0 - c))
-    if spec.budget < tilde_e0:
-        raise ModelError(
-            f"budget {spec.budget!r} below the threshold effort {tilde_e0!r} at c={c!r}"
-        )
-    floor = spec.g.evaluate(tilde_e0) * spec.f.evaluate(c)
+def _unmeasurable_mean(spec: UnmeasurableSpec, band: BandSolution) -> float:
+    c = band.lo
+    if spec.budget < band.threshold_effort:
+        raise ModelError(f"budget {spec.budget!r} below the threshold effort {band.threshold_effort!r} at c={c!r}")
 
     def leftover_transfer(theta: np.ndarray) -> np.ndarray:
-        e_m = spec.g.invert(floor / spec.f.evaluate(theta))
-        return spec.g.evaluate(spec.budget - e_m)
+        return spec.g.evaluate(spec.budget - _band_effort(spec._population, band, theta))
 
     integral, _ = integrate_piecewise(leftover_transfer, [c, *geometric_breakpoints(c, 1.0), 1.0])
     return spec.f.integral(0.0, 1.0) * integral / (1.0 - c)
 
 
-def _check_cutoff(spec: UnmeasurableSpec, c: float) -> None:
-    if not (0.0 < c < 1.0 - spec.capacity):
-        raise DomainError(f"cutoff {c!r} outside (0, 1 - capacity)")
+def measurable_conditional_mean(spec: UnmeasurableSpec, c: float) -> float:
+    """E[score of the ranked skill | admitted] = g(threshold effort) * f(c)."""
+    return _admitted_band(spec, c).floor
+
+
+def unmeasurable_conditional_mean(spec: UnmeasurableSpec, c: float) -> float:
+    """E[score of the unranked skill | admitted] under the budget split."""
+    return _unmeasurable_mean(spec, _admitted_band(spec, c))
 
 
 def beta_for_interior_optimum(spec: UnmeasurableSpec, c: float, h: float = 1e-5) -> float:
@@ -198,10 +198,9 @@ def beta_for_interior_optimum(spec: UnmeasurableSpec, c: float, h: float = 1e-5)
     the two conditional means in c; their signs (dM > 0, dU < 0) are checked
     and an AssumptionError reports the measured values when they fail.
     """
-    _check_cutoff(spec, c - h)
-    _check_cutoff(spec, c + h)
-    d_m = (measurable_conditional_mean(spec, c + h) - measurable_conditional_mean(spec, c - h)) / (2 * h)
-    d_u = (unmeasurable_conditional_mean(spec, c + h) - unmeasurable_conditional_mean(spec, c - h)) / (2 * h)
+    below, above = _admitted_band(spec, c - h), _admitted_band(spec, c + h)
+    d_m = (above.floor - below.floor) / (2 * h)
+    d_u = (_unmeasurable_mean(spec, above) - _unmeasurable_mean(spec, below)) / (2 * h)
     if not (d_m > 0.0 and d_u < 0.0):
         raise AssumptionError(
             f"derivative signs violated: d(measurable)/dc = {d_m!r}, d(unmeasurable)/dc = {d_u!r}"
@@ -216,6 +215,5 @@ def weighted_private_utility(spec: UnmeasurableSpec, c: float, beta: float | Non
         raise DomainError("beta is required, either on the spec or as an argument")
     if not (0.0 <= b <= 1.0):
         raise DomainError("beta must lie in [0, 1]")
-    return b * measurable_conditional_mean(spec, c) + (1.0 - b) * unmeasurable_conditional_mean(
-        spec, c
-    )
+    band = _admitted_band(spec, c)
+    return b * band.floor + (1.0 - b) * _unmeasurable_mean(spec, band)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # effort_at is unused here but stays importable: perfbench/tracing.py times it as oracle.effort_at
-from .equilibrium import EquilibriumSchedule, _band_functions, effort_at  # noqa: F401
+from .equilibrium import EquilibriumSchedule, _band_effort, effort_at  # noqa: F401
 from .errors import DomainError, RangeError, RankDesignError
 from .functions import PopulationSpec
 from .policy import RewardPolicy
@@ -76,6 +76,8 @@ class DiscreteInstance:
         self.efforts = np.asarray(self.efforts, dtype=float)
         if self.delta_e <= 0:
             raise DomainError("effort grid resolution must be positive")
+        if not np.isfinite(self.skill).all():
+            raise DomainError(f"skills must be finite, got {self.skill!r}")
         if self.n == 0:
             raise DomainError("instance needs at least one agent")
 
@@ -116,9 +118,8 @@ class DiscreteInstance:
     ) -> "DiscreteInstance":
         """Instance seeded with the closed-form efforts at stratified ranks."""
         inst = DiscreteInstance.stratified(schedule.population, schedule.policy, n, delta_e, e_max)
-        # effort_at(schedule, t), with each band's effort function built once
-        band_effort = [_band_functions(schedule.population, band)[0] for band in schedule.bands]
-        inst.efforts = np.array([band_effort[schedule.band_of(t).k](t) for t in inst.ranks])
+        pop = schedule.population
+        inst.efforts = np.array([_band_effort(pop, schedule.band_of(t), t) for t in inst.ranks])
         return inst
 
     # -- scoring and reward assignment --------------------------------------

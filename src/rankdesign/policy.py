@@ -144,22 +144,24 @@ def two_level(c: float, capacity: float) -> RewardPolicy:
 
 @dataclass(frozen=True)
 class TwoLevelPolicy:
-    """Parametric handle on the two-level class; c = 0 is pure randomization."""
+    """Parametric handle on the two-level class; c = 0 is pure randomization.
+
+    A view of ``two_level(c, capacity)``, built once: ``level1`` is that
+    policy's top level.
+    """
 
     c: float
     capacity: float
 
     def __post_init__(self):
-        two_level(self.c, self.capacity)  # raises on invalid parameters
+        object.__setattr__(self, "_policy", two_level(self.c, self.capacity))  # raises on invalid parameters
 
     @property
     def level1(self) -> float:
-        if self.c == 0.0:
-            return self.capacity
-        return self.capacity / (1.0 - self.c)
+        return self._policy.levels[-1]
 
     def policy(self) -> RewardPolicy:
-        return two_level(self.c, self.capacity)
+        return self._policy
 
     def to_json(self) -> dict:
         return {"two_level": {"c": self.c, "capacity": self.capacity}}

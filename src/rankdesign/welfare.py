@@ -6,27 +6,24 @@ Three stakeholders, three functionals over the unit mass of applicants:
 * societal utility   = E[v]                  (everyone's score counts)
 * private utility    = E[v * reward]         (the school sees only admits)
 
-Within a band the score is the floor g(threshold) * f(lo) up to the switch
-point and g(e0) * f(theta) above it, so both utilities are closed forms in
-the exact integral of f.  Only the effort cost needs quadrature, and only
-below the switch point: above it, and in band 0, effort idles at e0 and
-p(e0) = 0.  The cost quadrature splits at every kink the primitives put
-into the band.
+Within a band the score is the floor that ``solve`` stored on the band up to
+the switch point and g(e0) * f(theta) above it, so both utilities are closed
+forms in the exact integral of f.  Only the effort cost needs quadrature, of
+p applied to the band formula ``_band_effort``, and only below the switch
+point: above it, and in band 0, effort idles at e0 and p(e0) = 0.  The cost
+quadrature splits at every kink the primitives put into the band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .equilibrium import EquilibriumSchedule, _band_effort, _band_score, _transfer_at  # noqa: F401
-from .errors import DomainError, ModelError, RangeError
-from .functions import PopulationSpec
+from .equilibrium import EquilibriumSchedule, _band_effort, _band_score  # noqa: F401
+from .errors import DomainError, RangeError
 from .quadrature import DEFAULT_REL_TOL, geometric_breakpoints, integrate_piecewise
 
-# _band_effort and _band_score are not used here; they stay importable from
-# this module because perfbench/tracing.py wraps them here.
+# _band_score is not used here; it stays importable from this module because
+# perfbench/tracing.py wraps it here.
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,8 @@ def _band_pieces(schedule: EquilibriumSchedule, k: int) -> list[float]:
 
     Effort bends at the switch point, at the kinks of f, and where it
     crosses a kink x of g or p, at the rank theta where
-    g(threshold) * f(lo) / f(theta) = g(x).  Points whose image or domain
-    check fails do not occur in the band and are skipped.
+    floor / f(theta) = g(x).  Points whose image or domain check fails do
+    not occur in the band and are skipped.
     """
     pop = schedule.population
     band = schedule.bands[k]
@@ -66,11 +63,10 @@ def _band_pieces(schedule: EquilibriumSchedule, k: int) -> list[float]:
     if band.switch_point is not None:
         pts.add(band.switch_point)
     candidates = list(pop.f.kinks)
-    if band.threshold_effort is not None:
-        floor = pop.g.evaluate(band.threshold_effort) * pop.f.evaluate(lo)
+    if band.floor is not None:
         for x in pop.g.kinks + pop.p.kinks:
             try:
-                candidates.append(pop.f.invert(floor / pop.g.evaluate(x)))
+                candidates.append(pop.f.invert(band.floor / pop.g.evaluate(x)))
             except (DomainError, RangeError, ZeroDivisionError):
                 continue
     pts.update(theta for theta in candidates if lo < theta < hi)
@@ -78,46 +74,36 @@ def _band_pieces(schedule: EquilibriumSchedule, k: int) -> list[float]:
     return sorted(pts)
 
 
-def _band_split(pop: PopulationSpec, band) -> tuple[float, float, float]:
-    """(floor, idle, m): band's score is floor on [lo, m] and idle * f(theta) on [m, hi].
+def _floor_end(schedule: EquilibriumSchedule, k: int) -> float:
+    """Rank m where band k's score leaves its floor: floor on [lo, m], g(e0) * f(theta) on [m, hi].
 
-    idle = g(e0).  m is the switch point; a band without one follows a
-    single branch throughout, and band 0 only the idle one.
+    m is the switch point; a band without one follows a single branch
+    throughout, and band 0 only the idle one.
     """
-    idle = pop.g.evaluate(pop.e0)
-    if band.threshold_effort is None:
-        return 0.0, idle, band.lo
-    floor = _transfer_at(pop, band.threshold_effort) * pop.f.evaluate(band.lo)
+    band = schedule.bands[k]
+    if band.floor is None:
+        return band.lo
     if band.switch_point is not None:
-        return floor, idle, band.switch_point
-    return floor, idle, band.hi if idle * pop.f.evaluate(band.hi) <= floor else band.lo
+        return band.switch_point
+    return band.hi if band.idle * schedule.population.f.evaluate(band.hi) <= band.floor else band.lo
 
 
 def band_effort_cost(schedule: EquilibriumSchedule, k: int, rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float]:
     """Integral of p(e(theta)) over band k, with its quadrature error estimate."""
     pop, band = schedule.population, schedule.bands[k]
-    floor, idle, m = _band_split(pop, band)
+    m = _floor_end(schedule, k)
     if m == band.lo:
         return 0.0, 0.0
-    f, g_invert, cost = pop.f.evaluate, pop.g.invert, pop.p.evaluate
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        # below the switch point the score target floor / f(theta) is at least
-        # idle; the maximum only absorbs rounding next to it
-        try:
-            return cost(g_invert(np.maximum(floor / f(theta), idle)))
-        except RangeError as exc:
-            raise ModelError("score target outside the image of the effort transfer") from exc
-
     pieces = [t for t in _band_pieces(schedule, k) if t <= m]
-    return integrate_piecewise(integrand, pieces, rel_tol)
+    return integrate_piecewise(lambda theta: pop.p.evaluate(_band_effort(pop, band, theta)), pieces, rel_tol)
 
 
 def _band_score_integral(schedule: EquilibriumSchedule, k: int) -> float:
     """Integral of the score v(theta) over band k, in closed form."""
     pop, band = schedule.population, schedule.bands[k]
-    floor, idle, m = _band_split(pop, band)
-    return floor * (m - band.lo) + idle * pop.f.integral(m, band.hi)
+    m = _floor_end(schedule, k)
+    floor = 0.0 if band.floor is None else band.floor
+    return floor * (m - band.lo) + band.idle * pop.f.integral(m, band.hi)
 
 
 def total_effort_cost(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float]:

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -21,8 +24,15 @@ from rankdesign import (
     threshold_indifference_residuals,
     two_level,
 )
+from rankdesign.equilibrium import _band_effort, _band_score
 
 FOUR_LEVEL = RewardPolicy((0.0, 0.2, 0.5, 1.0), (0.4, 0.7, 0.9), 0.26)
+# g(e0) = 0.4 > 0: idle effort scores, and bands have switch points
+IDLE_SCORE_POPULATION = PopulationSpec(
+    f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+    g=AffinePower(1.0, 0.5, 0.4, role=Role.EFFORT_TRANSFER),
+    p=Power(1.0, 2.0, role=Role.COST_FUNCTION),
+)
 
 
 def test_two_level_worked_example(benchmark_population):
@@ -217,3 +227,43 @@ def test_misconfigured_domains_raise_model_error():
     )
     with pytest.raises(ModelError):
         solve(pop2, two_level(0.8, 0.2))
+    # with g(e0) > 0 the floor of the admitted band needs g at the threshold as well
+    pop3 = replace(pop, g=PiecewiseMonotone(((0.0, 0.1), (0.4, 0.4), (0.8, 0.6)), role=Role.EFFORT_TRANSFER))
+    with pytest.raises(ModelError, match="domains are inconsistent"):
+        solve(pop3, two_level(0.8, 0.2))
+
+
+def test_bands_store_floor_and_idle_transfer(benchmark_population):
+    for population in (benchmark_population, IDLE_SCORE_POPULATION):
+        schedule = solve(population, FOUR_LEVEL)
+        idle = population.g.evaluate(population.e0)
+        assert schedule.bands[0].floor is None
+        for band in schedule.bands:
+            assert band.idle == idle
+        for band in schedule.bands[1:]:
+            assert band.floor == population.g.evaluate(band.threshold_effort) * population.f.evaluate(band.lo)
+
+
+def test_corrupted_schedule_recomputes_the_floor(benchmark_population):
+    schedule = solve(benchmark_population, FOUR_LEVEL)
+    broken = corrupted_schedule(schedule, k=2, factor=0.5)
+    band = broken.bands[2]
+    assert band.threshold_effort == 0.5 * schedule.bands[2].threshold_effort
+    assert band.floor == benchmark_population.g.evaluate(band.threshold_effort) * benchmark_population.f.evaluate(band.lo)
+    assert broken.bands[:2] == schedule.bands[:2] and broken.bands[3] == schedule.bands[3]
+
+
+def test_band_formula_takes_arrays(benchmark_population):
+    # under two_level(0.2, 0.2) the admitted band of IDLE_SCORE_POPULATION has a switch point
+    for population, policy in product((benchmark_population, IDLE_SCORE_POPULATION), (FOUR_LEVEL, two_level(0.2, 0.2))):
+        schedule = solve(population, policy)
+        for band in schedule.bands:
+            thetas = np.linspace(band.lo, band.hi, 33)
+            efforts = _band_effort(population, band, thetas)
+            scores = _band_score(population, band, thetas)
+            assert efforts.shape == scores.shape == thetas.shape
+            # the array power may differ from the scalar one in the last place, and
+            # where the band idles the array gives e0 to rounding
+            scalar = [(_band_effort(population, band, t), _band_score(population, band, t)) for t in thetas.tolist()]
+            np.testing.assert_allclose(efforts, [e for e, _ in scalar], rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(scores, [v for _, v in scalar], rtol=1e-14, atol=0.0)

@@ -23,7 +23,7 @@ from rankdesign import (
     two_level,
 )
 from rankdesign import oracle
-from rankdesign.errors import RangeError
+from rankdesign.errors import DomainError, RangeError
 from rankdesign.oracle import CertificationResult, DynamicsResult, _band_entry_positions, default_effort_cap
 
 
@@ -31,6 +31,14 @@ def test_stratified_ranks(benchmark_population):
     inst = DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 10, 1e-3)
     assert np.allclose(inst.ranks, (np.arange(10) + 0.5) / 10)
     assert np.all(inst.efforts == 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_skill_rejected(benchmark_population, bad):
+    inst = DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 4, 1e-3)
+    with pytest.raises(DomainError, match="skills must be finite"):
+        DiscreteInstance(inst.population, inst.policy, inst.ranks, [1.0, bad, 1.0, 1.0], inst.efforts,
+                         inst.delta_e, inst.e_max)
 
 
 def test_monte_carlo_ranks_sorted(benchmark_population):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,15 @@ def test_two_level_policy_handle():
     assert handle.level1 == pytest.approx(0.4)
     assert handle.policy().levels == (0.0, 0.4)
     assert TwoLevelPolicy(0.0, 0.2).level1 == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("capacity", [0.2, 0.35])
+def test_two_level_policy_level_is_the_policy_top_level(capacity):
+    # at the largest cutoff capacity / (1 - c) rounds above 1 and two_level clamps it
+    for c in (0.0, 0.1, 0.5 * (1.0 - capacity), math.nextafter(1.0 - capacity, 1.0)):
+        handle = TwoLevelPolicy(c, capacity)
+        assert handle.level1 == two_level(c, capacity).levels[-1]
+        assert handle.policy() == two_level(c, capacity)
 
 
 def _random_policy(rng):
