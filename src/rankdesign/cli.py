@@ -210,7 +210,7 @@ def cmd_verify(args, config: dict) -> int:
     policy = _policy(config)
     schedule = solve(population, policy)
     instance = oracle.DiscreteInstance.from_schedule(schedule, args.n, args.delta_e)
-    eps = args.eps if args.eps is not None else 5.0 / args.n
+    eps = _number(args.eps, "--eps") if args.eps is not None else 5.0 / args.n
     result = oracle.certify_equilibrium(instance, eps)
     payload = result.to_json()
     payload["eps"] = eps

@@ -291,6 +291,8 @@ def function_from_json(obj: dict, role: Role | None = None) -> FunctionSpec:
 class PopulationSpec:
     """Skill quantile f, effort transfer g, effort cost p, baseline effort e0.
 
+    A score is g(e) * f(theta), so f is finite and nonnegative on [0, 1]:
+    since it increases, f(0) >= 0 and a finite f(1) suffice.
     The cost is normalized so p(e0) = 0; everything downstream relies on it.
     g(e0) may be positive, in which case zero-cost effort already produces
     score and equilibrium schedules acquire within-band switch points.
@@ -309,10 +311,11 @@ class PopulationSpec:
             raise DomainError("e0 outside the cost function domain")
         if abs(self.p.evaluate(self.e0)) > 1e-12:
             raise ModelError(f"cost normalization violated: p(e0) = {self.p.evaluate(self.e0)!r} != 0")
-        for q in (0.0, 1.0):
-            v = self.f.evaluate(q)
-            if not math.isfinite(v):
-                raise ModelError("skill quantile must be finite on [0, 1]")
+        f0, f1 = self.f.evaluate(0.0), self.f.evaluate(1.0)
+        if not (math.isfinite(f0) and math.isfinite(f1)):
+            raise ModelError("skill quantile must be finite on [0, 1]")
+        if f0 < 0:
+            raise ModelError(f"skill quantile must be nonnegative on [0, 1], got f(0) = {f0!r}")
 
     def cost_inverse(self, y: float) -> float:
         """Inverse of the cost on its increasing branch [e0, inf)."""

@@ -47,6 +47,9 @@ class MultiSkillSpec:
             raise DomainError("weights must be a probability vector")
         if self.transfer_slope <= 0:
             raise DomainError("transfer slope must be positive")
+        # the contest's skills are weighted quantile values, which must be >= 0
+        if any(f.evaluate(0.0) < 0 for f in self.quantiles):
+            raise ModelError("skill quantiles must be nonnegative: some f(0) < 0")
 
     @property
     def m(self) -> int:

@@ -31,15 +31,17 @@ read a deviation's reward from at most K - 1 float comparisons against the
 bars, and apply the index tie-break on exact ties.  This holds for any order
 of the levels, including decreasing and repeated ones.
 
-Certification prices few cells per agent.  For a finite skill >= 0 on a
-grid where g and p never decrease, the deviation scores skill * g(e_k)
-never decrease along the grid, so the comparisons against each bar change
-at most twice along a row: where the score stops being below the bar and
-where it passes it.  Between those change points the reward is constant and
-the cost never falls, so the first column of each constant stretch earns at
-least as much as the rest of it, and the first largest gain of the row lies
-on one of these at most 2(K - 1) + 1 columns.  Other rows are scanned in
-full.
+Certification prices few cells per agent.  Skills are quantile values, so
+finite and >= 0 (``DiscreteInstance`` checks them wherever scores are read),
+and certification requires g and p to be finite and never to decrease on the
+grid (``FunctionSpec`` promises strictly increasing functions).  So the
+deviation scores skill * g(e_k) never decrease along the grid, and the
+comparisons against each bar change at most twice along a row: where the
+score stops being below the bar and where it passes it.  Between those
+change points the reward is constant and the cost never falls, so the first
+column of each constant stretch earns at least as much as the rest of it,
+and the first largest gain of the row lies on one of these at most
+2(K - 1) + 1 columns.
 """
 
 from __future__ import annotations
@@ -52,15 +54,31 @@ import numpy as np
 
 # effort_at is unused here but stays importable: perfbench/tracing.py times it as oracle.effort_at
 from .equilibrium import EquilibriumSchedule, _band_effort, effort_at  # noqa: F401
-from .errors import DomainError, RangeError, RankDesignError
+from .errors import DomainError, ModelError, RangeError, RankDesignError
 from .functions import PopulationSpec
 from .policy import RewardPolicy
 from .welfare import WelfareReport
 
 
+def _check_skills(skill: np.ndarray) -> None:
+    """Skills are quantile values f(theta): finite and >= 0."""
+    if not ((skill >= 0.0) & (skill < math.inf)).all():
+        raise DomainError(f"skills must be finite and nonnegative, got {skill!r}")
+
+
+def _check_resolution(delta_e: float) -> None:
+    if not 0.0 < delta_e < math.inf:
+        raise DomainError(f"effort grid resolution must be positive and finite, got {delta_e!r}")
+
+
 @dataclass
 class DiscreteInstance:
-    """Finite instantiation of the ranking game on an effort grid."""
+    """Finite instantiation of the ranking game on an effort grid.
+
+    Skills are checked when the instance is built and again by ``scores``,
+    which every reader of the profile goes through, so a skill assigned
+    after construction is checked where it is read.
+    """
 
     population: PopulationSpec
     policy: RewardPolicy
@@ -74,10 +92,10 @@ class DiscreteInstance:
         self.ranks = np.asarray(self.ranks, dtype=float)
         self.skill = np.asarray(self.skill, dtype=float)
         self.efforts = np.asarray(self.efforts, dtype=float)
-        if self.delta_e <= 0:
-            raise DomainError("effort grid resolution must be positive")
-        if not np.isfinite(self.skill).all():
-            raise DomainError(f"skills must be finite, got {self.skill!r}")
+        _check_resolution(self.delta_e)
+        if not 0.0 <= self.e_max < math.inf:
+            raise DomainError(f"effort cap must be finite and >= 0, got {self.e_max!r}")
+        _check_skills(self.skill)
         if self.n == 0:
             raise DomainError("instance needs at least one agent")
 
@@ -125,8 +143,13 @@ class DiscreteInstance:
     # -- scoring and reward assignment --------------------------------------
 
     def scores(self) -> np.ndarray:
+        skill = np.asarray(self.skill, dtype=float)
+        _check_skills(skill)
         g = self.population.g
-        return np.array([g.evaluate(e) for e in self.efforts]) * self.skill
+        scores = np.array([g.evaluate(e) for e in self.efforts]) * skill
+        if not np.isfinite(scores).all():
+            raise DomainError(f"scores must be finite, got {scores!r}")
+        return scores
 
     def positions(self, scores: np.ndarray | None = None) -> np.ndarray:
         """Sorted position of each agent: descending score, lower index first."""
@@ -169,6 +192,7 @@ def default_effort_cap(population: PopulationSpec, policy: RewardPolicy, delta_e
     The cap stays inside the domains of g and p: where the effort grid up to
     it would pass the smaller upper end, it is the last grid effort inside.
     """
+    _check_resolution(delta_e)
     span = policy.levels[-1] - policy.levels[0]
     cap = population.cost_inverse(span) if span > 0 else population.e0
     cap = max(cap, population.e0) + 2.0 * delta_e
@@ -369,8 +393,8 @@ def _idle_screen(
     if not (
         positives
         and improvement_eps >= 0.0
-        # a non-finite score or skill leaves the standing order without meaning
-        and math.isfinite(sum(map(abs, scores)) + sum(map(abs, skills)) + abs(g_zero) + abs(g_max))
+        # g has a finite score at both ends of the grid (skills and scores are checked where read)
+        and math.isfinite(g_zero) and math.isfinite(g_max)
         # rewards never fall with a better position, and are flat below the lowest bar
         and all(a >= b for a, b in zip(levels, levels[1:]))
         and levels[(entries[0] if entries else -1) + 1] == low
@@ -507,13 +531,6 @@ class CertificationResult:
         }
 
 
-# (agent, grid effort) cells scanned per block of the rows certify_equilibrium
-# scans in full: large enough for numpy to amortise its call overhead, small
-# enough that the block's temporaries stay a few hundred kB and peak memory
-# does not grow with N.
-_CERTIFY_BLOCK_CELLS = 1 << 14
-
-
 def _first_columns(skill: np.ndarray, grid_g: np.ndarray, bars: np.ndarray, below) -> np.ndarray:
     """Per agent and bar, the first grid column k where ``below(skill * grid_g[k], bar)``
     fails, or ``len(grid_g)`` where it holds everywhere.
@@ -541,14 +558,12 @@ def certify_equilibrium(instance: DiscreteInstance, eps: float) -> Certification
     standing bars of the reward steps: the position of a score s is at most b
     exactly when s beats the bar desc[b], the (b+1)-th highest standing
     score, and above b exactly when s falls short of it; only a score equal
-    to a bar needs its full position, with the index tie-break.  Standing
-    scores are ordered as np.sort orders them, a NaN above every number.
-    When g and p are finite and never decrease on the grid, an agent with a
-    finite skill >= 0 is priced only at column 0 and, per bar, the first
-    column not below it and the first above it (see the module docstring);
-    any other agent, or every agent on any other grid, is scanned over the
-    whole grid in blocks.  Both find the first largest gain of the full
-    scan.  The worst gain is the first largest in agent order.
+    to a bar needs its full position, with the index tie-break.  Each agent
+    is priced only at column 0 and, per bar, the first column not below it
+    and the first above it (see the module docstring), which finds the first
+    largest gain of a scan over the whole grid.  The worst gain is the first
+    largest in agent order.  Raises ModelError when g or p is not finite or
+    falls on the grid.
     """
     n = instance.n
     scores = instance.scores()
@@ -556,80 +571,50 @@ def certify_equilibrium(instance: DiscreteInstance, eps: float) -> Certification
     g, p = instance.population.g, instance.population.p
     grid_g = np.array([g.evaluate(e) for e in grid])
     grid_cost = np.array([p.evaluate(e) for e in grid])
+    if not (
+        np.isfinite(grid_g).all() and np.isfinite(grid_cost).all()
+        and (grid_g[1:] >= grid_g[:-1]).all() and (grid_cost[1:] >= grid_cost[:-1]).all()
+    ):
+        raise ModelError("certification needs g and p finite and nondecreasing on the effort grid")
     bands = instance.assigned_bands(scores)
     current_welfare = np.asarray(instance.policy.levels)[bands] - instance.costs()
     position_levels, steps = _reward_steps(instance)
     position_levels = np.asarray(position_levels)
-    # the standing scores in np.sort order: any NaN last, above every number
     sorted_scores = np.sort(scores).tolist()
-    numbers = n - int(np.isnan(scores).sum())
     # (bar, reward at or above it), lowest bar first
     bars = [(sorted_scores[j], reward) for j, reward in reversed(steps)]
     bar_values = {bar for bar, _ in bars}
     skill = instance.skill
-
-    def gains(agents: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Gain of each agent's deviation to grid columns ``cols`` (one row, or one per agent)."""
-        s_dev = skill[agents, None] * grid_g[cols]
-        reward = position_levels[n]
-        for bar, above in bars:
-            # a score that is not below the bar takes the reward above it; as
-            # np.searchsorted orders them, a NaN bar lies above every number
-            # and a NaN score is below no bar
-            reward = np.where(s_dev < bar if bar == bar else s_dev == s_dev, reward, above)
-        for bar in bar_values:
-            rows, cells = np.nonzero(s_dev == bar)
-            if len(rows):
-                # index tie-break against the lower-index holders of the tied standing score
-                holders = np.flatnonzero(scores == bar)
-                higher = n - bisect_right(sorted_scores, bar, 0, numbers)
-                reward[rows, cells] = position_levels[higher + np.searchsorted(holders, agents[rows])]
-        return (reward - grid_cost[cols]) - current_welfare[agents, None]
-
-    best_gain = np.empty(n)
-    best_col = np.empty(n, dtype=np.intp)
-
-    def keep_best(agents: np.ndarray, row_gains: np.ndarray, cols: np.ndarray | None = None) -> None:
-        best = np.argmax(row_gains, axis=1)  # the first largest, or the first NaN
-        rows = np.arange(len(agents))
-        best_gain[agents] = row_gains[rows, best]
-        best_col[agents] = best if cols is None else cols[rows, best]
-
-    steady = bool(
-        np.isfinite(grid_g).all() and np.isfinite(grid_cost).all()
-        and (grid_g[1:] >= grid_g[:-1]).all() and (grid_cost[1:] >= grid_cost[:-1]).all()
-    )
-    pruned = (np.isfinite(skill) & (skill >= 0.0)) if steady else np.zeros(n, dtype=bool)
-    agents = np.flatnonzero(pruned)
-    if len(agents):
-        keys = np.array(list(bar_values), dtype=float)
-        cols = np.concatenate((
-            np.zeros((len(agents), 1), dtype=np.intp),
-            _first_columns(skill[agents], grid_g, keys, np.less),
-            _first_columns(skill[agents], grid_g, keys, np.less_equal),
-        ), axis=1)
-        # ascending, so the first largest gain is the first of the full scan
-        cols = np.sort(np.minimum(cols, len(grid) - 1), axis=1)
-        keep_best(agents, gains(agents, cols), cols)
-    rest = np.flatnonzero(~pruned)
-    block = max(1, _CERTIFY_BLOCK_CELLS // len(grid))
-    every = np.arange(len(grid))
-    for start in range(0, len(rest), block):
-        agents = rest[start:start + block]
-        keep_best(agents, gains(agents, every))
-    # a strict ">" scan keeps the first largest gain and never takes a NaN one
-    best_gain = np.where(best_gain > -math.inf, best_gain, -math.inf)
+    keys = np.array(list(bar_values), dtype=float)
+    cols = np.concatenate((
+        np.zeros((n, 1), dtype=np.intp),
+        _first_columns(skill, grid_g, keys, np.less),
+        _first_columns(skill, grid_g, keys, np.less_equal),
+    ), axis=1)
+    # ascending, so the first largest gain is the first of the full scan
+    cols = np.sort(np.minimum(cols, len(grid) - 1), axis=1)
+    s_dev = skill[:, None] * grid_g[cols]
+    reward = position_levels[n]
+    for bar, above in bars:
+        # a score that is not below the bar takes the reward above it
+        reward = np.where(s_dev < bar, reward, above)
+    for bar in bar_values:
+        agents, cells = np.nonzero(s_dev == bar)
+        if len(agents):
+            # index tie-break against the lower-index holders of the tied standing score
+            holders = np.flatnonzero(scores == bar)
+            higher = n - bisect_right(sorted_scores, bar)
+            reward[agents, cells] = position_levels[higher + np.searchsorted(holders, agents)]
+    gains = (reward - grid_cost[cols]) - current_welfare[:, None]
+    best = np.argmax(gains, axis=1)  # the first largest
+    best_gain = gains[np.arange(n), best]
     worst_agent = int(np.argmax(best_gain))
     worst = float(best_gain[worst_agent])
-    if worst > -math.inf:
-        worst_effort = float(grid[best_col[worst_agent]])
-    else:
-        worst_agent, worst_effort = -1, float("nan")
+    worst_effort = float(grid[cols[worst_agent, best[worst_agent]]])
     per_band = []
     for k in range(instance.policy.k):
         in_band = best_gain[bands == k]
-        top = float(in_band[np.argmax(in_band)]) if len(in_band) else -math.inf
-        per_band.append(top if top > -math.inf else 0.0)
+        per_band.append(float(in_band[np.argmax(in_band)]) if len(in_band) else 0.0)
     return CertificationResult(worst <= eps, worst, worst_agent, worst_effort, tuple(per_band))
 
 

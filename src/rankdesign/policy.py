@@ -57,11 +57,6 @@ class RewardPolicy:
     def k(self) -> int:
         return len(self.levels)
 
-    def band_bounds(self, k: int) -> tuple[float, float]:
-        lo = 0.0 if k == 0 else self.cutpoints[k - 1]
-        hi = 1.0 if k == self.k - 1 else self.cutpoints[k]
-        return lo, hi
-
     def band_of(self, theta: float) -> int:
         if not (0.0 <= theta <= 1.0):
             raise DomainError(f"rank {theta!r} outside [0, 1]")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .equilibrium import EquilibriumSchedule, _band_effort, _band_score  # noqa: F401
 from .errors import DomainError, RangeError
-from .quadrature import DEFAULT_REL_TOL, geometric_breakpoints, integrate_piecewise
+from .quadrature import geometric_breakpoints, integrate_piecewise
 
 # _band_score is not used here; it stays importable from this module because
 # perfbench/tracing.py wraps it here.
@@ -88,14 +88,14 @@ def _floor_end(schedule: EquilibriumSchedule, k: int) -> float:
     return band.hi if band.idle * schedule.population.f.evaluate(band.hi) <= band.floor else band.lo
 
 
-def band_effort_cost(schedule: EquilibriumSchedule, k: int, rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float]:
+def band_effort_cost(schedule: EquilibriumSchedule, k: int) -> tuple[float, float]:
     """Integral of p(e(theta)) over band k, with its quadrature error estimate."""
     pop, band = schedule.population, schedule.bands[k]
     m = _floor_end(schedule, k)
     if m == band.lo:
         return 0.0, 0.0
     pieces = [t for t in _band_pieces(schedule, k) if t <= m]
-    return integrate_piecewise(lambda theta: pop.p.evaluate(_band_effort(pop, band, theta)), pieces, rel_tol)
+    return integrate_piecewise(lambda theta: pop.p.evaluate(_band_effort(pop, band, theta)), pieces)
 
 
 def _band_score_integral(schedule: EquilibriumSchedule, k: int) -> float:
@@ -106,14 +106,14 @@ def _band_score_integral(schedule: EquilibriumSchedule, k: int) -> float:
     return floor * (m - band.lo) + band.idle * pop.f.integral(m, band.hi)
 
 
-def total_effort_cost(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float]:
-    costs = [band_effort_cost(schedule, k, rel_tol) for k in range(schedule.policy.k)]
+def total_effort_cost(schedule: EquilibriumSchedule) -> tuple[float, float]:
+    costs = [band_effort_cost(schedule, k) for k in range(schedule.policy.k)]
     return sum(v for v, _ in costs), sum(e for _, e in costs)
 
 
-def applicant_welfare(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def applicant_welfare(schedule: EquilibriumSchedule) -> float:
     """capacity - E[p(e)]; equals capacity exactly under pure randomization."""
-    cost, _ = total_effort_cost(schedule, rel_tol)
+    cost, _ = total_effort_cost(schedule)
     return schedule.policy.capacity - cost
 
 
@@ -131,8 +131,8 @@ def private_utility(schedule: EquilibriumSchedule) -> float:
     )
 
 
-def welfare_report(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_REL_TOL) -> WelfareReport:
-    costs = [band_effort_cost(schedule, k, rel_tol) for k in range(schedule.policy.k)]
+def welfare_report(schedule: EquilibriumSchedule) -> WelfareReport:
+    costs = [band_effort_cost(schedule, k) for k in range(schedule.policy.k)]
     scores = [_band_score_integral(schedule, k) for k in range(schedule.policy.k)]
     return WelfareReport(
         applicant_welfare=schedule.policy.capacity - sum(v for v, _ in costs),
@@ -143,7 +143,7 @@ def welfare_report(schedule: EquilibriumSchedule, rel_tol: float = DEFAULT_REL_T
     )
 
 
-def two_level_sweep(population, capacity: float, cs, rel_tol: float = DEFAULT_REL_TOL):
+def two_level_sweep(population, capacity: float, cs):
     """Welfare profile over two-level cutoffs; rows (c, level1, W, U_soc, U_pri)."""
     from .equilibrium import solve
     from .policy import two_level
@@ -152,7 +152,7 @@ def two_level_sweep(population, capacity: float, cs, rel_tol: float = DEFAULT_RE
     for c in cs:
         pol = two_level(c, capacity)
         sched = solve(population, pol)
-        rep = welfare_report(sched, rel_tol)
+        rep = welfare_report(sched)
         rows.append(
             (
                 c,

@@ -202,6 +202,24 @@ def test_verify_fails_with_impossible_eps(tmp_path, capsys):
     assert json.loads(out)["certified"] is False
 
 
+@pytest.mark.parametrize("option", [["--delta-e", "nan"], ["--delta-e", "inf"], ["--eps", "nan"], ["--eps", "inf"]])
+def test_verify_non_finite_option_exits_2(tmp_path, capsys, option):
+    cfg = write_config(
+        tmp_path,
+        {"population": BENCHMARK_POPULATION, "policy": {"two_level": {"c": 0.8, "capacity": 0.2}}},
+    )
+    _assert_config_error(capsys, main(["--config", cfg, "verify", "--n", "20", *option]))
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_negative_skill_quantile_exits_2(tmp_path, capsys, command):
+    """An affine skill of offset -0.5 has f(0) < 0, so scores g(e) * f(theta) fall below 0."""
+    population = {**BENCHMARK_POPULATION,
+                  "f": {"family": "affine_power", "scale": 2.0, "exponent": 1.0, "offset": -0.5}}
+    cfg = write_config(tmp_path, {"population": population, "policy": {"two_level": {"c": 0.3, "capacity": 0.2}}})
+    _assert_config_error(capsys, main(["--config", cfg, command, *(["--n", "20"] if command == "verify" else [])]))
+
+
 def test_optimize_private(tmp_path, capsys):
     cfg = write_config(tmp_path, {"population": BENCHMARK_POPULATION, "capacity": 0.2})
     profile_path = tmp_path / "profile.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rankdesign import (
+    AffinePower,
     DomainError,
     ModelError,
     MultiSkillSpec,
@@ -59,6 +60,14 @@ def test_spec_validation():
         MultiSkillSpec(quantiles=(IDENTITY,), weights=(0.7,), transfer_slope=1.0, cost=COST)
     with pytest.raises(DomainError):
         MultiSkillSpec(quantiles=(IDENTITY,), weights=(1.0,), transfer_slope=-1.0, cost=COST)
+
+
+def test_spec_rejects_a_negative_quantile():
+    """Skills are quantile values >= 0; a quantile with f(0) < 0 fails when the spec is built,
+    not halfway through a rank check."""
+    with pytest.raises(ModelError, match="nonnegative"):
+        MultiSkillSpec(quantiles=(IDENTITY, AffinePower(1.0, 1.0, -0.5)), weights=(0.5, 0.5),
+                       transfer_slope=1.0, cost=COST)
 
 
 def test_rank_preservation_two_skills():

@@ -23,7 +23,7 @@ from rankdesign import (
     two_level,
 )
 from rankdesign import oracle
-from rankdesign.errors import DomainError, RangeError
+from rankdesign.errors import DomainError, ModelError, RangeError
 from rankdesign.oracle import CertificationResult, DynamicsResult, _band_entry_positions, default_effort_cap
 
 
@@ -33,12 +33,34 @@ def test_stratified_ranks(benchmark_population):
     assert np.all(inst.efforts == 0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
 def test_non_finite_skill_rejected(benchmark_population, bad):
+    """A skill is a quantile value, finite and >= 0: rejected when the instance is
+    built, and where a skill assigned after construction is read."""
     inst = DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 4, 1e-3)
     with pytest.raises(DomainError, match="skills must be finite"):
         DiscreteInstance(inst.population, inst.policy, inst.ranks, [1.0, bad, 1.0, 1.0], inst.efforts,
                          inst.delta_e, inst.e_max)
+    inst.skill = np.array([1.0, bad, 1.0, 1.0])
+    for read in (lambda: certify_equilibrium(inst, 0.0), lambda: best_response_dynamics(inst),
+                 inst.assigned_bands):
+        with pytest.raises(DomainError, match="skills must be finite"):
+            read()
+
+
+def test_invalid_grid_or_score_rejected(benchmark_population):
+    """The grid step is finite and > 0, the cap finite and >= 0, and every score finite."""
+    inst = DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 4, 1e-3)
+    for delta_e, e_max in ((math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (1e-3, math.inf), (1e-3, math.nan),
+                           (1e-3, -1.0)):  # an empty grid
+        with pytest.raises(DomainError, match="effort"):
+            DiscreteInstance(inst.population, inst.policy, inst.ranks, inst.skill, inst.efforts, delta_e, e_max)
+    with pytest.raises(DomainError, match="effort grid resolution"):  # not a division by zero in the cap
+        DiscreteInstance.stratified(_short_transfer_population(), two_level(0.8, 0.2), 4, 0.0)
+    inst.skill = np.array([1.0, 1e308, 1.0, 1.0])
+    inst.efforts = np.full(4, 100.0)  # g = 10, so agent 1 scores past the largest float
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="scores must be finite"):
+        certify_equilibrium(inst, 0.0)
 
 
 def test_monte_carlo_ranks_sorted(benchmark_population):
@@ -764,15 +786,15 @@ def test_exact_tie_at_a_bar_takes_the_full_position(monkeypatch):
 
 # -- pruned certification ----------------------------------------------------
 #
-# certify_equilibrium prices an agent of finite skill >= 0 only where their
-# deviation reward can change along the grid; other agents are scanned in full.
+# certify_equilibrium prices each agent only where their deviation reward can
+# change along the grid.
 # Random grid profiles, not only equilibria, give positive worst gains, so the
 # argmax and its ties matter.
 
 
 @st.composite
 def _grid_profiles(draw):
-    """Dyadic or decimal grids, tied and untied skills, zeros, one NaN or negative skill."""
+    """Dyadic or decimal grids, tied and untied skills, zeros."""
     policy = draw(_policies())
     p, e0 = draw(st.sampled_from(_COSTS))
     g = draw(st.sampled_from(_DYADIC_TRANSFERS + _TRANSFERS))
@@ -781,12 +803,6 @@ def _grid_profiles(draw):
     delta_e = draw(st.sampled_from([1 / 8, 1 / 16, 1 / 32, 1e-2, 3e-2]))
     skills = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), st.floats(0.0, 2.0)),
                            min_size=n, max_size=n))
-    odd = draw(st.sampled_from([None, math.nan, -0.5, -1.0]))
-    if odd is not None:
-        # the reference searches its Python-sorted standing list with np.searchsorted,
-        # which needs a NaN last: Python's sort leaves a lone NaN last (below 64
-        # scores) when it is the last agent's
-        skills[n - 1 if odd != odd else draw(st.integers(0, n - 1))] = odd
     steps = draw(st.lists(st.integers(0, 200), min_size=n, max_size=n))
 
     def build():
@@ -850,15 +866,6 @@ def test_equal_gains_take_the_smallest_effort():
     assert fast.efforts[0] == 0.0
 
 
-def test_nan_standing_score_ranks_above_every_number():
-    """As the reference's np.searchsorted orders it, agent 2's NaN score stands above
-    0.5, the bar of the lower reward step, so agent 0 matching that bar places second."""
-    def build():
-        return _unit_agents((0.0, 0.2, 0.5), (0.3, 0.6), [1.0, 1.0, math.nan], [0.0, 0.5, 0.0])
-
-    assert certify_equilibrium(build(), 0.0) == reference_certify_equilibrium(build(), 0.0)
-
-
 @dataclass(frozen=True)
 class _DippingCost(Power):
     """x^2, but 0.5 cheaper on [0.5, 0.6): the cost falls once along the grid."""
@@ -867,20 +874,15 @@ class _DippingCost(Power):
         return super().evaluate(x) - (0.5 if 0.5 <= x < 0.6 else 0.0)
 
 
-def test_certification_scans_in_full_where_the_cost_falls(monkeypatch):
-    """From the idle profile every positive score takes the top reward, so pricing the
-    first column of each constant-reward stretch would find 0.01; the cheapest
-    effort is 0.5, and every agent is scanned over the whole grid to find it."""
+def test_certification_rejects_a_falling_cost():
+    """A cost that falls along the grid breaks FunctionSpec's promise of a strictly
+    increasing function, on which pricing the first column of each constant-reward
+    stretch rests: certification refuses it."""
     population = PopulationSpec(f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
                                 g=Power(1.0, 0.5, role=Role.EFFORT_TRANSFER), p=_DippingCost(1.0, 2.0))
-
-    def build():
-        return DiscreteInstance.stratified(population, two_level(0.5, 0.2), 20, 1e-2, e_max=1.0)
-
-    monkeypatch.setattr(oracle, "_first_columns", None)  # the pruned path would fail on it
-    cert = certify_equilibrium(build(), 0.0)
-    assert cert == reference_certify_equilibrium(build(), 0.0)
-    assert (cert.worst_agent, cert.worst_effort) == (10, 0.5)  # the first agent outside the band
+    inst = DiscreteInstance.stratified(population, two_level(0.5, 0.2), 20, 1e-2, e_max=1.0)
+    with pytest.raises(ModelError, match="nondecreasing"):
+        certify_equilibrium(inst, 0.0)
 
 
 def test_effort_grid_stops_at_e_max(benchmark_population):
