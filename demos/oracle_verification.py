@@ -44,7 +44,8 @@ cold = DiscreteInstance.stratified(population, policy, 200, delta_e=1e-3)
 result = best_response_dynamics(cold, max_rounds=4000)
 closed = np.array([effort_at(schedule, t) for t in cold.ranks])
 gap = np.abs(cold.efforts - closed)
-print(f"  converged: {result.converged} after {result.rounds} sweeps")
+print(f"  converged: {result.converged} after {result.rounds} sweeps, "
+      f"{result.best_responses} best responses evaluated, {sum(result.movers_per_sweep)} moves")
 print(f"  max |effort - closed form| at matched ranks: {gap.max():.4f}")
 admitted = np.nonzero(cold.assigned_bands() == 1)[0]
 print(f"  admitted set is the top {len(admitted)} skills: "

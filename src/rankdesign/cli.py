@@ -215,6 +215,8 @@ def cmd_verify(args, config: dict) -> int:
     payload = result.to_json()
     payload["eps"] = eps
     payload["n"] = args.n
+    payload["delta_e"] = instance.delta_e
+    payload["e_max"] = instance.e_max
     _emit(args, payload, [[payload["certified"], payload["worst_gain"]]], ["certified", "worst_gain"])
     return EXIT_OK if result.is_eps_equilibrium else EXIT_CERTIFICATION
 

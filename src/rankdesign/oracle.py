@@ -31,6 +31,13 @@ read a deviation's reward from at most K - 1 float comparisons against the
 bars, and apply the index tie-break on exact ties.  This holds for any order
 of the levels, including decreasing and repeated ones.
 
+The best-response dynamics are one flat loop over round-robin sweeps.  A best
+response reads the highest and the lowest bar once: a candidate scoring above
+the highest takes the top step's reward, one scoring below the lowest the
+bottom reward, and only a score between them (or equal to one of them) walks
+the bars.  With one reward step the walk runs only on an exact tie.  Every
+move is applied in ``_StandingScores.update``, so moves are counted there.
+
 Certification prices few cells per agent.  Skills are quantile values, so
 finite and >= 0 (``DiscreteInstance`` checks them wherever scores are read),
 and certification requires g and p to be finite and never to decrease on the
@@ -222,7 +229,7 @@ class _StandingScores:
         self.position_levels, self.steps = _reward_steps(instance)
 
     def update(self, agent: int, old: float, new: float) -> None:
-        old, new = float(old), float(new)
+        """Move ``agent``'s standing score from ``old`` to ``new``: the one place a move is applied."""
         self.sorted_scores.pop(bisect_left(self.sorted_scores, old))
         insort(self.sorted_scores, new)
         self.scores[agent] = new
@@ -266,93 +273,6 @@ def _band_entry_positions(instance: DiscreteInstance) -> list[int]:
         j = math.floor(n * (1.0 - c) - 0.5 + 1e-9)
         out.append(j)
     return out
-
-
-def _best_response_fn(
-    instance: DiscreteInstance,
-    standing: _StandingScores,
-    effort_values: _EffortValues,
-    improvement_eps: float,
-):
-    """Exact grid best response ``(agent, skill, current) -> effort`` for one run.
-
-    Within a band the reward is flat and cost increases with effort, so only
-    the cheapest grid effort reaching each band needs testing, plus idling at
-    e0 and standing pat.  Tie efforts (exactly matching a standing score) are
-    covered by also probing one grid step below each entry effort.  The
-    returned function reads ``standing`` as it is updated between calls; the
-    run's constants (g(e0), the grid, the entry positions) are bound once, and
-    the (e, g(e), p(e)) candidates around each entry grid step are built once
-    per run.  Each candidate's reward is read from the standing bars (see the
-    module docstring).  The largest gain wins, and among equal gains the
-    smallest effort, as an ascending scan with a strict ">" would pick.
-    """
-    pop = instance.population
-    n, delta_e, e_max = instance.n, instance.delta_e, instance.e_max
-    # sorted_scores index of the bar score at each band's entry position
-    entry_bars = [n - 1 - j for j in _band_entry_positions(instance) if 0 <= j < n]
-    e0, invert, ceil = pop.e0, pop.g.invert, math.ceil
-    idle, e0_float = pop.g.evaluate(e0), float(e0)
-    sorted_scores, scores = standing.sorted_scores, standing.scores
-    position_levels, steps = standing.position_levels, standing.steps
-    bottom = position_levels[n]
-    # grid step of an entry effort -> its (e, g(e), p(e)) candidates
-    near_entry: dict[int, list[tuple[float, float, float]]] = {}
-    # e0 and 0.0, evaluated on the first call, so that a run evaluating no best
-    # response evaluates g and p at neither
-    resting: list[tuple[float, float, float]] | None = None
-
-    def best_response(agent: int, skill: float, current: float) -> float:
-        nonlocal resting
-        if resting is None:
-            resting = [effort_values[e] for e in dict.fromkeys((e0_float, 0.0)) if 0.0 <= e <= e_max]
-        candidates = [effort_values[current], *resting] if 0.0 <= current <= e_max else resting.copy()
-        if skill > 0.0:
-            for j in entry_bars:
-                bar = sorted_scores[j]
-                if bar < 0.0:
-                    continue
-                target = bar / skill
-                try:
-                    entry = e0 if target <= idle else invert(target)
-                    k = max(ceil(entry / delta_e - 1e-9), 0)
-                except (RangeError, OverflowError):
-                    continue  # no effort reaches the bar
-                near = near_entry.get(k)
-                if near is None:
-                    # grid steps k - 1, k, k + 1 inside [0, e_max] before and after rounding
-                    e_k = k * delta_e
-                    rounded = [round(cand / delta_e) * delta_e
-                               for cand in (e_k - delta_e, e_k, e_k + delta_e) if 0.0 <= cand <= e_max]
-                    near = near_entry[k] = [effort_values[e] for e in rounded if 0.0 <= e <= e_max]
-                candidates += near
-        # (bar, reward at or above it), highest bar first
-        bars = [(sorted_scores[j], reward) for j, reward in steps]
-        best_effort = current
-        best_gain = -math.inf
-        current_gain = None
-        for e, g_e, p_e in candidates:
-            s = g_e * skill
-            for bar, reward in bars:
-                if not s < bar:
-                    if s == bar:
-                        # lower-index holders outrank the deviator; the
-                        # deviator's own standing copy never counts against them
-                        reward = position_levels[n - bisect_right(sorted_scores, s) + scores[:agent].count(s)]
-                    break
-            else:
-                reward = bottom
-            gain = reward - p_e
-            if e == current:
-                current_gain = gain
-            if gain > best_gain or (gain == best_gain and e < best_effort):
-                best_gain = gain
-                best_effort = e
-        if current_gain is not None and best_gain > current_gain + improvement_eps:
-            return best_effort
-        return current
-
-    return best_response
 
 
 # Upward relative cushion on the idle screen's bounds: many times the rounding
@@ -445,7 +365,7 @@ def best_response_dynamics(
     max_rounds: int = 200,
     improvement_eps: float = 1e-12,
 ) -> DynamicsResult:
-    """Round-robin sweeps of exact grid best responses.
+    """Round-robin sweeps of exact grid best responses, in one flat loop.
 
     Converged on the first sweep that moves nobody.  One-grid-step sweeps are
     not treated as converged: during a slow bidding war every contested agent
@@ -453,11 +373,19 @@ def best_response_dynamics(
     tolerance would stop the dynamics mid-escalation.
     Non-convergence reports the agents still moving in the final sweep.
     The result also records the movers of every sweep and how many best
-    responses were evaluated.  Each best response prices its candidates
-    against the standing bars (see the module docstring): pos <= b exactly
-    when the candidate's score beats desc[b], the bar of reward step b, and
-    only a score equal to a bar takes the full position with the index
-    tie-break.
+    responses were evaluated.
+
+    Within a band the reward is flat and cost increases with effort, so a
+    best response tests only idling at e0 and at 0, and per band the
+    cheapest grid effort reaching its entry bar with one grid step either
+    side (the step below covers a score that ties the bar).  These
+    (e, g(e), p(e)) candidates are built once per entry grid step.  Standing
+    pat is priced first and seeds the running best; the largest gain wins,
+    and among equal gains the smallest effort.  The agent moves only when the
+    winner gains more than ``improvement_eps`` over standing pat, and the move,
+    with the winner's score, goes through ``_StandingScores.update``, the one
+    place moves are applied.  Rewards are read from the standing bars, the
+    outer two first (see the module docstring).
 
     An idle screen skips the best response of an agent at e0 whose move is
     ruled out by a bound computed once per run; the trajectory is the one
@@ -475,15 +403,44 @@ def best_response_dynamics(
     an agent or run where a bound cannot be computed, or where some best
     response could raise, is never screened.
     """
-    last_movers: tuple[int, ...] = ()
+    pop = instance.population
+    n, delta_e, e_max = instance.n, instance.delta_e, instance.e_max
     standing = _StandingScores(instance, instance.scores())
-    scores = standing.scores  # kept current by standing.update
-    effort_values = _EffortValues(instance.population)
-    best_response = _best_response_fn(instance, standing, effort_values, improvement_eps)
+    # kept current by standing.update
+    scores, sorted_scores = standing.scores, standing.sorted_scores
+    position_levels, steps = standing.position_levels, standing.steps
+    effort_values = _EffortValues(pop)
+    # sorted_scores index of the bar score at each band's entry position
+    entry_bars = [n - 1 - j for j in _band_entry_positions(instance) if 0 <= j < n]
+    e0, invert, ceil = float(pop.e0), pop.g.invert, math.ceil
+    idle = pop.g.evaluate(e0)
+    bottom = position_levels[n]
+    top_j, top_reward = steps[0] if steps else (0, bottom)
+    low_j = steps[-1][0] if steps else 0
+    # the outer bars; with no reward step they stay -inf and every score takes the bottom reward
+    top = low = -math.inf
+
+    def walk(agent: int, s: float) -> float:
+        """Reward of a score s not outside the outer bars: the first bar it is not below."""
+        for j, reward in steps:
+            bar = sorted_scores[j]
+            if not s < bar:
+                if s == bar:
+                    # lower-index holders outrank the deviator; the
+                    # deviator's own standing copy never counts against them
+                    return position_levels[n - bisect_right(sorted_scores, s) + scores[:agent].count(s)]
+                return reward
+        return bottom
+
     skills = instance.skill.tolist()
     efforts = instance.efforts.tolist()
     screen = _idle_screen(instance, standing, effort_values, improvement_eps, skills, scores)
-    sorted_scores, e0 = standing.sorted_scores, float(instance.population.e0)
+    # (e, g(e), p(e)) of e0 and 0.0, built at the first evaluated best response,
+    # so that a run evaluating none evaluates g and p at neither
+    resting: list[tuple[float, float, float]] | None = None
+    # entry grid step k -> resting, then the candidates at grid steps k - 1, k, k + 1
+    by_step: dict[int, list[tuple[float, float, float]]] = {}
+    last_movers: tuple[int, ...] = ()
     movers_per_sweep = []
     responses = 0
     for round_no in range(1, max_rounds + 1):
@@ -499,12 +456,47 @@ def best_response_dynamics(
                     else:
                         continue
             responses += 1
-            new = best_response(agent, skill, current)
-            if new != current:
-                old_score = scores[agent]
-                new_score = effort_values[new][1] * skill
-                efforts[agent] = instance.efforts[agent] = new
-                standing.update(agent, old_score, new_score)
+            if resting is None:
+                resting = [effort_values[e] for e in dict.fromkeys((e0, 0.0)) if 0.0 <= e <= e_max]
+            if steps:
+                top, low = sorted_scores[top_j], sorted_scores[low_j]
+            # standing pat; an effort off the grid's range never moves
+            best_gain = math.inf
+            if 0.0 <= current <= e_max:
+                _, g_e, p_e = effort_values[current]
+                best_score = s = g_e * skill
+                best_gain = (top_reward if s > top else bottom if s < low else walk(agent, s)) - p_e
+            current_gain, best_effort = best_gain, current
+            candidates = resting
+            if skill > 0.0:
+                for j in entry_bars:
+                    bar = sorted_scores[j]
+                    if bar < 0.0:
+                        continue
+                    target = bar / skill
+                    try:
+                        entry = e0 if target <= idle else invert(target)
+                        k = ceil(entry / delta_e - 1e-9)
+                    except (RangeError, OverflowError):
+                        continue  # no effort reaches the bar
+                    if k < 0:
+                        k = 0
+                    near = by_step.get(k)
+                    if near is None:
+                        # grid steps k - 1, k, k + 1 inside [0, e_max] before and after rounding
+                        e_k = k * delta_e
+                        rounded = [round(cand / delta_e) * delta_e
+                                   for cand in (e_k - delta_e, e_k, e_k + delta_e) if 0.0 <= cand <= e_max]
+                        near = by_step[k] = resting + [effort_values[e] for e in rounded if 0.0 <= e <= e_max]
+                    candidates = near if candidates is resting else candidates + near[len(resting):]
+            for e, g_e, p_e in candidates:
+                s = g_e * skill
+                gain = (top_reward if s > top else bottom if s < low else walk(agent, s)) - p_e
+                if gain > best_gain or (gain == best_gain and e < best_effort):
+                    best_gain, best_effort, best_score = gain, e, s
+            if best_gain > current_gain + improvement_eps and best_effort != current:
+                efforts[agent] = instance.efforts[agent] = best_effort
+                standing.update(agent, scores[agent], best_score)
                 movers.append(agent)
         movers_per_sweep.append(len(movers))
         if not movers:

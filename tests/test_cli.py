@@ -192,6 +192,20 @@ def test_verify_certifies(tmp_path, capsys):
     assert json.loads(out)["certified"] is True
 
 
+def test_verify_reports_the_grid(tmp_path, capsys):
+    """The JSON carries the allowance and the instance next to the verdict: eps, N, the grid step and cap."""
+    cfg = write_config(
+        tmp_path,
+        {"population": BENCHMARK_POPULATION, "policy": {"two_level": {"c": 0.8, "capacity": 0.2}}},
+    )
+    code, out = run(capsys, ["--config", cfg, "verify", "--n", "120", "--delta-e", "2e-3"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["eps"], payload["n"], payload["delta_e"]) == (5 / 120, 120, 2e-3)
+    # p = x^2 and a top reward of 1 cap efforts at 1, plus two grid steps
+    assert payload["e_max"] == pytest.approx(1.004)
+
+
 def test_verify_fails_with_impossible_eps(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -444,6 +444,9 @@ BIT_IDENTITY_CASES = {
         lambda pop: DiscreteInstance.stratified(pop, two_level(0.8, 0.2), 50, 1e-3), 3, 5 / 50),
     "single_agent": (
         lambda pop: DiscreteInstance.stratified(pop, two_level(0.8, 0.2), 1, 1e-3), 100, 0.0),
+    # three reward steps, so best responses walk the bars, over 659 sweeps
+    "four_level_cold_start_n120": (
+        lambda pop: DiscreteInstance.stratified(pop, FOUR_LEVEL, 120, 2e-3), 3000, 5 / 120),
 }
 
 
@@ -516,6 +519,8 @@ def test_idle_screen_fires_on_the_cold_start(benchmark_population):
     result = best_response_dynamics(inst, max_rounds=4000)
     assert result.converged
     assert result.best_responses < result.rounds * inst.n / 2
+    # the scalar reference records neither count, so both are pinned
+    assert (result.rounds, result.best_responses, sum(result.movers_per_sweep)) == (1525, 110_318, 77_661)
 
 
 def test_idle_screen_off_for_decreasing_levels(benchmark_population):
@@ -561,6 +566,11 @@ def test_idle_screen_bit_identical_on_rank_check_instance():
     assert (got.converged, got.rounds, got.cycling_agents) == (want.converged, want.rounds, want.cycling_agents)
     assert fast.efforts.tobytes() == ref.efforts.tobytes()
     assert got.best_responses < got.rounds * fast.n
+    # the scalar reference records neither count, so both are pinned
+    assert got.best_responses == 20_419
+    assert (len(got.movers_per_sweep), sum(got.movers_per_sweep)) == (182, 18_112)
+    assert got.movers_per_sweep[:12] == (160, 200, 200, 200, 200, 200, 200, 200, 200, 199, 199, 197)
+    assert got.movers_per_sweep[-12:] == (2, 2, 2, 1, 2, 2, 1, 2, 2, 2, 1, 0)
 
 
 def test_idle_screen_never_skips_a_paying_entry(benchmark_population):
