@@ -4,7 +4,8 @@ Two independent checks.  First, seed 500 agents with the closed-form efforts
 and scan every grid deviation for a welfare gain: none should exceed the
 one-slot discretization allowance.  Second, start 200 agents from zero
 effort and run best-response sweeps: the bidding war should escalate and
-settle within O(1/N + grid step) of the closed form it has never seen.
+settle within O(1/N + grid step) of the closed form it has never seen, at a
+profile that certification accepts with no deviation gain at all.
 """
 
 import numpy as np
@@ -44,8 +45,10 @@ cold = DiscreteInstance.stratified(population, policy, 200, delta_e=1e-3)
 result = best_response_dynamics(cold, max_rounds=4000)
 closed = np.array([effort_at(schedule, t) for t in cold.ranks])
 gap = np.abs(cold.efforts - closed)
-print(f"  converged: {result.converged} after {result.rounds} sweeps, "
-      f"{result.best_responses} best responses evaluated, {sum(result.movers_per_sweep)} moves")
+endpoint = certify_equilibrium(cold, eps=1e-12)
+print(f"  converged: {result.converged} after {result.rounds} sweeps, worst deviation gain "
+      f"{endpoint.worst_gain:.2e} (certified at eps 1e-12: {endpoint.is_eps_equilibrium})")
+print(f"  {result.best_responses} best responses evaluated, {sum(result.movers_per_sweep)} moves")
 print(f"  max |effort - closed form| at matched ranks: {gap.max():.4f}")
 admitted = np.nonzero(cold.assigned_bands() == 1)[0]
 print(f"  admitted set is the top {len(admitted)} skills: "

@@ -31,7 +31,11 @@ read a deviation's reward from at most K - 1 float comparisons against the
 bars, and apply the index tie-break on exact ties.  This holds for any order
 of the levels, including decreasing and repeated ones.
 
-The best-response dynamics are one flat loop over round-robin sweeps.  A best
+The best-response dynamics are one flat loop over round-robin sweeps.  Their
+candidates are the cheapest grid efforts reaching each reward-step bar, the
+bars certification prices, searched from effort 0, where certification's grid
+starts; so a run that converges ends at a profile certification accepts,
+unless a subnormal skill underflows its scores to 0 along the grid.  A best
 response reads the highest and the lowest bar once: a candidate scoring above
 the highest takes the top step's reward, one scoring below the lowest the
 bottom reward, and only a score between them (or equal to one of them) walks
@@ -166,15 +170,17 @@ class DiscreteInstance:
         pos[order] = np.arange(self.n)
         return pos
 
-    def slot_ranks(self, positions: np.ndarray) -> np.ndarray:
-        return 1.0 - (positions + 0.5) / self.n
+    def _position_bands(self) -> np.ndarray:
+        """Band of each sorted position 0..n, read at its slot rank 1 - (pos + 0.5)/n;
+        position n lies below every standing score."""
+        slot_ranks = 1.0 - (np.arange(self.n + 1) + 0.5) / self.n
+        return np.searchsorted(self.policy.cutpoints, slot_ranks, side="right")
 
     def assigned_levels(self, scores: np.ndarray | None = None) -> np.ndarray:
         return np.asarray(self.policy.levels)[self.assigned_bands(scores)]
 
     def assigned_bands(self, scores: np.ndarray | None = None) -> np.ndarray:
-        ranks = self.slot_ranks(self.positions(scores))
-        return np.searchsorted(self.policy.cutpoints, ranks, side="right")
+        return self._position_bands()[self.positions(scores)]
 
     def costs(self) -> np.ndarray:
         p = self.population.p
@@ -236,10 +242,10 @@ class _StandingScores:
 
 
 def _reward_steps(instance: DiscreteInstance) -> tuple[list[float], list[tuple[int, float]]]:
-    """``position_levels`` and ``steps`` of ``_StandingScores``."""
-    n = instance.n
-    cutpoints, levels = instance.policy.cutpoints, instance.policy.levels
-    pl = [levels[bisect_right(cutpoints, 1.0 - (pos + 0.5) / n)] for pos in range(n + 1)]
+    """``position_levels`` and ``steps`` of ``_StandingScores``: the one place that
+    decides at which sorted positions the reward changes."""
+    n, levels = instance.n, instance.policy.levels
+    pl = [levels[k] for k in instance._position_bands().tolist()]
     return pl, [(n - 1 - b, pl[b]) for b in range(n) if pl[b] != pl[b + 1]]
 
 
@@ -265,16 +271,6 @@ class DynamicsResult:
     best_responses: int = 0  # evaluated, i.e. not skipped by the idle screen
 
 
-def _band_entry_positions(instance: DiscreteInstance) -> list[int]:
-    """Worst (largest) sorted position whose slot rank still lies in band >= k."""
-    n = instance.n
-    out = []
-    for c in instance.policy.cutpoints:
-        j = math.floor(n * (1.0 - c) - 0.5 + 1e-9)
-        out.append(j)
-    return out
-
-
 # Upward relative cushion on the idle screen's bounds: many times the rounding
 # of the few operations behind each bound and each gain comparison, so that
 # rounding can only make the screen skip fewer best responses.
@@ -293,14 +289,13 @@ def _idle_screen(
 
     An entry ``((j, limit), ...)`` means: while the agent's effort is e0 and
     ``sorted_scores[j] >= limit`` for every pair, their best response is e0.
-    The bars are the standing scores at the band entry positions, lowest
-    first; see ``best_response_dynamics`` for the argument.  Every entry is
-    None when a precondition of that argument fails for this run.
+    The bars are the reward-step bars of ``standing.steps``, lowest first;
+    see ``best_response_dynamics`` for the argument.  Every entry is None
+    when a precondition of that argument fails for this run.
     """
     n, pop = instance.n, instance.population
     nobody: list = [None] * n
     levels = standing.position_levels
-    entries = sorted({j for j in _band_entry_positions(instance) if 0 <= j < n}, reverse=True)
     low = levels[n]
     positives = [s for s in skills if s > 0.0]
     try:
@@ -315,9 +310,8 @@ def _idle_screen(
         and improvement_eps >= 0.0
         # g has a finite score at both ends of the grid (skills and scores are checked where read)
         and math.isfinite(g_zero) and math.isfinite(g_max)
-        # rewards never fall with a better position, and are flat below the lowest bar
+        # rewards never fall with a better position
         and all(a >= b for a, b in zip(levels, levels[1:]))
-        and levels[(entries[0] if entries else -1) + 1] == low
         # p is increasing, so no grid effort costs less than p(0)
         and p_zero >= p_e0
     ):
@@ -331,16 +325,16 @@ def _idle_screen(
         pass
     except (RankDesignError, ArithmeticError, ValueError):
         return nobody
-    # Score per unit skill that reaching each bar must buy for the move to pay.
+    # Score per unit skill that reaching each bar must buy for the move to pay;
+    # the reward at or above a bar caps what a score below the next bar earns.
     unit_limits = []
-    for m, j in enumerate(entries):
-        cap = levels[entries[m + 1] + 1] if m + 1 < len(entries) else levels[0]
+    for j, cap in reversed(standing.steps):
         cost = cap - low + p_e0 - improvement_eps
         cost += _SCREEN_CUSHION * (abs(cap) + abs(low) + abs(p_e0) + improvement_eps)
         if not cost > 0.0:
             return nobody
         try:
-            unit_limits.append((n - 1 - j, pop.g.evaluate(pop.p.invert(cost))))
+            unit_limits.append((j, pop.g.evaluate(pop.p.invert(cost))))
         except (RankDesignError, ArithmeticError, ValueError):
             return nobody
     out = []
@@ -375,9 +369,10 @@ def best_response_dynamics(
     The result also records the movers of every sweep and how many best
     responses were evaluated.
 
-    Within a band the reward is flat and cost increases with effort, so a
-    best response tests only idling at e0 and at 0, and per band the
-    cheapest grid effort reaching its entry bar with one grid step either
+    Between reward steps the reward is flat and cost increases with effort,
+    so a best response tests only idling at e0 and at 0, and per reward-step
+    bar the cheapest grid effort reaching it, searched from effort 0 (below
+    e0 when an increasing p makes that cheaper), with one grid step either
     side (the step below covers a score that ties the bar).  These
     (e, g(e), p(e)) candidates are built once per entry grid step.  Standing
     pat is priced first and seeds the running best; the largest gain wins,
@@ -390,13 +385,13 @@ def best_response_dynamics(
     An idle screen skips the best response of an agent at e0 whose move is
     ruled out by a bound computed once per run; the trajectory is the one
     every best response would give.  The argument: let B_1 < ... < B_M be
-    the standing bars, the scores at the band entry positions, and L the
-    reward below B_1.  Suppose rewards never fall with a better position,
-    are flat below B_1, no grid effort costs less than p(e0), and the idle
-    score g(e0)*s lies strictly below B_1.  Then staying earns exactly
+    the reward-step bars, cap_m the reward at or above B_m, and L the
+    reward below B_1, where rewards are flat.  Suppose rewards never fall
+    with a better position, no grid effort costs less than p(e0), and the
+    idle score g(e0)*s lies strictly below B_1.  Then staying earns exactly
     L - p(e0), any effort scoring below B_1 earns at most that, and an
-    effort scoring in [B_m, B_m+1) earns at most the reward cap_m just below
-    B_m+1 (the top reward for m = M) at a cost of at least p(g^-1(B_m/s)).
+    effort scoring in [B_m, B_m+1) earns at most cap_m at a cost of at
+    least p(g^-1(B_m/s)).
     So no effort gains more than ``improvement_eps`` over staying when every
     B_m >= s*g(p^-1(cap_m - L + p(e0) - improvement_eps)).  Both sides of
     that test are cushioned upward, so rounding only screens fewer agents;
@@ -410,10 +405,10 @@ def best_response_dynamics(
     scores, sorted_scores = standing.scores, standing.sorted_scores
     position_levels, steps = standing.position_levels, standing.steps
     effort_values = _EffortValues(pop)
-    # sorted_scores index of the bar score at each band's entry position
-    entry_bars = [n - 1 - j for j in _band_entry_positions(instance) if 0 <= j < n]
+    # sorted_scores index of each reward-step bar, lowest first
+    entry_bars = [j for j, _ in reversed(steps)]
     e0, invert, ceil = float(pop.e0), pop.g.invert, math.ceil
-    idle = pop.g.evaluate(e0)
+    g_zero = pop.g.evaluate(0.0)
     bottom = position_levels[n]
     top_j, top_reward = steps[0] if steps else (0, bottom)
     low_j = steps[-1][0] if steps else 0
@@ -475,7 +470,7 @@ def best_response_dynamics(
                         continue
                     target = bar / skill
                     try:
-                        entry = e0 if target <= idle else invert(target)
+                        entry = 0.0 if target <= g_zero else invert(target)
                         k = ceil(entry / delta_e - 1e-9)
                     except (RangeError, OverflowError):
                         continue  # no effort reaches the bar

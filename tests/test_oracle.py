@@ -24,7 +24,7 @@ from rankdesign import (
 )
 from rankdesign import oracle
 from rankdesign.errors import DomainError, ModelError, RangeError
-from rankdesign.oracle import CertificationResult, DynamicsResult, _band_entry_positions, default_effort_cap
+from rankdesign.oracle import CertificationResult, DynamicsResult, default_effort_cap
 
 
 def test_stratified_ranks(benchmark_population):
@@ -203,9 +203,11 @@ def test_instance_rows_shape(benchmark_population):
 # The scalar oracle below is the reference for the pruned certification and
 # the hoisted best responses: one Python level lookup per (agent, effort) cell
 # and per candidate effort.  Its code is kept as it was, except that an entry
-# effort that overflows, like one out of range, reaches no grid step; only the
-# two public entry points are renamed to ``reference_*``.  The fast path must
-# reproduce it bit for bit: same trajectory, same certification.
+# effort that overflows, like one out of range, reaches no grid step, the bars
+# are the positions where its own level table changes, and the entry effort is
+# searched from 0; only the two public entry points are renamed to
+# ``reference_*``.  The fast path must reproduce it bit for bit: same
+# trajectory, same certification.
 
 
 class _StandingScores:
@@ -278,10 +280,11 @@ def _best_response(
 ) -> float:
     """Exact grid argmax of counterfactual welfare for one agent.
 
-    Within a band the reward is flat and cost increases with effort, so only
-    the cheapest grid effort reaching each band needs testing, plus idling at
-    e0 and standing pat.  Tie efforts (exactly matching a standing score) are
-    covered by also probing one grid step below each entry effort.
+    Between reward steps the reward is flat and cost increases with effort,
+    so only the cheapest grid effort reaching each bar, searched from 0, needs
+    testing, plus idling at e0 and standing pat.  Tie efforts (exactly matching
+    a standing score) are covered by also probing one grid step below each
+    entry effort.
     """
     pop = instance.population
     g, p = pop.g, pop.p
@@ -289,7 +292,7 @@ def _best_response(
     current = float(instance.efforts[agent])
     candidates = {current, float(pop.e0), 0.0}
     if skill > 0.0:
-        idle = g.evaluate(pop.e0)
+        g_zero = g.evaluate(0.0)
         for j in entry_positions:
             if not (0 <= j < instance.n):
                 continue
@@ -297,8 +300,8 @@ def _best_response(
             if bar < 0.0:
                 continue
             target = bar / skill
-            if target <= idle:
-                entry = pop.e0
+            if target <= g_zero:
+                entry = 0.0
             else:
                 try:
                     entry = g.invert(target)
@@ -341,7 +344,10 @@ def reference_best_response_dynamics(
     tolerance would stop the dynamics mid-escalation.
     Non-convergence reports the agents still moving in the final sweep.
     """
-    entry_positions = _band_entry_positions(instance)
+    n, cutpoints, levels = instance.n, instance.policy.cutpoints, instance.policy.levels
+    table = [levels[bisect_right(cutpoints, 1.0 - (j + 0.5) / n)] for j in range(n + 1)]
+    # the reward changes below sorted position j: its standing score is a bar, lowest first
+    entry_positions = [j for j in reversed(range(n)) if table[j] != table[j + 1]]
     last_movers: tuple[int, ...] = ()
     scores = instance.scores()
     standing = _StandingScores(instance, scores)
@@ -933,3 +939,53 @@ def test_effort_cap_stays_inside_the_transfer_domain():
     # unbounded domains keep the uncapped bound
     assert default_effort_cap(replace(population, g=Power(1.0, 0.5, role=Role.EFFORT_TRANSFER)),
                               policy, 1e-2) == 1.0 + 2e-2
+
+
+# -- converged means certified ------------------------------------------------
+#
+# The dynamics search the reward-step bars that certification prices, from
+# effort 0 where certification's grid starts, so a run that converges ends at
+# a profile certification accepts.
+
+
+def _cost_below_e0_population():
+    """e0 = 0.2 with p = x^2 - 0.04: every effort below e0 is cheaper than idling."""
+    return PopulationSpec(
+        f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+        g=Power(1.0, 0.5, role=Role.EFFORT_TRANSFER),
+        p=AffinePower(1.0, 2.0, -0.04, role=Role.COST_FUNCTION),
+        e0=0.2,
+    )
+
+
+@pytest.mark.parametrize("population, policy, n, delta_e, rounds", [
+    # population None is the benchmark population.  At N=10 the cutpoint 0.45
+    # sits on the slot rank of position 5, which rounds below it, so the reward
+    # changes below position 4: searching the bar of position 5 stopped after
+    # 2 sweeps, with agent 4 gaining 0.18 by entering
+    (None, two_level(0.45, 0.1), 10, 1e-3, 522),
+    # searching entry efforts from e0 stopped after 2 sweeps, with agent 2
+    # gaining 0.0297 at the effort 0.08 < e0
+    (_cost_below_e0_population(), two_level(0.3, 0.2), 3, 1e-2, 2),
+], ids=["cutpoint_on_a_slot_rank", "entry_below_e0"])
+def test_converged_cold_start_certifies(benchmark_population, population, policy, n, delta_e, rounds):
+    inst = DiscreteInstance.stratified(population or benchmark_population, policy, n, delta_e)
+    result = best_response_dynamics(inst, max_rounds=2000)
+    assert (result.converged, result.rounds) == (True, rounds)
+    cert = certify_equilibrium(inst, 1e-12)
+    assert cert.is_eps_equilibrium and cert.worst_gain == 0.0
+
+
+@settings(max_examples=_examples(60), deadline=None)
+@given(build=st.one_of(_screen_instances(), _tied_instances(), _grid_profiles()),
+       eps=st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_converged_dynamics_certify(build, eps):
+    instance = build()
+    # Skills in (0, 1e-6) are drawn as 0.  A subnormal skill such as 5e-324 makes
+    # skill * g(e) underflow to 0 along part of the grid, so the score stops rising
+    # there and a converged run can miss a paying deviation; that is a known gap,
+    # not what this property checks.
+    instance.skill[instance.skill < 1e-6] = 0.0
+    result = best_response_dynamics(instance, max_rounds=300, improvement_eps=eps)
+    if result.converged:
+        assert certify_equilibrium(instance, eps).is_eps_equilibrium
