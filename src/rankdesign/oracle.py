@@ -31,11 +31,12 @@ read a deviation's reward from at most K - 1 float comparisons against the
 bars, and apply the index tie-break on exact ties.  This holds for any order
 of the levels, including decreasing and repeated ones.
 
-The best-response dynamics are one flat loop over round-robin sweeps.  Their
-candidates are the cheapest grid efforts reaching each reward-step bar, the
-bars certification prices, searched from effort 0, where certification's grid
-starts; so a run that converges ends at a profile certification accepts,
-unless a subnormal skill underflows its scores to 0 along the grid.  A best
+Best responses and certification read one table, ``_grid_table``: the effort
+grid with g and p on it.  The best-response dynamics are one flat loop over
+round-robin sweeps.  Their candidates are, per reward-step bar, the first grid
+column whose score is not below the bar, and on a tie the first above it: the
+cells certification prices, compared as the same products skill * g(e_k); so
+a run that converges ends at a profile certification accepts.  A best
 response reads the highest and the lowest bar once: a candidate scoring above
 the highest takes the top step's reward, one scoring below the lowest the
 bottom reward, and only a score between them (or equal to one of them) walks
@@ -44,7 +45,7 @@ move is applied in ``_StandingScores.update``, so moves are counted there.
 
 Certification prices few cells per agent.  Skills are quantile values, so
 finite and >= 0 (``DiscreteInstance`` checks them wherever scores are read),
-and certification requires g and p to be finite and never to decrease on the
+and the grid table requires g and p to be finite and never to decrease on the
 grid (``FunctionSpec`` promises strictly increasing functions).  So the
 deviation scores skill * g(e_k) never decrease along the grid, and the
 comparisons against each bar change at most twice along a row: where the
@@ -58,6 +59,7 @@ and the first largest gain of the row lies on one of these at most
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
@@ -65,7 +67,7 @@ import numpy as np
 
 # effort_at is unused here but stays importable: perfbench/tracing.py times it as oracle.effort_at
 from .equilibrium import EquilibriumSchedule, _band_effort, effort_at  # noqa: F401
-from .errors import DomainError, ModelError, RangeError, RankDesignError
+from .errors import DomainError, ModelError, RankDesignError
 from .functions import PopulationSpec
 from .policy import RewardPolicy
 from .welfare import WelfareReport
@@ -106,6 +108,8 @@ class DiscreteInstance:
         _check_resolution(self.delta_e)
         if not 0.0 <= self.e_max < math.inf:
             raise DomainError(f"effort cap must be finite and >= 0, got {self.e_max!r}")
+        if self.e_max < self.population.e0:
+            raise DomainError(f"effort cap {self.e_max!r} lies below the idle effort e0 = {self.population.e0!r}")
         _check_skills(self.skill)
         if self.n == 0:
             raise DomainError("instance needs at least one agent")
@@ -198,12 +202,28 @@ class DiscreteInstance:
             grid = np.sort(np.append(grid, e0))
         return grid
 
+    def _grid_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The effort grid with g and p on it: the one table that best responses
+        and certification price.  Raises ModelError unless g and p are finite
+        and nondecreasing along the grid."""
+        grid = self.effort_grid()
+        g, p = self.population.g, self.population.p
+        grid_g = np.array([g.evaluate(e) for e in grid])
+        grid_p = np.array([p.evaluate(e) for e in grid])
+        if not (
+            np.isfinite(grid_g).all() and np.isfinite(grid_p).all()
+            and (grid_g[1:] >= grid_g[:-1]).all() and (grid_p[1:] >= grid_p[:-1]).all()
+        ):
+            raise ModelError("the oracle needs g and p finite and nondecreasing on the effort grid")
+        return grid, grid_g, grid_p
+
 
 def default_effort_cap(population: PopulationSpec, policy: RewardPolicy, delta_e: float) -> float:
     """Efforts costing more than the top reward are never best responses.
 
     The cap stays inside the domains of g and p: where the effort grid up to
-    it would pass the smaller upper end, it is the last grid effort inside.
+    it would pass the smaller upper end, it is the last grid effort inside,
+    or e0 if that is larger.
     """
     _check_resolution(delta_e)
     span = policy.levels[-1] - policy.levels[0]
@@ -212,7 +232,7 @@ def default_effort_cap(population: PopulationSpec, policy: RewardPolicy, delta_e
     top = min(population.g.domain[1], population.p.domain[1])
     if cap + 0.5 * delta_e > top:
         steps = math.floor(top / delta_e + 1e-9)
-        cap = (steps if steps * delta_e <= top else steps - 1) * delta_e
+        cap = max((steps if steps * delta_e <= top else steps - 1) * delta_e, population.e0)
     return cap
 
 
@@ -249,18 +269,6 @@ def _reward_steps(instance: DiscreteInstance) -> tuple[list[float], list[tuple[i
     return pl, [(n - 1 - b, pl[b]) for b in range(n) if pl[b] != pl[b + 1]]
 
 
-class _EffortValues(dict):
-    """Memo of (e, g(e), p(e)) per effort value e; g and p are pure and frozen."""
-
-    def __init__(self, population: PopulationSpec):
-        super().__init__()
-        self._g, self._p = population.g.evaluate, population.p.evaluate
-
-    def __missing__(self, e: float) -> tuple[float, float, float]:
-        value = self[e] = (e, self._g(e), self._p(e))
-        return value
-
-
 @dataclass
 class DynamicsResult:
     converged: bool
@@ -280,50 +288,31 @@ _SCREEN_CUSHION = 1e-9
 def _idle_screen(
     instance: DiscreteInstance,
     standing: _StandingScores,
-    effort_values: _EffortValues,
+    resting: list[tuple[float, float, float]],
     improvement_eps: float,
     skills: list[float],
-    scores: list[float],
 ) -> list[tuple[tuple[int, float], ...] | None]:
     """Per agent, the standing bars that keep them idle at e0, or None.
 
     An entry ``((j, limit), ...)`` means: while the agent's effort is e0 and
     ``sorted_scores[j] >= limit`` for every pair, their best response is e0.
     The bars are the reward-step bars of ``standing.steps``, lowest first;
-    see ``best_response_dynamics`` for the argument.  Every entry is None
+    see ``best_response_dynamics`` for the argument.  ``resting`` holds the
+    (e, g(e), p(e)) of e0 first and of effort 0 last.  Every entry is None
     when a precondition of that argument fails for this run.
     """
     n, pop = instance.n, instance.population
     nobody: list = [None] * n
     levels = standing.position_levels
     low = levels[n]
-    positives = [s for s in skills if s > 0.0]
-    try:
-        _, g_e0, p_e0 = effort_values[float(pop.e0)]
-        _, g_zero, p_zero = effort_values[0.0]
-        g_max = effort_values[float(instance.e_max)][1]
-    except (RankDesignError, ArithmeticError, ValueError):
-        # some grid effort has no score or cost: the best responses raise
-        return nobody
+    (_, g_e0, p_e0), (_, _, p_zero) = resting[0], resting[-1]
     if not (
-        positives
-        and improvement_eps >= 0.0
-        # g has a finite score at both ends of the grid (skills and scores are checked where read)
-        and math.isfinite(g_zero) and math.isfinite(g_max)
+        improvement_eps >= 0.0
         # rewards never fall with a better position
         and all(a >= b for a, b in zip(levels, levels[1:]))
-        # p is increasing, so no grid effort costs less than p(0)
+        # p never falls along the grid, so no grid effort costs less than p(0)
         and p_zero >= p_e0
     ):
-        return nobody
-    # The largest target bar / skill any best response can meet must not make
-    # the entry-effort arithmetic raise: g.invert is increasing, so it bounds the rest.
-    bar_max = max(max(map(abs, scores)), max(map(abs, skills)) * max(abs(g_zero), abs(g_max)))
-    try:
-        math.ceil(pop.g.invert(bar_max / min(positives)) / instance.delta_e - 1e-9)
-    except RangeError:
-        pass
-    except (RankDesignError, ArithmeticError, ValueError):
         return nobody
     # Score per unit skill that reaching each bar must buy for the move to pay;
     # the reward at or above a bar caps what a score below the next bar earns.
@@ -345,12 +334,17 @@ def _idle_screen(
         row = []
         for m, (j, unit) in enumerate(unit_limits):
             limit = skill * unit
+            if not limit >= sys.float_info.min:
+                # a subnormal product rounds by far more than the cushion
+                out.append(None)
+                break
             limit += _SCREEN_CUSHION * abs(limit)
             if m == 0:
                 # the idle score itself lies strictly below the lowest bar
                 limit = max(limit, math.nextafter(g_e0 * skill, math.inf))
             row.append((j, limit))
-        out.append(tuple(row))
+        else:
+            out.append(tuple(row))
     return out
 
 
@@ -369,18 +363,22 @@ def best_response_dynamics(
     The result also records the movers of every sweep and how many best
     responses were evaluated.
 
-    Between reward steps the reward is flat and cost increases with effort,
-    so a best response tests only idling at e0 and at 0, and per reward-step
-    bar the cheapest grid effort reaching it, searched from effort 0 (below
-    e0 when an increasing p makes that cheaper), with one grid step either
-    side (the step below covers a score that ties the bar).  These
-    (e, g(e), p(e)) candidates are built once per entry grid step.  Standing
-    pat is priced first and seeds the running best; the largest gain wins,
-    and among equal gains the smallest effort.  The agent moves only when the
-    winner gains more than ``improvement_eps`` over standing pat, and the move,
-    with the winner's score, goes through ``_StandingScores.update``, the one
-    place moves are applied.  Rewards are read from the standing bars, the
-    outer two first (see the module docstring).
+    Between reward steps the reward is flat and cost never falls along the
+    grid, so a best response prices, besides idling at e0 and at 0, per
+    reward-step bar the first grid column whose score is not below the bar,
+    and on a tie the first above it: the cells certification prices, read
+    from the same grid table.  The column is found by binary search on g and
+    settled on the products skill * g(e_k) themselves, so rounding and
+    underflow cannot move it; the candidate list of each column is built once
+    per run.  Standing pat is priced first, at the (g, p) stored for each
+    agent's standing effort, and seeds the running best; the largest gain
+    wins, and among equal gains the smallest effort.  The agent moves only
+    when the winner gains more than ``improvement_eps`` over standing pat,
+    and the move, with the winner's score, goes through
+    ``_StandingScores.update``, the one place moves are applied.  Rewards are
+    read from the standing bars, the outer two first (see the module
+    docstring).  Raises ModelError unless g and p are finite and
+    nondecreasing on the grid.
 
     An idle screen skips the best response of an agent at e0 whose move is
     ruled out by a bound computed once per run; the trajectory is the one
@@ -395,20 +393,25 @@ def best_response_dynamics(
     So no effort gains more than ``improvement_eps`` over staying when every
     B_m >= s*g(p^-1(cap_m - L + p(e0) - improvement_eps)).  Both sides of
     that test are cushioned upward, so rounding only screens fewer agents;
-    an agent or run where a bound cannot be computed, or where some best
-    response could raise, is never screened.
+    an agent or run where a bound cannot be computed is never screened, nor
+    an agent whose bound s*g(...) is subnormal, since it rounds by more than
+    the cushion.
     """
     pop = instance.population
-    n, delta_e, e_max = instance.n, instance.delta_e, instance.e_max
+    n, e_max = instance.n, instance.e_max
     standing = _StandingScores(instance, instance.scores())
     # kept current by standing.update
     scores, sorted_scores = standing.scores, standing.sorted_scores
     position_levels, steps = standing.position_levels, standing.steps
-    effort_values = _EffortValues(pop)
+    grid, grid_g, grid_p = instance._grid_table()
+    # (e, g(e), p(e)) of each grid column
+    cells = list(zip(grid.tolist(), grid_g.tolist(), grid_p.tolist()))
+    grid_g, size = grid_g.tolist(), len(cells)
     # sorted_scores index of each reward-step bar, lowest first
     entry_bars = [j for j, _ in reversed(steps)]
-    e0, invert, ceil = float(pop.e0), pop.g.invert, math.ceil
-    g_zero = pop.g.evaluate(0.0)
+    e0 = float(pop.e0)
+    # idling at e0, then at effort 0, the first grid column
+    resting = [cells[0]] if e0 == 0.0 else [(e0, pop.g.evaluate(e0), pop.p.evaluate(e0)), cells[0]]
     bottom = position_levels[n]
     top_j, top_reward = steps[0] if steps else (0, bottom)
     low_j = steps[-1][0] if steps else 0
@@ -429,12 +432,12 @@ def best_response_dynamics(
 
     skills = instance.skill.tolist()
     efforts = instance.efforts.tolist()
-    screen = _idle_screen(instance, standing, effort_values, improvement_eps, skills, scores)
-    # (e, g(e), p(e)) of e0 and 0.0, built at the first evaluated best response,
-    # so that a run evaluating none evaluates g and p at neither
-    resting: list[tuple[float, float, float]] | None = None
-    # entry grid step k -> resting, then the candidates at grid steps k - 1, k, k + 1
-    by_step: dict[int, list[tuple[float, float, float]]] = {}
+    # (e, g(e), p(e)) of each agent's standing effort, which need not lie on the grid
+    # (from_schedule seeds closed-form efforts); None off the grid's range, where an agent never moves
+    held = [(e, pop.g.evaluate(e), pop.p.evaluate(e)) if 0.0 <= e <= e_max else None for e in efforts]
+    screen = _idle_screen(instance, standing, resting, improvement_eps, skills)
+    # grid column k -> resting, then column k
+    by_column: dict[int, list[tuple[float, float, float]]] = {}
     last_movers: tuple[int, ...] = ()
     movers_per_sweep = []
     responses = 0
@@ -451,14 +454,13 @@ def best_response_dynamics(
                     else:
                         continue
             responses += 1
-            if resting is None:
-                resting = [effort_values[e] for e in dict.fromkeys((e0, 0.0)) if 0.0 <= e <= e_max]
             if steps:
                 top, low = sorted_scores[top_j], sorted_scores[low_j]
-            # standing pat; an effort off the grid's range never moves
+            # standing pat
             best_gain = math.inf
-            if 0.0 <= current <= e_max:
-                _, g_e, p_e = effort_values[current]
+            best_cell = held[agent]
+            if best_cell is not None:
+                _, g_e, p_e = best_cell
                 best_score = s = g_e * skill
                 best_gain = (top_reward if s > top else bottom if s < low else walk(agent, s)) - p_e
             current_gain, best_effort = best_gain, current
@@ -466,31 +468,34 @@ def best_response_dynamics(
             if skill > 0.0:
                 for j in entry_bars:
                     bar = sorted_scores[j]
-                    if bar < 0.0:
-                        continue
-                    target = bar / skill
-                    try:
-                        entry = 0.0 if target <= g_zero else invert(target)
-                        k = ceil(entry / delta_e - 1e-9)
-                    except (RangeError, OverflowError):
-                        continue  # no effort reaches the bar
-                    if k < 0:
-                        k = 0
-                    near = by_step.get(k)
+                    # the first column whose score is not below the bar
+                    k = bisect_left(grid_g, bar / skill)
+                    while k and grid_g[k - 1] * skill >= bar:
+                        k -= 1
+                    while k < size and grid_g[k] * skill < bar:
+                        k += 1
+                    if k == size:
+                        continue  # no grid effort reaches the bar
+                    near = by_column.get(k)
                     if near is None:
-                        # grid steps k - 1, k, k + 1 inside [0, e_max] before and after rounding
-                        e_k = k * delta_e
-                        rounded = [round(cand / delta_e) * delta_e
-                                   for cand in (e_k - delta_e, e_k, e_k + delta_e) if 0.0 <= cand <= e_max]
-                        near = by_step[k] = resting + [effort_values[e] for e in rounded if 0.0 <= e <= e_max]
+                        near = by_column[k] = resting + [cells[k]]
                     candidates = near if candidates is resting else candidates + near[len(resting):]
-            for e, g_e, p_e in candidates:
+                    if grid_g[k] * skill == bar:
+                        # a score tying the bar takes its full position: price the first column above it too
+                        k += 1
+                        while k < size and grid_g[k] * skill <= bar:
+                            k += 1
+                        if k < size:
+                            candidates = candidates + [cells[k]]
+            for cell in candidates:
+                e, g_e, p_e = cell
                 s = g_e * skill
                 gain = (top_reward if s > top else bottom if s < low else walk(agent, s)) - p_e
                 if gain > best_gain or (gain == best_gain and e < best_effort):
-                    best_gain, best_effort, best_score = gain, e, s
+                    best_gain, best_effort, best_score, best_cell = gain, e, s, cell
             if best_gain > current_gain + improvement_eps and best_effort != current:
                 efforts[agent] = instance.efforts[agent] = best_effort
+                held[agent] = best_cell
                 standing.update(agent, scores[agent], best_score)
                 movers.append(agent)
         movers_per_sweep.append(len(movers))
@@ -554,15 +559,7 @@ def certify_equilibrium(instance: DiscreteInstance, eps: float) -> Certification
     """
     n = instance.n
     scores = instance.scores()
-    grid = instance.effort_grid()
-    g, p = instance.population.g, instance.population.p
-    grid_g = np.array([g.evaluate(e) for e in grid])
-    grid_cost = np.array([p.evaluate(e) for e in grid])
-    if not (
-        np.isfinite(grid_g).all() and np.isfinite(grid_cost).all()
-        and (grid_g[1:] >= grid_g[:-1]).all() and (grid_cost[1:] >= grid_cost[:-1]).all()
-    ):
-        raise ModelError("certification needs g and p finite and nondecreasing on the effort grid")
+    grid, grid_g, grid_cost = instance._grid_table()
     bands = instance.assigned_bands(scores)
     current_welfare = np.asarray(instance.policy.levels)[bands] - instance.costs()
     position_levels, steps = _reward_steps(instance)

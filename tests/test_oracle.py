@@ -23,7 +23,7 @@ from rankdesign import (
     two_level,
 )
 from rankdesign import oracle
-from rankdesign.errors import DomainError, ModelError, RangeError
+from rankdesign.errors import DomainError, ModelError
 from rankdesign.oracle import CertificationResult, DynamicsResult, default_effort_cap
 
 
@@ -202,12 +202,13 @@ def test_instance_rows_shape(benchmark_population):
 #
 # The scalar oracle below is the reference for the pruned certification and
 # the hoisted best responses: one Python level lookup per (agent, effort) cell
-# and per candidate effort.  Its code is kept as it was, except that an entry
-# effort that overflows, like one out of range, reaches no grid step, the bars
-# are the positions where its own level table changes, and the entry effort is
-# searched from 0; only the two public entry points are renamed to
-# ``reference_*``.  The fast path must reproduce it bit for bit: same
-# trajectory, same certification.
+# and per candidate effort.  Its code is kept as it was, except that the bars
+# are the positions where its own level table changes, and the entry efforts
+# are, per bar, the first grid effort whose score is not below it and the
+# first above it, found by comparing the exact products skill * g(e) on the
+# grid (computed once per run): the cells certification prices.  Only the two
+# public entry points are renamed to ``reference_*``.  The fast path must
+# reproduce it bit for bit: same trajectory, same certification.
 
 
 class _StandingScores:
@@ -266,54 +267,35 @@ class _StandingScores:
         return np.asarray(self.levels)[bands]
 
 
-def _grid_ceil(value: float, delta_e: float) -> float:
-    k = math.ceil(value / delta_e - 1e-9)
-    return max(k, 0) * delta_e
-
-
 def _best_response(
     instance: DiscreteInstance,
     standing: _StandingScores,
     agent: int,
     entry_positions: list[int],
     improvement_eps: float,
+    grid: np.ndarray,
+    grid_g: np.ndarray,
 ) -> float:
     """Exact grid argmax of counterfactual welfare for one agent.
 
     Between reward steps the reward is flat and cost increases with effort,
-    so only the cheapest grid effort reaching each bar, searched from 0, needs
-    testing, plus idling at e0 and standing pat.  Tie efforts (exactly matching
-    a standing score) are covered by also probing one grid step below each
-    entry effort.
+    so only the first grid effort whose score is not below each bar needs
+    testing, plus the first above it (a score that ties the bar takes its
+    full position), idling at e0 and at 0, and standing pat.
     """
     pop = instance.population
     g, p = pop.g, pop.p
     skill = float(instance.skill[agent])
     current = float(instance.efforts[agent])
     candidates = {current, float(pop.e0), 0.0}
-    if skill > 0.0:
-        g_zero = g.evaluate(0.0)
-        for j in entry_positions:
-            if not (0 <= j < instance.n):
-                continue
-            bar = standing.nth_highest(j)
-            if bar < 0.0:
-                continue
-            target = bar / skill
-            if target <= g_zero:
-                entry = 0.0
-            else:
-                try:
-                    entry = g.invert(target)
-                except (RangeError, OverflowError):
-                    continue
-            try:
-                e = _grid_ceil(entry, instance.delta_e)
-            except OverflowError:  # an infinite entry effort reaches no grid step
-                continue
-            for cand in (e - instance.delta_e, e, e + instance.delta_e):
-                if 0.0 <= cand <= instance.e_max:
-                    candidates.add(round(cand / instance.delta_e) * instance.delta_e)
+    scores = skill * grid_g
+    for j in entry_positions:
+        if not (0 <= j < instance.n):
+            continue
+        bar = standing.nth_highest(j)
+        for reached in (np.flatnonzero(scores >= bar), np.flatnonzero(scores > bar)):
+            if len(reached):
+                candidates.add(float(grid[reached[0]]))
     best_effort = current
     best_gain = -math.inf
     current_gain = None
@@ -352,11 +334,13 @@ def reference_best_response_dynamics(
     scores = instance.scores()
     standing = _StandingScores(instance, scores)
     g = instance.population.g
+    grid = instance.effort_grid()
+    grid_g = np.array([g.evaluate(e) for e in grid])
     for round_no in range(1, max_rounds + 1):
         moved = False
         movers = []
         for agent in range(instance.n):
-            new = _best_response(instance, standing, agent, entry_positions, improvement_eps)
+            new = _best_response(instance, standing, agent, entry_positions, improvement_eps, grid, grid_g)
             if new != instance.efforts[agent]:
                 old_score = float(scores[agent])
                 new_score = g.evaluate(new) * float(instance.skill[agent])
@@ -596,9 +580,10 @@ def test_idle_screen_never_skips_a_paying_entry(benchmark_population):
 
 
 def test_idle_screen_keeps_the_reference_error(benchmark_population):
-    """A near-zero skill overflows the entry effort (g.invert for 1e-300, ceil of an
-    infinite entry for a subnormal skill); no grid effort reaches the bar, so that
-    agent stays idle in the reference and in the fast path, screened or not."""
+    """A near-zero skill (1e-300, or the subnormal 5e-324, for which bar / skill
+    overflows to inf): while the band's bar is 0 the index tie-break already admits
+    the agent at effort 0, and no grid effort lifts their score to a positive bar,
+    so that agent stays idle in the reference and in the fast path, screened or not."""
     for tiny in (1e-300, 5e-324):
         fast, ref = (DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 20, 1e-2)
                      for _ in range(2))
@@ -890,15 +875,18 @@ class _DippingCost(Power):
         return super().evaluate(x) - (0.5 if 0.5 <= x < 0.6 else 0.0)
 
 
-def test_certification_rejects_a_falling_cost():
+@pytest.mark.parametrize("entry_point", [lambda inst: certify_equilibrium(inst, 0.0), best_response_dynamics],
+                         ids=["certification", "dynamics"])
+def test_certification_rejects_a_falling_cost(entry_point):
     """A cost that falls along the grid breaks FunctionSpec's promise of a strictly
     increasing function, on which pricing the first column of each constant-reward
-    stretch rests: certification refuses it."""
+    stretch rests: certification and the dynamics, which read one grid table,
+    refuse it."""
     population = PopulationSpec(f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
                                 g=Power(1.0, 0.5, role=Role.EFFORT_TRANSFER), p=_DippingCost(1.0, 2.0))
     inst = DiscreteInstance.stratified(population, two_level(0.5, 0.2), 20, 1e-2, e_max=1.0)
     with pytest.raises(ModelError, match="nondecreasing"):
-        certify_equilibrium(inst, 0.0)
+        entry_point(inst)
 
 
 def test_effort_grid_stops_at_e_max(benchmark_population):
@@ -913,6 +901,26 @@ def test_effort_grid_stops_at_e_max(benchmark_population):
     inst = DiscreteInstance.stratified(_increasing_cost_below_e0(), two_level(0.8, 0.2), 10, 3e-2)
     grid = inst.effort_grid()
     assert 0.2 in grid and grid.max() <= inst.e_max
+
+
+def test_effort_cap_never_below_e0():
+    """A grid holding e0 above the cap left idle agents there unmoved: the dynamics
+    stopped after 1 sweep at a profile certification rejects, by 0.04 with a
+    given cap of 0.1 < e0, and by 0.5 with the default cap cut to the last grid
+    step 0.78 inside the domains, below e0 = 0.79.  The first is rejected; the
+    default cap is e0 there."""
+    with pytest.raises(DomainError, match="below the idle effort"):
+        DiscreteInstance.stratified(_cost_below_e0_population(), two_level(0.5, 0.2), 10, 1e-2, e_max=0.1)
+    population = PopulationSpec(
+        f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+        g=PiecewiseMonotone(((0.0, 0.0), (0.8, 1.0)), role=Role.EFFORT_TRANSFER),
+        p=PiecewiseMonotone(((0.0, -0.5), (0.79, 0.0), (0.8, 1.0)), role=Role.COST_FUNCTION),
+        e0=0.79,
+    )
+    assert default_effort_cap(population, two_level(0.5, 0.2), 0.03) == 0.79
+    inst = DiscreteInstance.stratified(population, two_level(0.5, 0.2), 5, 0.03)
+    assert best_response_dynamics(inst).converged
+    assert certify_equilibrium(inst, 1e-12).worst_gain == 0.0
 
 
 def _short_transfer_population():
@@ -943,9 +951,10 @@ def test_effort_cap_stays_inside_the_transfer_domain():
 
 # -- converged means certified ------------------------------------------------
 #
-# The dynamics search the reward-step bars that certification prices, from
-# effort 0 where certification's grid starts, so a run that converges ends at
-# a profile certification accepts.
+# Per reward-step bar, the dynamics price the first grid column not below it,
+# and on a tie the first above it: the cells certification prices, read from
+# the same grid table.  So a run that converges ends at a profile
+# certification accepts.
 
 
 def _cost_below_e0_population():
@@ -958,18 +967,30 @@ def _cost_below_e0_population():
     )
 
 
-@pytest.mark.parametrize("population, policy, n, delta_e, rounds", [
-    # population None is the benchmark population.  At N=10 the cutpoint 0.45
-    # sits on the slot rank of position 5, which rounds below it, so the reward
-    # changes below position 4: searching the bar of position 5 stopped after
-    # 2 sweeps, with agent 4 gaining 0.18 by entering
-    (None, two_level(0.45, 0.1), 10, 1e-3, 522),
+@pytest.mark.parametrize("population, policy, n, delta_e, skills, rounds", [
+    # population None is the benchmark population, skills None the stratified
+    # ones.  At N=10 the cutpoint 0.45 sits on the slot rank of position 5,
+    # which rounds below it, so the reward changes below position 4: searching
+    # the bar of position 5 stopped after 2 sweeps, with agent 4 gaining 0.18
+    # by entering
+    (None, two_level(0.45, 0.1), 10, 1e-3, None, 522),
     # searching entry efforts from e0 stopped after 2 sweeps, with agent 2
     # gaining 0.0297 at the effort 0.08 < e0
-    (_cost_below_e0_population(), two_level(0.3, 0.2), 3, 1e-2, 2),
-], ids=["cutpoint_on_a_slot_rank", "entry_below_e0"])
-def test_converged_cold_start_certifies(benchmark_population, population, policy, n, delta_e, rounds):
+    (_cost_below_e0_population(), two_level(0.3, 0.2), 3, 1e-2, None, 2),
+    # skill * g(e) rounds to 0 below e = 0.25 and to 5e-324 above it, so the
+    # bar 0 is first beaten at 0.26; entering where the score ties the bar
+    # stopped after 1 sweep, with agent 1 gaining 0.1324 at 0.26
+    (None, RewardPolicy((0.0, 0.2, 1.0), (0.45, 0.9), 0.2), 2, 1e-2, [0.0, 5e-324], 2),
+    # the idle screen's limit skill * g(p^-1(0.4)) is subnormal, so it rounds by
+    # far more than the screen's cushion; screening agent 0 on it stopped after
+    # 2 sweeps, with agent 0 gaining 0.3324 by tying agent 1's score at 0.26
+    # and taking the top slot by the index tie-break
+    (None, two_level(0.5, 0.2), 2, 1e-2, [5e-324, 5e-324], 3),
+], ids=["cutpoint_on_a_slot_rank", "entry_below_e0", "subnormal_skill", "subnormal_screen_limit"])
+def test_converged_cold_start_certifies(benchmark_population, population, policy, n, delta_e, skills, rounds):
     inst = DiscreteInstance.stratified(population or benchmark_population, policy, n, delta_e)
+    if skills is not None:
+        inst.skill = np.asarray(skills)
     result = best_response_dynamics(inst, max_rounds=2000)
     assert (result.converged, result.rounds) == (True, rounds)
     cert = certify_equilibrium(inst, 1e-12)
@@ -981,11 +1002,6 @@ def test_converged_cold_start_certifies(benchmark_population, population, policy
        eps=st.sampled_from([0.0, 1e-12, 1e-3]))
 def test_converged_dynamics_certify(build, eps):
     instance = build()
-    # Skills in (0, 1e-6) are drawn as 0.  A subnormal skill such as 5e-324 makes
-    # skill * g(e) underflow to 0 along part of the grid, so the score stops rising
-    # there and a converged run can miss a paying deviation; that is a known gap,
-    # not what this property checks.
-    instance.skill[instance.skill < 1e-6] = 0.0
     result = best_response_dynamics(instance, max_rounds=300, improvement_eps=eps)
     if result.converged:
         assert certify_equilibrium(instance, eps).is_eps_equilibrium
