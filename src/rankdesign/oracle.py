@@ -32,16 +32,19 @@ bars, and apply the index tie-break on exact ties.  This holds for any order
 of the levels, including decreasing and repeated ones.
 
 Best responses and certification read one table, ``_grid_table``: the effort
-grid with g and p on it.  The best-response dynamics are one flat loop over
-round-robin sweeps.  Their candidates are, per reward-step bar, the first grid
-column whose score is not below the bar, and on a tie the first above it: the
-cells certification prices, compared as the same products skill * g(e_k); so
-a run that converges ends at a profile certification accepts.  A best
-response reads the highest and the lowest bar once: a candidate scoring above
-the highest takes the top step's reward, one scoring below the lowest the
-bottom reward, and only a score between them (or equal to one of them) walks
-the bars.  With one reward step the walk runs only on an exact tie.  Every
-move is applied in ``_StandingScores.update``, so moves are counted there.
+grid, which holds e0 itself, with g and p on it.  The best-response dynamics
+are one flat loop over round-robin sweeps.  Their candidates are, per
+reward-step bar, the first grid column whose score is not below the bar, and
+on a tie the first above it: the cells certification prices, compared as the
+same products skill * g(e_k); so a run that converges ends at a profile
+certification accepts.  The idle screen reads the same table: it skips an
+agent at e0 only while no grid column where entering could pay reaches a bar,
+by those same products.  A best response reads the highest and the lowest
+bar once: a candidate scoring above the highest takes the top step's reward,
+one scoring below the lowest the bottom reward, and only a score between them
+(or equal to one of them) walks the bars.  With one reward step the walk runs
+only on an exact tie.  Every move is applied in ``_StandingScores.update``, so
+moves are counted there.
 
 Certification prices few cells per agent.  Skills are quantile values, so
 finite and >= 0 (``DiscreteInstance`` checks them wherever scores are read),
@@ -59,7 +62,6 @@ and the first largest gain of the row lies on one of these at most
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
@@ -67,7 +69,7 @@ import numpy as np
 
 # effort_at is unused here but stays importable: perfbench/tracing.py times it as oracle.effort_at
 from .equilibrium import EquilibriumSchedule, _band_effort, effort_at  # noqa: F401
-from .errors import DomainError, ModelError, RankDesignError
+from .errors import DomainError, ModelError
 from .functions import PopulationSpec
 from .policy import RewardPolicy
 from .welfare import WelfareReport
@@ -194,11 +196,12 @@ class DiscreteInstance:
         return self.assigned_levels() - self.costs()
 
     def effort_grid(self) -> np.ndarray:
-        """Multiples of delta_e up to e_max (no best response goes above it), plus e0."""
+        """Multiples of delta_e up to e_max (no best response goes above it), plus e0
+        itself, so best responses and certification price idling at e0 exactly."""
         grid = np.arange(0.0, self.e_max + 0.5 * self.delta_e, self.delta_e)
         grid = grid[grid <= self.e_max]
         e0 = self.population.e0
-        if e0 > 0 and not np.any(np.isclose(grid, e0)):
+        if e0 not in grid:
             grid = np.sort(np.append(grid, e0))
         return grid
 
@@ -279,73 +282,44 @@ class DynamicsResult:
     best_responses: int = 0  # evaluated, i.e. not skipped by the idle screen
 
 
-# Upward relative cushion on the idle screen's bounds: many times the rounding
-# of the few operations behind each bound and each gain comparison, so that
-# rounding can only make the screen skip fewer best responses.
-_SCREEN_CUSHION = 1e-9
-
-
 def _idle_screen(
-    instance: DiscreteInstance,
     standing: _StandingScores,
-    resting: list[tuple[float, float, float]],
+    grid_g: np.ndarray,
+    grid_p: np.ndarray,
+    k0: int,
     improvement_eps: float,
     skills: list[float],
-) -> list[tuple[tuple[int, float], ...] | None]:
-    """Per agent, the standing bars that keep them idle at e0, or None.
+) -> list[tuple[tuple[int, float], ...]] | None:
+    """Per agent, the standing bars that keep them idle at e0; None when a
+    precondition of the argument fails for this run.
 
     An entry ``((j, limit), ...)`` means: while the agent's effort is e0 and
-    ``sorted_scores[j] >= limit`` for every pair, their best response is e0.
-    The bars are the reward-step bars of ``standing.steps``, lowest first;
-    see ``best_response_dynamics`` for the argument.  ``resting`` holds the
-    (e, g(e), p(e)) of e0 first and of effort 0 last.  Every entry is None
-    when a precondition of that argument fails for this run.
+    ``sorted_scores[j] > limit`` for every pair, their best response is e0.
+    The bars are those of ``standing.steps`` that some grid column could pay
+    to reach, lowest first; each limit is a product skill * g(e_k) on the
+    grid table, whose column k0 is e0.  See ``best_response_dynamics`` for
+    the argument.
     """
-    n, pop = instance.n, instance.population
-    nobody: list = [None] * n
     levels = standing.position_levels
-    low = levels[n]
-    (_, g_e0, p_e0), (_, _, p_zero) = resting[0], resting[-1]
+    p_e0 = float(grid_p[k0])
     if not (
         improvement_eps >= 0.0
-        # rewards never fall with a better position
+        # rewards never fall with a better position, so none is below the bottom one
         and all(a >= b for a, b in zip(levels, levels[1:]))
-        # p never falls along the grid, so no grid effort costs less than p(0)
-        and p_zero >= p_e0
+        # p never falls along the grid, so no grid effort costs less than p(e0)
+        and grid_p[0] >= p_e0
     ):
-        return nobody
-    # Score per unit skill that reaching each bar must buy for the move to pay;
-    # the reward at or above a bar caps what a score below the next bar earns.
-    unit_limits = []
+        return None
+    # a move must beat at least this, computed as a best response computes it
+    stay = (levels[-1] - p_e0) + improvement_eps
+    # per bar, g at the last grid column where reaching it could pay; those
+    # columns are a prefix of the grid, as p never falls along it
+    units = []
     for j, cap in reversed(standing.steps):
-        cost = cap - low + p_e0 - improvement_eps
-        cost += _SCREEN_CUSHION * (abs(cap) + abs(low) + abs(p_e0) + improvement_eps)
-        if not cost > 0.0:
-            return nobody
-        try:
-            unit_limits.append((j, pop.g.evaluate(pop.p.invert(cost))))
-        except (RankDesignError, ArithmeticError, ValueError):
-            return nobody
-    out = []
-    for skill in skills:
-        if not skill > 0.0:
-            out.append(None)
-            continue
-        row = []
-        for m, (j, unit) in enumerate(unit_limits):
-            limit = skill * unit
-            if not limit >= sys.float_info.min:
-                # a subnormal product rounds by far more than the cushion
-                out.append(None)
-                break
-            limit += _SCREEN_CUSHION * abs(limit)
-            if m == 0:
-                # the idle score itself lies strictly below the lowest bar
-                limit = max(limit, math.nextafter(g_e0 * skill, math.inf))
-            row.append((j, limit))
-        else:
-            out.append(tuple(row))
-    return out
+        paying = int(np.count_nonzero(cap - grid_p > stay))
+        if paying:
+            units.append((j, float(grid_g[paying - 1])))
+    return [tuple((j, skill * unit) for j, unit in units) for skill in skills]
 
 
 def best_response_dynamics(
@@ -381,24 +355,23 @@ def best_response_dynamics(
     nondecreasing on the grid.
 
     An idle screen skips the best response of an agent at e0 whose move is
-    ruled out by a bound computed once per run; the trajectory is the one
-    every best response would give.  The argument: let B_1 < ... < B_M be
-    the reward-step bars, cap_m the reward at or above B_m, and L the
-    reward below B_1, where rewards are flat.  Suppose rewards never fall
-    with a better position, no grid effort costs less than p(e0), and the
-    idle score g(e0)*s lies strictly below B_1.  Then staying earns exactly
-    L - p(e0), any effort scoring below B_1 earns at most that, and an
-    effort scoring in [B_m, B_m+1) earns at most cap_m at a cost of at
-    least p(g^-1(B_m/s)).
-    So no effort gains more than ``improvement_eps`` over staying when every
-    B_m >= s*g(p^-1(cap_m - L + p(e0) - improvement_eps)).  Both sides of
-    that test are cushioned upward, so rounding only screens fewer agents;
-    an agent or run where a bound cannot be computed is never screened, nor
-    an agent whose bound s*g(...) is subnormal, since it rounds by more than
-    the cushion.
+    ruled out on the grid table; the trajectory is the one every best
+    response would give.  The argument: let B_1 <= ... <= B_M be the
+    reward-step bars, cap_m the reward at or above B_m, and L the bottom
+    reward.  Suppose improvement_eps >= 0, rewards never fall with a better
+    position, and grid column 0 costs no less than p(e0), so no grid effort
+    does.  Then staying at e0 earns at least L - p(e0), and a grid column
+    scoring below B_1 earns L at a cost of at least p(e0).  A column k
+    scoring at least B_m but below every higher bar earns at most cap_m, so
+    it can pay only if cap_m - p(e_k) > (L - p(e0)) + improvement_eps; as p
+    never falls along the grid, those columns are a prefix of it, of length
+    K_m.  So an idle agent of skill s stays at e0 while every bar with
+    K_m > 0 lies above s*g(e_{K_m - 1}): no column of the prefix reaches it.
+    The screen compares the products and differences that a best response
+    computes, and rounding is monotone, so it is exact.
     """
     pop = instance.population
-    n, e_max = instance.n, instance.e_max
+    n = instance.n
     standing = _StandingScores(instance, instance.scores())
     # kept current by standing.update
     scores, sorted_scores = standing.scores, standing.sorted_scores
@@ -406,12 +379,15 @@ def best_response_dynamics(
     grid, grid_g, grid_p = instance._grid_table()
     # (e, g(e), p(e)) of each grid column
     cells = list(zip(grid.tolist(), grid_g.tolist(), grid_p.tolist()))
+    e0 = float(pop.e0)
+    k0 = int(np.searchsorted(grid, e0))  # e0's own grid column
+    skills = instance.skill.tolist()
+    screen = _idle_screen(standing, grid_g, grid_p, k0, improvement_eps, skills)
     grid_g, size = grid_g.tolist(), len(cells)
     # sorted_scores index of each reward-step bar, lowest first
     entry_bars = [j for j, _ in reversed(steps)]
-    e0 = float(pop.e0)
     # idling at e0, then at effort 0, the first grid column
-    resting = [cells[0]] if e0 == 0.0 else [(e0, pop.g.evaluate(e0), pop.p.evaluate(e0)), cells[0]]
+    resting = [cells[k0], cells[0]] if k0 else [cells[0]]
     bottom = position_levels[n]
     top_j, top_reward = steps[0] if steps else (0, bottom)
     low_j = steps[-1][0] if steps else 0
@@ -430,12 +406,10 @@ def best_response_dynamics(
                 return reward
         return bottom
 
-    skills = instance.skill.tolist()
     efforts = instance.efforts.tolist()
     # (e, g(e), p(e)) of each agent's standing effort, which need not lie on the grid
-    # (from_schedule seeds closed-form efforts); None off the grid's range, where an agent never moves
-    held = [(e, pop.g.evaluate(e), pop.p.evaluate(e)) if 0.0 <= e <= e_max else None for e in efforts]
-    screen = _idle_screen(instance, standing, resting, improvement_eps, skills)
+    # (from_schedule seeds closed-form efforts, and a caller may set any effort in p's domain)
+    held = [(e, pop.g.evaluate(e), pop.p.evaluate(e)) for e in efforts]
     # grid column k -> resting, then column k
     by_column: dict[int, list[tuple[float, float, float]]] = {}
     last_movers: tuple[int, ...] = ()
@@ -445,24 +419,20 @@ def best_response_dynamics(
         movers = []
         for agent, skill in enumerate(skills):
             current = efforts[agent]
-            if current == e0:
-                bars = screen[agent]
-                if bars is not None:
-                    for j, limit in bars:
-                        if not sorted_scores[j] >= limit:
-                            break
-                    else:
-                        continue
+            if current == e0 and screen is not None:
+                for j, limit in screen[agent]:
+                    if not sorted_scores[j] > limit:
+                        break
+                else:
+                    continue
             responses += 1
             if steps:
                 top, low = sorted_scores[top_j], sorted_scores[low_j]
             # standing pat
-            best_gain = math.inf
             best_cell = held[agent]
-            if best_cell is not None:
-                _, g_e, p_e = best_cell
-                best_score = s = g_e * skill
-                best_gain = (top_reward if s > top else bottom if s < low else walk(agent, s)) - p_e
+            _, g_e, p_e = best_cell
+            best_score = s = g_e * skill
+            best_gain = (top_reward if s > top else bottom if s < low else walk(agent, s)) - p_e
             current_gain, best_effort = best_gain, current
             candidates = resting
             if skill > 0.0:

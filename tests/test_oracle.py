@@ -206,8 +206,9 @@ def test_instance_rows_shape(benchmark_population):
 # are the positions where its own level table changes, and the entry efforts
 # are, per bar, the first grid effort whose score is not below it and the
 # first above it, found by comparing the exact products skill * g(e) on the
-# grid (computed once per run): the cells certification prices.  Only the two
-# public entry points are renamed to ``reference_*``.  The fast path must
+# grid (computed once per run): the cells certification prices; and standing
+# pat is priced wherever the agent stands.  Only the two public entry points
+# are renamed to ``reference_*``.  The fast path must
 # reproduce it bit for bit: same trajectory, same certification.
 
 
@@ -281,7 +282,8 @@ def _best_response(
     Between reward steps the reward is flat and cost increases with effort,
     so only the first grid effort whose score is not below each bar needs
     testing, plus the first above it (a score that ties the bar takes its
-    full position), idling at e0 and at 0, and standing pat.
+    full position), idling at e0 and at 0, and standing pat, which is priced
+    wherever the agent stands, also outside [0, e_max].
     """
     pop = instance.population
     g, p = pop.g, pop.p
@@ -298,9 +300,8 @@ def _best_response(
                 candidates.add(float(grid[reached[0]]))
     best_effort = current
     best_gain = -math.inf
-    current_gain = None
     for e in sorted(candidates):
-        if not (0.0 <= e <= instance.e_max):
+        if not (0.0 <= e <= instance.e_max or e == current):
             continue
         gain = standing.level_at(agent, g.evaluate(e) * skill) - p.evaluate(e)
         if e == current:
@@ -308,7 +309,7 @@ def _best_response(
         if gain > best_gain:
             best_gain = gain
             best_effort = e
-    if current_gain is not None and best_gain > current_gain + improvement_eps:
+    if best_gain > current_gain + improvement_eps:
         return best_effort
     return current
 
@@ -510,7 +511,7 @@ def test_idle_screen_fires_on_the_cold_start(benchmark_population):
     assert result.converged
     assert result.best_responses < result.rounds * inst.n / 2
     # the scalar reference records neither count, so both are pinned
-    assert (result.rounds, result.best_responses, sum(result.movers_per_sweep)) == (1525, 110_318, 77_661)
+    assert (result.rounds, result.best_responses, sum(result.movers_per_sweep)) == (1525, 110_269, 77_661)
 
 
 def test_idle_screen_off_for_decreasing_levels(benchmark_population):
@@ -537,6 +538,36 @@ def test_idle_screen_off_when_effort_below_e0_is_cheaper():
     assert result.best_responses == inst.n
 
 
+def test_idle_screen_off_for_a_negative_tolerance():
+    """With e0 = 1e-200, p(0) and p(e0) both round to 0, so idling at 0 earns what
+    idling at e0 earns, and a negative tolerance moves agent 0 to the smaller effort,
+    as in the reference.  The screen's bound needs improvement_eps >= 0."""
+    e0 = 1e-200
+    population = PopulationSpec(f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE), g=Power(1.0, 0.5, role=Role.EFFORT_TRANSFER),
+                                p=AffinePower(1.0, 2.0, -e0 ** 2, role=Role.COST_FUNCTION), e0=e0)
+    fast, ref = (DiscreteInstance.stratified(population, two_level(0.5, 0.2), 2, 1e-2) for _ in range(2))
+    for inst in (fast, ref):
+        inst.skill = np.array([1.0, 2.0])
+        inst.efforts = np.array([e0, 0.8])
+    got = best_response_dynamics(fast, max_rounds=1, improvement_eps=-1e-12)
+    reference_best_response_dynamics(ref, max_rounds=1, improvement_eps=-1e-12)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert fast.efforts[0] == 0.0 and got.best_responses == fast.n
+
+
+def test_idle_screen_skips_up_to_the_move_threshold():
+    """Agent 0, idle at 0, gains 1 - 0.875^2 = 15/64 by tying agent 1's score 0.875,
+    where the index tie-break ranks agent 0 first.  With that gain as the tolerance
+    the move does not pay and agent 0 is screened; 2^-20 lower it pays, and agent 0
+    is evaluated and moves."""
+    for eps, responses, efforts in ((15 / 64, 1, [0.0, 0.875]), (15 / 64 - 2.0 ** -20, 2, [0.875, 0.0])):
+        fast, ref = (_unit_agents((0.0, 1.0), (0.5,), [1.0, 1.0], [0.0, 0.875]) for _ in range(2))
+        got = best_response_dynamics(fast, max_rounds=1, improvement_eps=eps)
+        reference_best_response_dynamics(ref, max_rounds=1, improvement_eps=eps)
+        assert fast.efforts.tobytes() == ref.efforts.tobytes()
+        assert (got.best_responses, fast.efforts.tolist()) == (responses, efforts)
+
+
 def test_idle_screen_bit_identical_on_rank_check_instance():
     """The shape check_multidim_rank_preservation runs: skills overwritten after stratified."""
     rng = np.random.default_rng(1)
@@ -557,7 +588,7 @@ def test_idle_screen_bit_identical_on_rank_check_instance():
     assert fast.efforts.tobytes() == ref.efforts.tobytes()
     assert got.best_responses < got.rounds * fast.n
     # the scalar reference records neither count, so both are pinned
-    assert got.best_responses == 20_419
+    assert got.best_responses == 20_370
     assert (len(got.movers_per_sweep), sum(got.movers_per_sweep)) == (182, 18_112)
     assert got.movers_per_sweep[:12] == (160, 200, 200, 200, 200, 200, 200, 200, 200, 199, 199, 197)
     assert got.movers_per_sweep[-12:] == (2, 2, 2, 1, 2, 2, 1, 2, 2, 2, 1, 0)
@@ -640,7 +671,8 @@ def _screen_instances(draw):
     n = draw(st.integers(1, 30))
     seed = draw(st.one_of(st.none(), st.integers(0, 1000)))  # stratified or Monte Carlo ranks
     delta_e = draw(st.sampled_from([1e-2, 2e-2, 5e-2]))
-    skills = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=n, max_size=n))
+    skills = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.integers(1, 8).map(lambda m: m * 5e-324)),
+                           min_size=n, max_size=n))
     overwrite = draw(st.sampled_from(["none", "zeros", "all"]))
     # a cold start, or a warm one where some agents already hold grid efforts and
     # idle agents face bars at every distance from their entry cost
@@ -903,6 +935,56 @@ def test_effort_grid_stops_at_e_max(benchmark_population):
     assert 0.2 in grid and grid.max() <= inst.e_max
 
 
+def test_idling_at_an_e0_beside_a_grid_step_is_certified():
+    """e0 = 0.2 + 1e-7 lies within np.isclose of the grid step 0.2, which used to keep
+    e0 off the grid: the dynamics priced idling at e0 and certification did not, so
+    certification accepted at eps 0.048 (worst gain 0.0459, at 0.21) a profile where
+    agent 0 gains 0.05 by idling at e0.  e0 is now a grid effort of its own."""
+    e0 = 0.2 + 1e-7
+    population = PopulationSpec(f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE), g=Power(1.0, 0.5, role=Role.EFFORT_TRANSFER),
+                                p=AffinePower(1.0, 2.0, -e0 ** 2, role=Role.COST_FUNCTION), e0=e0)
+
+    def build():
+        inst = DiscreteInstance.stratified(population, two_level(0.5, 0.2), 4, 1e-2)
+        inst.skill = np.array([1.0, 1.0, 0.5, 0.5])
+        inst.efforts = np.array([0.3, 0.20000005, e0, e0])
+        return inst
+
+    fast, ref = build(), build()
+    grid = fast.effort_grid()
+    assert e0 in grid and 0.2 in grid
+    cert = certify_equilibrium(fast, 0.048)
+    assert cert == reference_certify_equilibrium(ref, 0.048)
+    assert not cert.is_eps_equilibrium
+    assert (cert.worst_agent, cert.worst_effort) == (0, e0)
+    assert cert.worst_gain == pytest.approx(0.05, abs=1e-7)
+    # one sweep makes that move
+    best_response_dynamics(fast, max_rounds=1)
+    reference_best_response_dynamics(ref, max_rounds=1)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert fast.efforts[0] == e0
+
+
+def test_standing_pat_is_priced_off_the_grid_range(benchmark_population):
+    """An agent standing at 2.0, above e_max = 0.652, was never moved: the run
+    "converged" after 75 sweeps with agent 9 still there, and certification found
+    a gain of 3.9775 at 0.15.  Standing pat is priced wherever the agent stands, and
+    an effort outside the cost's domain raises DomainError, as in certification."""
+    fast, ref = (DiscreteInstance.stratified(benchmark_population, two_level(0.5, 0.2), 10, 1e-2) for _ in range(2))
+    fast.efforts[9] = ref.efforts[9] = 2.0
+    got = best_response_dynamics(fast, max_rounds=2000)
+    want = reference_best_response_dynamics(ref, max_rounds=2000)
+    assert (got.converged, got.rounds) == (want.converged, want.rounds) == (True, 79)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert fast.efforts[9] == pytest.approx(0.15)
+    cert = certify_equilibrium(fast, 1e-12)
+    assert cert.is_eps_equilibrium and cert.worst_gain == 0.0
+    fast.efforts[9] = -0.5
+    for entry_point in (lambda inst: certify_equilibrium(inst, 0.0), best_response_dynamics):
+        with pytest.raises(DomainError):
+            entry_point(fast)
+
+
 def test_effort_cap_never_below_e0():
     """A grid holding e0 above the cap left idle agents there unmoved: the dynamics
     stopped after 1 sweep at a profile certification rejects, by 0.04 with a
@@ -981,10 +1063,10 @@ def _cost_below_e0_population():
     # bar 0 is first beaten at 0.26; entering where the score ties the bar
     # stopped after 1 sweep, with agent 1 gaining 0.1324 at 0.26
     (None, RewardPolicy((0.0, 0.2, 1.0), (0.45, 0.9), 0.2), 2, 1e-2, [0.0, 5e-324], 2),
-    # the idle screen's limit skill * g(p^-1(0.4)) is subnormal, so it rounds by
-    # far more than the screen's cushion; screening agent 0 on it stopped after
-    # 2 sweeps, with agent 0 gaining 0.3324 by tying agent 1's score at 0.26
-    # and taking the top slot by the index tie-break
+    # an idle screen bound skill * g(p^-1(0.4)) is subnormal, so it rounds by far
+    # more than a relative cushion; screening agent 0 on it stopped after 2
+    # sweeps, with agent 0 gaining 0.3324 by tying agent 1's score at 0.26 and
+    # taking the top slot by the index tie-break
     (None, two_level(0.5, 0.2), 2, 1e-2, [5e-324, 5e-324], 3),
 ], ids=["cutpoint_on_a_slot_rank", "entry_below_e0", "subnormal_skill", "subnormal_screen_limit"])
 def test_converged_cold_start_certifies(benchmark_population, population, policy, n, delta_e, skills, rounds):
