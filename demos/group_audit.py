@@ -15,11 +15,11 @@ from rankdesign import (
     PopulationSpec,
     Power,
     Role,
-    TwoLevelPolicy,
     access,
     audit_sweep,
     group_thresholds,
     region_table,
+    two_level,
     welfare_gap,
     welfare_gap_derivative,
 )
@@ -35,9 +35,9 @@ rho = 0.2
 c = 0.3
 tau_a, tau_b = group_thresholds(population, groups, c)
 print(f"Cutoff c = {c}: group A admitted above skill rank {tau_a:.3f}, group B above {tau_b:.3f}")
-print(json.dumps(region_table(population, groups, TwoLevelPolicy(c, rho)), indent=2))
+print(json.dumps(region_table(population, groups, two_level(c, rho)), indent=2))
 
-policy = TwoLevelPolicy(c, rho)
+policy = two_level(c, rho)
 for theta in (0.1, 0.3, 0.6, 0.9):
     gap = welfare_gap(population, groups, policy, theta)
     print(f"  welfare gap at skill rank {theta}: {gap:.4f}")
@@ -51,7 +51,7 @@ print("\n    c     tau_A   tau_B   access   gap@q50")
 for row in rows[::4]:
     print(f"  {row[0]:.2f}    {row[1]:.3f}   {row[2]:.3f}   {row[3]:.4f}   {row[5]:.4f}")
 
-pure = access(population, groups, TwoLevelPolicy(0.0, rho))
+pure = access(population, groups, two_level(0.0, rho))
 print(f"\nPure randomization gives the disadvantaged group access {pure:.3f}; "
       f"every competitive cutoff gives less.")
 

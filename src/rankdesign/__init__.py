@@ -82,13 +82,10 @@ from .oracle import (
     best_response_dynamics,
     certify_equilibrium,
     empirical_welfare,
-    instance_rows,
 )
 from .policy import (
     RewardPolicy,
-    TwoLevelPolicy,
     ValidationReport,
-    Violation,
     policy_from_json,
     reward_at,
     two_level,

@@ -17,18 +17,10 @@ import sys
 
 from . import design, groups as groups_mod, multidim as multidim_mod, oracle
 from .equilibrium import sample_schedule, solve
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DomainError,
-    ModelError,
-    QuadratureError,
-    RangeError,
-    RankDesignError,
-)
+from .errors import ConfigError, QuadratureError, RankDesignError
 from .functions import PopulationSpec
 from .groups import GroupSpec
-from .policy import TwoLevelPolicy, policy_from_json, validate
+from .policy import policy_from_json, two_level, validate
 from .welfare import two_level_sweep, welfare_report
 
 EXIT_OK = 0
@@ -61,7 +53,7 @@ def _policy(config: dict):
     policy = policy_from_json(config["policy"])
     report = validate(policy)
     if not report.ok:
-        raise ConfigError("invalid policy: " + "; ".join(str(v) for v in report.violations))
+        raise ConfigError("invalid policy: " + "; ".join(report.violations))
     return policy
 
 
@@ -191,14 +183,15 @@ def cmd_groups(args, config: dict) -> int:
         policy = _of_kind(config.get("policy", {}), dict, "policy")
         if "two_level" not in policy:
             raise ConfigError("groups command needs a two-level policy or a sweep")
-        two_level = _of_kind(policy["two_level"], dict, "two_level policy")
-        cutoffs = [_number(two_level.get("c"), "two_level cutoff c")]
+        shorthand = _of_kind(policy["two_level"], dict, "two_level policy")
+        cutoffs = [_number(shorthand.get("c"), "two_level cutoff c")]
     if args.format == "json" and len(cutoffs) == 1:
-        table = groups_mod.region_table(population, gspec, TwoLevelPolicy(cutoffs[0], capacity))
+        table = groups_mod.region_table(population, gspec, two_level(cutoffs[0], capacity))
         _emit(args, table)
         return EXIT_OK
     rows = groups_mod.audit_sweep(population, gspec, capacity, cutoffs)
-    header = ["c", "tau_A", "tau_B", "access", "gap_at_q25", "gap_at_q50", "gap_at_q75"]
+    gaps = [f"gap_at_q{round(100 * q)}" for q in groups_mod.GAP_QUANTILES]
+    header = ["c", "tau_A", "tau_B", "access", *gaps]
     payload = [dict(zip(header, r)) for r in rows]
     args.format = "csv" if args.format is None else args.format
     _emit(args, payload, rows, header)
@@ -351,7 +344,7 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, DomainError, RangeError, ModelError, CapacityError, KeyError) as exc:
+    except (RankDesignError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

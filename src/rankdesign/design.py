@@ -120,7 +120,7 @@ def three_level_policy(x: float, c1: float, c2: float, capacity: float) -> Rewar
     policy = RewardPolicy((0.0, x, 1.0), (c1, c2), capacity)
     report = validate(policy)
     if not report.ok:
-        raise DomainError("invalid three-level policy: " + "; ".join(map(str, report.violations)))
+        raise DomainError("invalid three-level policy: " + "; ".join(report.violations))
     return policy
 
 
@@ -186,12 +186,11 @@ def find_three_level_improvement(
 
     def consider(x: float, c2: float) -> None:
         nonlocal best, evals
-        if evals >= search_budget:
+        if evals >= search_budget:  # a budget below 4 ends inside the smallest, 2 x 2 lattice
             return
-        # capacity identity pins c1: x*(c2-c1) + (1-c2) = capacity
+        # capacity identity pins c1: x*(c2-c1) + (1-c2) = capacity; x is in
+        # (0, 1), so a spare capacity <= 0 gives c1 >= c2, rejected below
         spare = capacity - (1.0 - c2)
-        if spare <= 0.0 or not (0.0 < x < 1.0):
-            return
         c1 = c2 - spare / x
         if not (0.0 < c1 < c2 < 1.0):
             return

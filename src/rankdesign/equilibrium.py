@@ -20,7 +20,6 @@ ranks.  No grid is built.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import DomainError, ModelError, PerturbationError, RangeError
 from .functions import PopulationSpec
 from .policy import RewardPolicy, validate
 
-INDIFFERENCE_TOL = 1e-10
+STATICS_GRID = 2000  # midpoint ranks at which comparative_statics_check compares efforts
 
 
 @dataclass(frozen=True)
@@ -60,9 +59,7 @@ class EquilibriumSchedule:
     bands: tuple[BandSolution, ...]
 
     def band_of(self, theta: float) -> BandSolution:
-        if not (0.0 <= theta <= 1.0):
-            raise DomainError(f"rank {theta!r} outside [0, 1]")
-        return self.bands[bisect_right(self.policy.cutpoints, theta)]
+        return self.bands[self.policy.band_of(theta)]
 
 
 def _transfer_at(pop: PopulationSpec, effort: float) -> float:
@@ -122,7 +119,7 @@ def solve(population: PopulationSpec, policy: RewardPolicy) -> EquilibriumSchedu
     """Compute the unique equilibrium schedule for a valid policy."""
     report = validate(policy)
     if not report.ok:
-        raise DomainError("invalid policy: " + "; ".join(str(v) for v in report.violations))
+        raise DomainError("invalid policy: " + "; ".join(report.violations))
     bounds = (0.0,) + policy.cutpoints + (1.0,)
     idle = population.g.evaluate(population.e0)
     bands: list[BandSolution] = [BandSolution(0, 0.0, bounds[1], None, None, None, idle)]
@@ -226,12 +223,11 @@ def comparative_statics_check(
     k: int,
     j: int,
     delta: float,
-    grid_size: int = 2000,
 ) -> ComparativeStaticsReport:
     """Raise levels[k] by delta, lower levels[j] to preserve capacity, compare efforts.
 
     Efforts in bands below k must not move, band k's must weakly rise, and
-    bands k+1..j must weakly fall, pointwise on a rank grid.
+    bands k+1..j must weakly fall, pointwise on a grid of STATICS_GRID ranks.
     """
     if not (0 <= k < j < policy.k):
         raise DomainError(f"need 0 <= k < j < K, got k={k}, j={j}, K={policy.k}")
@@ -245,15 +241,15 @@ def comparative_statics_check(
     report = validate(perturbed)
     if not report.ok:
         raise PerturbationError(
-            "perturbation invalidates policy: " + "; ".join(str(v) for v in report.violations)
+            "perturbation invalidates policy: " + "; ".join(report.violations)
         )
     base = solve(population, policy)
     moved = solve(population, perturbed)
     tol_eq = 1e-12
     worst = 0.0
     below_ok = raised_ok = lowered_ok = True
-    for i in range(grid_size):
-        theta = (i + 0.5) / grid_size
+    for i in range(STATICS_GRID):
+        theta = (i + 0.5) / STATICS_GRID
         band = base.band_of(theta).k
         e_before = effort_at(base, theta)
         e_after = effort_at(moved, theta)

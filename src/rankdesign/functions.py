@@ -58,9 +58,6 @@ class FunctionSpec:
                 return
         raise DomainError(f"x={x!r} outside domain [{self._lo}, {self._hi}] of {self!r}")
 
-    def __call__(self, x: float) -> float:
-        return self.evaluate(x)
-
 
 # Scalar arguments keep their plain comparisons: scalar callers such as the
 # group audits make about a million calls per pass, and a try block costs

@@ -7,8 +7,9 @@ model with f replaced by the mixed scaled skill's quantile
 (``_MixedQuantile``): its equilibrium is ``solve`` on that population, and a
 group-G applicant at skill rank theta_true sits at the mixed rank
 H(gamma_G * f(theta_true)).  Any transfer and cost that ``solve`` accepts
-work, g(e0) > 0 included.  Group shares must be equal, and the welfare gap
-and access take a two-level policy.
+work, g(e0) > 0 included.  Group shares must be equal.  The welfare gap
+takes any policy; access and the region table take the policy that
+``two_level(c, capacity)`` returns.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from dataclasses import dataclass, replace
 from .equilibrium import EquilibriumSchedule, effort_at, solve
 from .errors import DomainError, RegionError
 from .functions import FunctionSpec, PiecewiseMonotone, PopulationSpec, Power
-from .policy import TwoLevelPolicy, reward_at
+from .policy import RewardPolicy, reward_at, two_level
 
 GROUP_SHARE = 0.5  # equal halves; GroupSpec accepts no other share
+GAP_QUANTILES = (0.25, 0.5, 0.75)  # skill ranks at which audit_sweep reads the welfare gap
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,6 @@ class GroupSpec:
         if group == "B":
             return self.gamma_b
         raise DomainError(f"group must be 'A' or 'B', got {group!r}")
-
-    def to_json(self) -> dict:
-        return {"gamma_a": self.gamma_a, "gamma_b": self.gamma_b, "share": self.share}
 
     @staticmethod
     def from_json(obj: dict) -> "GroupSpec":
@@ -193,11 +192,11 @@ def _gap(
 def welfare_gap(
     population: PopulationSpec,
     groups: GroupSpec,
-    policy: TwoLevelPolicy,
+    policy: RewardPolicy,
     theta_true: float,
 ) -> float:
     """Welfare of a group-A applicant minus a group-B applicant at equal skill."""
-    schedule = solve(replace(population, f=_MixedQuantile(population.f, groups)), policy.policy())
+    schedule = solve(replace(population, f=_MixedQuantile(population.f, groups)), policy)
     return _gap(schedule, population, groups, theta_true)
 
 
@@ -234,7 +233,7 @@ def welfare_gap_derivative(
             )
 
     def gap_at(cc: float) -> float:
-        return welfare_gap(population, groups, TwoLevelPolicy(cc, capacity), theta_true)
+        return welfare_gap(population, groups, two_level(cc, capacity), theta_true)
 
     wide = (gap_at(c + h) - gap_at(c - h)) / (2.0 * h)
     half = (gap_at(c + 0.5 * h) - gap_at(c - 0.5 * h)) / h
@@ -242,20 +241,23 @@ def welfare_gap_derivative(
     return FiniteDifference(value=half, step=h, error_estimate=abs(half - wide) / 3.0)
 
 
-def access(population: PopulationSpec, groups: GroupSpec, policy: TwoLevelPolicy) -> float:
+def _cutoff(policy: RewardPolicy) -> float:
+    """The c of ``two_level(c, capacity)``: 0 for one level, else the one cutpoint."""
+    if policy.k == 1:
+        return 0.0
+    if policy.k > 2 or policy.levels[0] != 0.0:
+        raise DomainError(f"expected a two_level policy, got levels {policy.levels!r}")
+    return policy.cutpoints[0]
+
+
+def access(population: PopulationSpec, groups: GroupSpec, policy: RewardPolicy) -> float:
     """Overall admission probability of the disadvantaged group."""
-    _, tau_b = group_thresholds(population, groups, policy.c)
-    return policy.level1 * (1.0 - tau_b)
+    _, tau_b = group_thresholds(population, groups, _cutoff(policy))
+    return policy.levels[-1] * (1.0 - tau_b)
 
 
-def audit_sweep(
-    population: PopulationSpec,
-    groups: GroupSpec,
-    capacity: float,
-    cs,
-    gap_quantiles=(0.25, 0.5, 0.75),
-):
-    """Disparate-impact audit rows per cutoff: thresholds, access, gap quantiles.
+def audit_sweep(population: PopulationSpec, groups: GroupSpec, capacity: float, cs):
+    """Disparate-impact audit rows per cutoff: thresholds, access, gaps at ``GAP_QUANTILES``.
 
     The mixed quantile is built once per sweep and the equilibrium solved
     once per cutoff.
@@ -264,26 +266,25 @@ def audit_sweep(
     mixed_population = replace(population, f=mixed)
     rows = []
     for c in cs:
-        pol = TwoLevelPolicy(c, capacity)
+        policy = two_level(c, capacity)
         tau_a, tau_b = mixed.group_ranks(mixed.evaluate(c))
-        schedule = solve(mixed_population, pol.policy())
-        gaps = [_gap(schedule, population, groups, q) for q in gap_quantiles]
-        rows.append((c, tau_a, tau_b, pol.level1 * (1.0 - tau_b), *gaps))
+        schedule = solve(mixed_population, policy)
+        gaps = [_gap(schedule, population, groups, q) for q in GAP_QUANTILES]
+        rows.append((c, tau_a, tau_b, policy.levels[-1] * (1.0 - tau_b), *gaps))
     return rows
 
 
-def region_table(
-    population: PopulationSpec, groups: GroupSpec, policy: TwoLevelPolicy
-) -> dict:
+def region_table(population: PopulationSpec, groups: GroupSpec, policy: RewardPolicy) -> dict:
     """Low/Middle/High admission structure for a two-level policy, as data."""
-    if policy.c == 0.0:
+    c = _cutoff(policy)
+    if c == 0.0:
         return {
             "low": {"range": [0.0, 0.0], "admit_a": policy.capacity, "admit_b": policy.capacity},
             "middle": {"range": [0.0, 0.0], "admit_a": policy.capacity, "admit_b": policy.capacity},
             "high": {"range": [0.0, 1.0], "admit_a": policy.capacity, "admit_b": policy.capacity},
         }
-    tau_a, tau_b = group_thresholds(population, groups, policy.c)
-    level = policy.level1
+    tau_a, tau_b = group_thresholds(population, groups, c)
+    level = policy.levels[-1]
     return {
         "low": {"range": [0.0, tau_a], "admit_a": 0.0, "admit_b": 0.0},
         "middle": {"range": [tau_a, tau_b], "admit_a": level, "admit_b": 0.0},

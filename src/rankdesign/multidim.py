@@ -29,6 +29,8 @@ from .quadrature import adaptive_simpson, geometric_breakpoints, integrate_piece
 # adaptive_simpson is not used here; it stays importable from this module
 # because perfbench/tracing.py wraps it here.
 
+MAX_ROUNDS = 2000  # best-response sweeps the rank check runs before it reports no convergence
+
 
 @dataclass(frozen=True)
 class MultiSkillSpec:
@@ -93,7 +95,6 @@ def check_multidim_rank_preservation(
     policy: RewardPolicy,
     seed: int = 0,
     delta_e: float = 1e-3,
-    max_rounds: int = 2000,
     index_rule: str = "max",
 ) -> MultidimReport:
     """Sample agents, run the discrete contest, compare rewards to the index.
@@ -125,7 +126,7 @@ def check_multidim_rank_preservation(
     )
     instance = DiscreteInstance.stratified(population, policy, sample_size, delta_e)
     instance.skill = true_index[order]
-    result = best_response_dynamics(instance, max_rounds=max_rounds)
+    result = best_response_dynamics(instance, max_rounds=MAX_ROUNDS)
     bands = result.instance.assigned_bands()
     cmp_sorted = comparison[order]
     rows = []
@@ -147,15 +148,12 @@ class UnmeasurableSpec:
     p: FunctionSpec
     budget: float
     capacity: float
-    beta: float | None = None
 
     def __post_init__(self):
         if self.budget <= 0:
             raise DomainError("budget must be positive")
         if not (0.0 < self.capacity < 1.0):
             raise DomainError("capacity outside (0, 1)")
-        if self.beta is not None and not (0.0 < self.beta < 1.0):
-            raise DomainError("beta must lie in (0, 1)")
         if self.g.evaluate(0.0) != 0.0:
             raise ModelError("unmeasurable-skill formulas require g(0) = 0")
         object.__setattr__(self, "_population", PopulationSpec(f=self.f, g=self.g, p=self.p, e0=0.0))
@@ -211,12 +209,9 @@ def beta_for_interior_optimum(spec: UnmeasurableSpec, c: float, h: float = 1e-5)
     return -d_u / (d_m - d_u)
 
 
-def weighted_private_utility(spec: UnmeasurableSpec, c: float, beta: float | None = None) -> float:
+def weighted_private_utility(spec: UnmeasurableSpec, c: float, beta: float) -> float:
     """beta * E[v_measurable | admitted] + (1 - beta) * E[v_unmeasurable | admitted]."""
-    b = spec.beta if beta is None else beta
-    if b is None:
-        raise DomainError("beta is required, either on the spec or as an argument")
-    if not (0.0 <= b <= 1.0):
+    if not (0.0 <= beta <= 1.0):
         raise DomainError("beta must lie in [0, 1]")
     band = _admitted_band(spec, c)
-    return b * band.floor + (1.0 - b) * _unmeasurable_mean(spec, band)
+    return beta * band.floor + (1.0 - beta) * _unmeasurable_mean(spec, band)

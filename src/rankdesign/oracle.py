@@ -589,21 +589,3 @@ def empirical_welfare(instance: DiscreteInstance) -> WelfareReport:
         per_band_effort_cost=tuple(per_band),
         quadrature_error_estimate=0.0,  # sampling, not quadrature
     )
-
-
-def instance_rows(instance: DiscreteInstance) -> list[tuple[int, float, float, float, int, float]]:
-    """Dump rows (agent, rank, effort, score, band, welfare) for CSV export."""
-    scores = instance.scores()
-    bands = instance.assigned_bands(scores)
-    welfare = np.asarray(instance.policy.levels)[bands] - instance.costs()
-    return [
-        (
-            i,
-            float(instance.ranks[i]),
-            float(instance.efforts[i]),
-            float(scores[i]),
-            int(bands[i]),
-            float(welfare[i]),
-        )
-        for i in range(instance.n)
-    ]

@@ -18,27 +18,12 @@ CAPACITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Violation:
-    message: str
-    index: int | None = None
-    value: float | None = None
-
-    def __str__(self) -> str:
-        loc = f" at index {self.index}" if self.index is not None else ""
-        val = f" (value {self.value!r})" if self.value is not None else ""
-        return self.message + loc + val
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    violations: tuple[Violation, ...]
+    violations: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -79,34 +64,30 @@ class RewardPolicy:
 
 def validate(policy: RewardPolicy) -> ValidationReport:
     """Report every violated policy invariant; never raises."""
-    violations: list[Violation] = []
+    violations: list[str] = []
     levels, cuts = policy.levels, policy.cutpoints
     if len(levels) != len(cuts) + 1:
-        violations.append(
-            Violation(f"{len(levels)} levels require {len(levels) - 1} cutpoints, got {len(cuts)}")
-        )
+        violations.append(f"{len(levels)} levels require {len(levels) - 1} cutpoints, got {len(cuts)}")
     for i, lv in enumerate(levels):
         if not (0.0 <= lv <= 1.0):
-            violations.append(Violation("level outside [0, 1]", index=i, value=lv))
+            violations.append(f"level outside [0, 1] at index {i} (value {lv!r})")
     for i, (a, b) in enumerate(zip(levels, levels[1:])):
         if b <= a:
-            violations.append(Violation("levels not strictly increasing", index=i + 1, value=b))
+            violations.append(f"levels not strictly increasing at index {i + 1} (value {b!r})")
     for i, c in enumerate(cuts):
         if not (0.0 < c < 1.0):
-            violations.append(Violation("cutpoint outside (0, 1)", index=i, value=c))
+            violations.append(f"cutpoint outside (0, 1) at index {i} (value {c!r})")
     for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
         if b <= a:
-            violations.append(Violation("cutpoints not strictly increasing", index=i + 1, value=b))
+            violations.append(f"cutpoints not strictly increasing at index {i + 1} (value {b!r})")
     if not (0.0 < policy.capacity < 1.0):
-        violations.append(Violation("capacity outside (0, 1)", value=policy.capacity))
+        violations.append(f"capacity outside (0, 1) (value {policy.capacity!r})")
     if len(levels) == len(cuts) + 1:
         mass = policy.expected_reward()
         if abs(mass - policy.capacity) > CAPACITY_TOL:
             violations.append(
-                Violation(
-                    f"expected reward {mass!r} does not match capacity {policy.capacity!r}",
-                    value=mass - policy.capacity,
-                )
+                f"expected reward {mass!r} does not match capacity {policy.capacity!r}"
+                f" (value {mass - policy.capacity!r})"
             )
     return ValidationReport(tuple(violations))
 
@@ -135,31 +116,6 @@ def two_level(c: float, capacity: float) -> RewardPolicy:
         )
     level = min(capacity / (1.0 - c), 1.0)
     return RewardPolicy((0.0, level), (c,), capacity)
-
-
-@dataclass(frozen=True)
-class TwoLevelPolicy:
-    """Parametric handle on the two-level class; c = 0 is pure randomization.
-
-    A view of ``two_level(c, capacity)``, built once: ``level1`` is that
-    policy's top level.
-    """
-
-    c: float
-    capacity: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "_policy", two_level(self.c, self.capacity))  # raises on invalid parameters
-
-    @property
-    def level1(self) -> float:
-        return self._policy.levels[-1]
-
-    def policy(self) -> RewardPolicy:
-        return self._policy
-
-    def to_json(self) -> dict:
-        return {"two_level": {"c": self.c, "capacity": self.capacity}}
 
 
 def policy_from_json(obj: dict) -> RewardPolicy:

@@ -118,14 +118,14 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = DEFAULT_REL_TOL) ->
     return _adaptive(f, a, m, b, fa, fm, fb, whole, eps, 0)
 
 
-def integrate_piecewise(f, breakpoints, rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float]:
+def integrate_piecewise(f, breakpoints) -> tuple[float, float]:
     """Integrate f over consecutive [b_i, b_{i+1}] pieces; returns (value, error estimate).
 
     ``f`` maps a 1-d array of points to the array of its values.  Each round
     evaluates the 20- and 10-point Gauss-Legendre rules on every open piece
     in one call of ``f``.  The value sums the 20-point rules and the error
     estimate their distances to the 10-point rules.  The result is accepted
-    once the error estimate is at most ``rel_tol`` times the integral of
+    once the error estimate is at most DEFAULT_REL_TOL times the integral of
     |f|; until then every piece whose own estimate exceeds that share is
     bisected for the next round.  After MAX_DEPTH bisections, or with more
     than MAX_PIECES pieces open, raises QuadratureError carrying the value
@@ -144,9 +144,9 @@ def integrate_piecewise(f, breakpoints, rel_tol: float = DEFAULT_REL_TOL) -> tup
         rules = (values @ _RULES) * width[:, None]
         delta = np.abs(rules[:, 0] - rules[:, 1])
         piece_size = (np.abs(values[:, :_HIGH]) @ _RULES[:_HIGH, 0]) * width
-        if err + delta.sum() <= rel_tol * (size + piece_size.sum()):
+        if err + delta.sum() <= DEFAULT_REL_TOL * (size + piece_size.sum()):
             return value + float(rules[:, 0].sum()), err + float(delta.sum())
-        done = delta <= rel_tol * piece_size
+        done = delta <= DEFAULT_REL_TOL * piece_size
         value += float(rules[done, 0].sum())
         err += float(delta[done].sum())
         size += float(piece_size[done].sum())

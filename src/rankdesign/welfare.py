@@ -34,10 +34,6 @@ class WelfareReport:
     per_band_effort_cost: tuple[float, ...]
     quadrature_error_estimate: float
 
-    def mean_admitted_score(self, capacity: float) -> float:
-        """The conditional reading of private utility: score per admitted unit."""
-        return self.private_utility / capacity
-
     def to_json(self) -> dict:
         return {
             "applicant_welfare": self.applicant_welfare,

@@ -20,7 +20,6 @@ from rankdesign import (
     Power,
     RewardPolicy,
     Role,
-    TwoLevelPolicy,
     UnmeasurableSpec,
     access,
     applicant_welfare,
@@ -114,7 +113,7 @@ def test_criterion_3_pure_randomization_extremes():
     schedule = solve(BENCHMARK, two_level(0.0, RHO))
     exact_welfare = applicant_welfare(schedule) == RHO
     groups = GroupSpec(2.0, 1.0)
-    policy = TwoLevelPolicy(0.0, RHO)
+    policy = two_level(0.0, RHO)
     worst_gap = max(
         abs(welfare_gap(IDENTITY, groups, policy, i / 1999)) for i in range(2000)
     )
@@ -150,10 +149,10 @@ def test_criterion_4_four_level_structure():
 
 def test_criterion_5_disparate_impact():
     groups = GroupSpec(2.0, 1.0)
-    a_03 = access(IDENTITY, groups, TwoLevelPolicy(0.3, RHO))
-    a_06 = access(IDENTITY, groups, TwoLevelPolicy(0.6, RHO))
+    a_03 = access(IDENTITY, groups, two_level(0.3, RHO))
+    a_06 = access(IDENTITY, groups, two_level(0.6, RHO))
     cs = np.linspace(0.04, 0.8, 20)
-    sweep = [access(IDENTITY, groups, TwoLevelPolicy(float(c), RHO)) for c in cs]
+    sweep = [access(IDENTITY, groups, two_level(float(c), RHO)) for c in cs]
     non_increasing = all(b <= a + 1e-12 for a, b in zip(sweep, sweep[1:]))
     fd = welfare_gap_derivative(IDENTITY, groups, c=0.3, theta_true=0.9, capacity=RHO)
     ok = (

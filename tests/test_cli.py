@@ -302,6 +302,45 @@ def test_multidim_skills_rank_check(tmp_path, capsys):
     assert payload["rank_preservation"]["violations"] == 0
 
 
+def test_multidim_csv(tmp_path, capsys):
+    """CSV writes one row per sampled agent of the skills block; a budget block alone gives the header."""
+    header = ["agent", "v_pre", "reward_band", "violation_flag"]
+    cfg = write_config(
+        tmp_path,
+        {"policy": {"two_level": {"c": 0.8, "capacity": 0.2}},
+         "multidim": {**UNMEASURABLE_SECTION, "skills": SKILLS_SECTION}},
+    )
+    code, out = run(capsys, ["--config", cfg, "--format", "csv", "multidim"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == header
+    assert sorted(int(r[0]) for r in rows[1:]) == list(range(SKILLS_SECTION["sample_size"]))
+    assert all(r[3] == "0" for r in rows[1:])
+    cfg = write_config(tmp_path, {"multidim": UNMEASURABLE_SECTION}, name="budget.json")
+    code, out = run(capsys, ["--config", cfg, "--format", "csv", "multidim"])
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [header]
+
+
+def test_multidim_failed_derivative_signs_exit_2(tmp_path, capsys):
+    """A cutoff where the unranked skill's mean rises with c has no interior weight: a config error."""
+    section = {
+        "f": {"family": "piecewise_monotone",
+              "knots": [[0, 0], [0.25, 0.6136631515965005], [0.5, 1.6652919875313845],
+                        [0.75, 1.81999634264027], [1, 2.817735195388515]]},
+        "g": {"family": "power", "scale": 1, "exponent": 0.25335200701368116},
+        "p": {"family": "power", "scale": 1, "exponent": 2},
+        "budget": 1.9182569003793883,
+        "capacity": 0.24363442937652502,
+        "c": 0.7213748553742634,
+    }
+    cfg = write_config(tmp_path, {"multidim": section})
+    code = main(["--config", cfg, "multidim"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "derivative signs violated" in err and "Traceback" not in err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     from rankdesign import cli as cli_mod
     from rankdesign.errors import QuadratureError

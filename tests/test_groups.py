@@ -14,7 +14,6 @@ from rankdesign import (
     RegionError,
     RewardPolicy,
     Role,
-    TwoLevelPolicy,
     access,
     audit_sweep,
     certify_equilibrium,
@@ -106,7 +105,7 @@ def test_symmetric_groups_reduce_to_base(identity_population):
 
 
 def test_welfare_gap_regions(identity_population):
-    policy = TwoLevelPolicy(0.3, 0.2)
+    policy = two_level(0.3, 0.2)
     tau_a, tau_b = group_thresholds(identity_population, GROUPS, 0.3)
     assert welfare_gap(identity_population, GROUPS, policy, 0.5 * tau_a) == 0.0
     assert welfare_gap(identity_population, GROUPS, policy, 0.5 * (tau_a + tau_b)) > 0.0
@@ -115,13 +114,13 @@ def test_welfare_gap_regions(identity_population):
 
 def test_welfare_gap_nonnegative_everywhere(identity_population):
     for c in np.linspace(0.05, 0.8, 20):
-        policy = TwoLevelPolicy(float(c), 0.2)
+        policy = two_level(float(c), 0.2)
         for theta in np.linspace(0.0, 1.0, 101):
             assert welfare_gap(identity_population, GROUPS, policy, float(theta)) >= -1e-12
 
 
 def test_pure_randomization_gap_zero(identity_population):
-    policy = TwoLevelPolicy(0.0, 0.2)
+    policy = two_level(0.0, 0.2)
     for theta in np.linspace(0, 1, 2000):
         assert welfare_gap(identity_population, GROUPS, policy, float(theta)) == 0.0
 
@@ -154,26 +153,24 @@ def test_gap_derivative_region_guard(identity_population):
 
 
 def test_access_closed_form(identity_population):
-    assert access(identity_population, GROUPS, TwoLevelPolicy(0.3, 0.2)) == pytest.approx(
+    assert access(identity_population, GROUPS, two_level(0.3, 0.2)) == pytest.approx(
         0.2 / 0.7 * 0.6, abs=1e-9
     )
-    assert access(identity_population, GROUPS, TwoLevelPolicy(0.6, 0.2)) == pytest.approx(0.1, abs=1e-9)
-    assert access(identity_population, GROUPS, TwoLevelPolicy(0.0, 0.2)) == pytest.approx(0.2)
+    assert access(identity_population, GROUPS, two_level(0.6, 0.2)) == pytest.approx(0.1, abs=1e-9)
+    assert access(identity_population, GROUPS, two_level(0.0, 0.2)) == pytest.approx(0.2)
 
 
 def test_access_monotone_when_inverse_convex(identity_population):
     cs = np.linspace(0.04, 0.8, 20)
-    values = [access(identity_population, GROUPS, TwoLevelPolicy(float(c), 0.2)) for c in cs]
+    values = [access(identity_population, GROUPS, two_level(float(c), 0.2)) for c in cs]
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-12
     assert all(v < 0.2 for v in values)  # pure randomization dominates
 
 
 def test_region_classification(identity_population):
-    c, capacity = 0.3, 0.2
-    policy = TwoLevelPolicy(c, capacity)
+    c = 0.3
     tau_a, tau_b = group_thresholds(identity_population, GROUPS, c)
-    level = policy.level1
     for theta in np.linspace(0.0, 1.0, 201):
         for group, tau in (("A", tau_a), ("B", tau_b)):
             admitted = pre_rank(identity_population, GROUPS, float(theta), group) >= c
@@ -191,11 +188,30 @@ def test_audit_sweep_rows(identity_population):
 
 
 def test_region_table(identity_population):
-    table = region_table(identity_population, GROUPS, TwoLevelPolicy(0.3, 0.2))
+    table = region_table(identity_population, GROUPS, two_level(0.3, 0.2))
     assert table["low"]["range"][1] == pytest.approx(0.2, abs=1e-9)
     assert table["middle"]["admit_a"] == pytest.approx(0.2 / 0.7, abs=1e-12)
     assert table["middle"]["admit_b"] == 0.0
     assert table["high"]["admit_b"] == pytest.approx(0.2 / 0.7, abs=1e-12)
+
+
+FOUR_LEVEL = RewardPolicy((0.0, 0.2, 0.5, 1.0), (0.4, 0.7, 0.9), 0.26)
+
+
+def test_access_and_region_table_take_two_level_policies_only(identity_population):
+    # both read the policy as two_level(c, capacity): rejected below c, one level above
+    for policy in (FOUR_LEVEL, RewardPolicy((0.1, 0.3), (0.5,), 0.2)):
+        with pytest.raises(DomainError):
+            access(identity_population, GROUPS, policy)
+        with pytest.raises(DomainError):
+            region_table(identity_population, GROUPS, policy)
+
+
+def test_welfare_gap_takes_any_policy(identity_population):
+    equal = GroupSpec(1.5, 1.5)
+    for theta in np.linspace(0.0, 1.0, 101):
+        assert math.isfinite(welfare_gap(identity_population, GROUPS, FOUR_LEVEL, float(theta)))
+        assert welfare_gap(identity_population, equal, FOUR_LEVEL, float(theta)) == 0.0
 
 
 # -- the exact mixed quantile against the bisection it replaced ------------
@@ -323,10 +339,10 @@ def test_two_group_instance_certifies(identity_population, g, policy):
         expected = sum(level * (hi - lo) for level, lo, hi in zip(policy.levels, taus, taus[1:]))
         assert levels[mask].mean() == pytest.approx(expected, abs=1.0 / half)
     if policy.k == 2:  # expected is now group B's share, which access gives in closed form
-        two = TwoLevelPolicy(policy.cutpoints[0], policy.capacity)
-        assert access(population, GROUPS, two) == pytest.approx(expected, abs=1e-12)
-        # the gap at skill ranks away from both thresholds: neither, only A, both admitted
-        welfare = inst.welfares()
-        for theta in thetas[[24, 99, 224]]:
-            a, b = (int(np.flatnonzero((agent_theta == theta) & (in_b == side))[0]) for side in (False, True))
-            assert welfare[a] - welfare[b] == pytest.approx(welfare_gap(population, GROUPS, two, theta), abs=1e-12)
+        assert access(population, GROUPS, policy) == pytest.approx(expected, abs=1e-12)
+    # the gap at skill ranks away from every threshold: for the two-level policy,
+    # neither, only A and both admitted
+    welfare = inst.welfares()
+    for theta in thetas[[24, 99, 224]]:
+        a, b = (int(np.flatnonzero((agent_theta == theta) & (in_b == side))[0]) for side in (False, True))
+        assert welfare[a] - welfare[b] == pytest.approx(welfare_gap(population, GROUPS, policy, theta), abs=1e-12)

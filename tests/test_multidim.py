@@ -141,8 +141,6 @@ def test_weighted_utility_weight_collapse():
     assert weighted_private_utility(UNMEASURABLE, c, beta=0.0) == pytest.approx(
         unmeasurable_conditional_mean(UNMEASURABLE, c)
     )
-    with pytest.raises(DomainError):
-        weighted_private_utility(UNMEASURABLE, c)  # no beta anywhere
 
 
 def test_budget_too_small_raises():

@@ -18,7 +18,6 @@ from rankdesign import (
     certify_equilibrium,
     effort_at,
     empirical_welfare,
-    instance_rows,
     solve,
     two_level,
 )
@@ -186,16 +185,6 @@ def test_tie_lemma_no_cross_band_ties(benchmark_population):
     for value in np.unique(scores):
         mask = scores == value
         assert len(np.unique(bands[mask])) == 1
-
-
-def test_instance_rows_shape(benchmark_population):
-    schedule = solve(benchmark_population, two_level(0.8, 0.2))
-    inst = DiscreteInstance.from_schedule(schedule, 20, 1e-3)
-    rows = instance_rows(inst)
-    assert len(rows) == 20
-    agent, rank, effort, score, band, welfare = rows[-1]
-    assert agent == 19 and band == 1
-    assert welfare == pytest.approx(1.0 - benchmark_population.p.evaluate(effort))
 
 
 # -- bit-identity against the scalar oracle --------------------------------

@@ -7,7 +7,6 @@ from rankdesign import (
     CapacityError,
     DomainError,
     RewardPolicy,
-    TwoLevelPolicy,
     policy_from_json,
     reward_at,
     two_level,
@@ -62,20 +61,11 @@ def test_two_level_construction():
         two_level(0.5, 1.2)
 
 
-def test_two_level_policy_handle():
-    handle = TwoLevelPolicy(0.5, 0.2)
-    assert handle.level1 == pytest.approx(0.4)
-    assert handle.policy().levels == (0.0, 0.4)
-    assert TwoLevelPolicy(0.0, 0.2).level1 == pytest.approx(0.2)
-
-
 @pytest.mark.parametrize("capacity", [0.2, 0.35])
 def test_two_level_policy_level_is_the_policy_top_level(capacity):
     # at the largest cutoff capacity / (1 - c) rounds above 1 and two_level clamps it
-    for c in (0.0, 0.1, 0.5 * (1.0 - capacity), math.nextafter(1.0 - capacity, 1.0)):
-        handle = TwoLevelPolicy(c, capacity)
-        assert handle.level1 == two_level(c, capacity).levels[-1]
-        assert handle.policy() == two_level(c, capacity)
+    assert two_level(math.nextafter(1.0 - capacity, 1.0), capacity).levels[-1] == 1.0
+    assert two_level(0.0, capacity).levels == (capacity,)
 
 
 def _random_policy(rng):

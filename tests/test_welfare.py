@@ -126,7 +126,6 @@ def test_report_identity_and_fields(benchmark_population):
     assert math.isfinite(report.quadrature_error_estimate)
     payload = report.to_json()
     assert payload["private_utility"] == pytest.approx(0.32, abs=1e-9)
-    assert report.mean_admitted_score(0.2) == pytest.approx(1.6, abs=1e-8)
 
 
 def test_sweep_monotonicity(benchmark_population):
