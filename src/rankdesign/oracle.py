@@ -37,14 +37,29 @@ are one flat loop over round-robin sweeps.  Their candidates are, per
 reward-step bar, the first grid column whose score is not below the bar, and
 on a tie the first above it: the cells certification prices, compared as the
 same products skill * g(e_k); so a run that converges ends at a profile
-certification accepts.  The idle screen reads the same table: it skips an
-agent at e0 only while no grid column where entering could pay reaches a bar,
-by those same products.  A best response reads the highest and the lowest
-bar once: a candidate scoring above the highest takes the top step's reward,
-one scoring below the lowest the bottom reward, and only a score between them
-(or equal to one of them) walks the bars.  With one reward step the walk runs
-only on an exact tie.  Every move is applied in ``_StandingScores.update``, so
-moves are counted there.
+certification accepts.
+
+The standing-pat screen reads the same table.  Take an agent of skill s at
+grid column c whose reward is known to be at least r, and suppose rewards
+never fall with a better position and improvement_eps >= 0.  A move must gain
+more than stay = (r - p(e_c)) + improvement_eps.  A column scoring below
+every bar earns the bottom reward L, and p never falls along the grid, so
+none of them pays unless column 0 does: L - p(e_0) > stay, with e_0 the
+first grid effort.  A column reaching bar m but no higher one earns at most
+the reward at or above that bar, cap_m, so the columns from which reaching
+it could pay, cap_m - p(e_k) > stay, are a prefix of the grid, of length
+K_m(c).  So the agent stays while every bar with K_m(c) > 0 lies strictly
+above s * g(e_{K_m(c) - 1}), by the same products a best response compares.
+The dynamics read this at e0's column with r = L for idle agents, and at an
+agent's own column with r = the top reward when its score is above the
+highest bar.
+
+A best response reads the highest and the lowest bar once: a candidate
+scoring above the highest takes the top step's reward, one scoring below the
+lowest the bottom reward, and only a score between them (or equal to one of
+them) walks the bars.  With one reward step the walk runs only on an exact
+tie.  Every move is applied in ``_StandingScores.update``, so moves are
+counted there.
 
 Certification prices few cells per agent.  Skills are quantile values, so
 finite and >= 0 (``DiscreteInstance`` checks them wherever scores are read),
@@ -279,47 +294,60 @@ class DynamicsResult:
     instance: DiscreteInstance
     cycling_agents: tuple[int, ...] = field(default_factory=tuple)
     movers_per_sweep: tuple[int, ...] = field(default_factory=tuple)
-    best_responses: int = 0  # evaluated, i.e. not skipped by the idle screen
+    best_responses: int = 0  # evaluated, i.e. not skipped by the standing-pat screen
 
 
-def _idle_screen(
+_Row = tuple[tuple[int, float], ...]
+
+
+def _standing_pat_screen(
     standing: _StandingScores,
+    grid: np.ndarray,
     grid_g: np.ndarray,
     grid_p: np.ndarray,
     k0: int,
     improvement_eps: float,
-    skills: list[float],
-) -> list[tuple[tuple[int, float], ...]] | None:
-    """Per agent, the standing bars that keep them idle at e0; None when a
-    precondition of the argument fails for this run.
+) -> tuple[_Row | None, dict[float, _Row]]:
+    """The rows of the standing-pat screen: the idle row, for an agent at e0,
+    and the top rows, keyed by grid effort, for an agent whose score is above
+    the highest bar.  (None, {}) when a precondition of the argument fails.
 
-    An entry ``((j, limit), ...)`` means: while the agent's effort is e0 and
-    ``sorted_scores[j] > limit`` for every pair, their best response is e0.
-    The bars are those of ``standing.steps`` that some grid column could pay
-    to reach, lowest first; each limit is a product skill * g(e_k) on the
-    grid table, whose column k0 is e0.  See ``best_response_dynamics`` for
-    the argument.
+    A row ``((j, unit), ...)`` means: while an agent of skill s stands at
+    that column, earning at least that reward, and ``sorted_scores[j] > s *
+    unit`` for every pair, their best response is to stay.  The bars are
+    those of ``standing.steps`` that some grid column could pay to reach,
+    lowest first; each unit is g at the last such column.  A column from
+    which a bottom-reward score could pay has no row.  See
+    ``best_response_dynamics`` for the argument.
     """
     levels = standing.position_levels
-    p_e0 = float(grid_p[k0])
     if not (
         improvement_eps >= 0.0
         # rewards never fall with a better position, so none is below the bottom one
         and all(a >= b for a, b in zip(levels, levels[1:]))
-        # p never falls along the grid, so no grid effort costs less than p(e0)
-        and grid_p[0] >= p_e0
     ):
-        return None
-    # a move must beat at least this, computed as a best response computes it
-    stay = (levels[-1] - p_e0) + improvement_eps
-    # per bar, g at the last grid column where reaching it could pay; those
-    # columns are a prefix of the grid, as p never falls along it
-    units = []
-    for j, cap in reversed(standing.steps):
-        paying = int(np.count_nonzero(cap - grid_p > stay))
-        if paying:
-            units.append((j, float(grid_g[paying - 1])))
-    return [tuple((j, skill * unit) for j, unit in units) for skill in skills]
+        return None, {}
+    bottom = levels[-1]
+    # per bar, lowest first, the negated gains of reaching it at each grid
+    # column: p never falls along the grid, so neither do they
+    bar_costs = [(j, grid_p - cap) for j, cap in reversed(standing.steps)]
+    units = grid_g.tolist()
+
+    def screen_rows(reward: float, standing_costs: np.ndarray) -> list[_Row | None]:
+        # a move must beat this, computed as a best response computes it
+        stay = (reward - standing_costs) + improvement_eps
+        rows = [None if cut else () for cut in (bottom - grid_p[0] > stay).tolist()]
+        for j, costs in bar_costs:
+            # per column, how many grid columns could pay to reach the bar: a prefix of the grid
+            paying = np.searchsorted(costs, -stay).tolist()
+            rows = [row + ((j, units[k - 1]),) if k and row is not None else row for row, k in zip(rows, paying)]
+        return rows
+
+    idle = screen_rows(bottom, grid_p[k0:k0 + 1])[0]
+    if not standing.steps:
+        return idle, {}
+    top = zip(grid.tolist(), screen_rows(standing.steps[0][1], grid_p))
+    return idle, {e: row for e, row in top if row is not None}
 
 
 def best_response_dynamics(
@@ -335,7 +363,8 @@ def best_response_dynamics(
     tolerance would stop the dynamics mid-escalation.
     Non-convergence reports the agents still moving in the final sweep.
     The result also records the movers of every sweep and how many best
-    responses were evaluated.
+    responses were evaluated.  Raises DomainError unless improvement_eps is
+    finite and max_rounds >= 1.
 
     Between reward steps the reward is flat and cost never falls along the
     grid, so a best response prices, besides idling at e0 and at 0, per
@@ -343,38 +372,53 @@ def best_response_dynamics(
     and on a tie the first above it: the cells certification prices, read
     from the same grid table.  The column is found by binary search on g and
     settled on the products skill * g(e_k) themselves, so rounding and
-    underflow cannot move it; the candidate list of each column is built once
-    per run.  Standing pat is priced first, at the (g, p) stored for each
+    underflow cannot move it.  Standing pat is priced first, at the (g, p) stored for each
     agent's standing effort, and seeds the running best; the largest gain
     wins, and among equal gains the smallest effort.  The agent moves only
     when the winner gains more than ``improvement_eps`` over standing pat,
     and the move, with the winner's score, goes through
     ``_StandingScores.update``, the one place moves are applied.  Rewards are
     read from the standing bars, the outer two first (see the module
-    docstring).  Raises ModelError unless g and p are finite and
-    nondecreasing on the grid.
+    docstring).  ``instance.efforts`` is written once, when the run ends.
+    Raises ModelError unless g and p are finite and nondecreasing on the
+    grid.
 
-    An idle screen skips the best response of an agent at e0 whose move is
+    A standing-pat screen skips the best response of an agent whose move is
     ruled out on the grid table; the trajectory is the one every best
-    response would give.  The argument: let B_1 <= ... <= B_M be the
-    reward-step bars, cap_m the reward at or above B_m, and L the bottom
-    reward.  Suppose improvement_eps >= 0, rewards never fall with a better
-    position, and grid column 0 costs no less than p(e0), so no grid effort
-    does.  Then staying at e0 earns at least L - p(e0), and a grid column
-    scoring below B_1 earns L at a cost of at least p(e0).  A column k
-    scoring at least B_m but below every higher bar earns at most cap_m, so
-    it can pay only if cap_m - p(e_k) > (L - p(e0)) + improvement_eps; as p
-    never falls along the grid, those columns are a prefix of it, of length
-    K_m.  So an idle agent of skill s stays at e0 while every bar with
-    K_m > 0 lies above s*g(e_{K_m - 1}): no column of the prefix reaches it.
-    The screen compares the products and differences that a best response
-    computes, and rounding is monotone, so it is exact.
+    response would give.  The argument, for an agent of skill s at any grid
+    column c whose reward is at least r: let B_1 <= ... <= B_M be the
+    reward-step bars, cap_m the reward at or above B_m, L the bottom reward
+    and e_k the effort of grid column k.  Suppose improvement_eps >= 0 and
+    rewards never fall with a better position.  Standing pat earns at least
+    r - p(e_c), so a move must gain more than stay = (r - p(e_c)) +
+    improvement_eps.  A grid column scoring below B_1 earns L, and p never
+    falls along the grid, so none of them pays unless the first column does,
+    L - p(e_0) > stay.  A column k scoring at least B_m but below every
+    higher bar earns at most cap_m, also on a tie, so it can pay only if
+    cap_m - p(e_k) > stay; those columns are a prefix of the grid, of length
+    K_m(c).  So, when L - p(e_0) <= stay, the agent stays while every bar
+    with K_m(c) > 0 lies above s * g(e_{K_m(c) - 1}): no column of the
+    prefix reaches it.  The screen compares the products and differences
+    that a best response computes, and rounding is monotone, so it is exact.
+    Its rows are built once per run, one binary search per bar: the idle
+    row, at e0's column with r = L, for an agent at e0; and the top row of
+    each grid column, with r = the top reward, for an agent standing there
+    whose score is above the highest bar and so takes the top reward.  An
+    agent standing off the grid has no top row.  While no agent of a run of
+    consecutive idle agents moves, the bars stay fixed across it, so a run
+    whose every bar lies above the run's largest idle limit for it is
+    skipped with one test per sweep; the runs are rebuilt after a sweep in
+    which an agent entered or left e0.
     """
+    if not math.isfinite(improvement_eps):
+        raise DomainError(f"improvement_eps must be finite, got {improvement_eps!r}")
+    if max_rounds < 1:
+        raise DomainError(f"max_rounds must be at least 1, got {max_rounds!r}")
     pop = instance.population
     n = instance.n
     standing = _StandingScores(instance, instance.scores())
     # kept current by standing.update
-    scores, sorted_scores = standing.scores, standing.sorted_scores
+    scores, sorted_scores, update = standing.scores, standing.sorted_scores, standing.update
     position_levels, steps = standing.position_levels, standing.steps
     grid, grid_g, grid_p = instance._grid_table()
     # (e, g(e), p(e)) of each grid column
@@ -382,17 +426,17 @@ def best_response_dynamics(
     e0 = float(pop.e0)
     k0 = int(np.searchsorted(grid, e0))  # e0's own grid column
     skills = instance.skill.tolist()
-    screen = _idle_screen(standing, grid_g, grid_p, k0, improvement_eps, skills)
+    idle_row, top_rows = _standing_pat_screen(standing, grid, grid_g, grid_p, k0, improvement_eps)
     grid_g, size = grid_g.tolist(), len(cells)
     # sorted_scores index of each reward-step bar, lowest first
     entry_bars = [j for j, _ in reversed(steps)]
     # idling at e0, then at effort 0, the first grid column
     resting = [cells[k0], cells[0]] if k0 else [cells[0]]
     bottom = position_levels[n]
+    # sorted_scores index of the outer bars; with no reward step both are 0, and
+    # every score takes the bottom reward
     top_j, top_reward = steps[0] if steps else (0, bottom)
     low_j = steps[-1][0] if steps else 0
-    # the outer bars; with no reward step they stay -inf and every score takes the bottom reward
-    top = low = -math.inf
 
     def walk(agent: int, s: float) -> float:
         """Reward of a score s not outside the outer bars: the first bar it is not below."""
@@ -410,69 +454,113 @@ def best_response_dynamics(
     # (e, g(e), p(e)) of each agent's standing effort, which need not lie on the grid
     # (from_schedule seeds closed-form efforts, and a caller may set any effort in p's domain)
     held = [(e, pop.g.evaluate(e), pop.p.evaluate(e)) for e in efforts]
-    # grid column k -> resting, then column k
-    by_column: dict[int, list[tuple[float, float, float]]] = {}
+    # 1 for each agent at e0, kept current as agents enter and leave e0
+    at_rest = bytearray(e == e0 for e in efforts)
+    # per bar of the idle row, each agent's limit
+    idle_limits = None if idle_row is None else [(j, [s * unit for s in skills]) for j, unit in idle_row]
+
+    def idle_runs() -> list[tuple[int, int, _Row | None]]:
+        """The agents in order, as (start, stop, limits): each maximal run of agents
+        at e0 with, per bar of the idle row, the run's largest limit; limits is
+        None for the runs of other agents.  One run of all agents without an idle row."""
+        if idle_limits is None:
+            return [(0, n, None)]
+        runs, start = [], 0
+        while start < n:
+            at_e0 = at_rest[start]
+            stop = at_rest.find(1 - at_e0, start)
+            stop = n if stop < 0 else stop
+            runs.append((start, stop, tuple((j, max(limit[start:stop])) for j, limit in idle_limits)
+                         if at_e0 else None))
+            start = stop
+        return runs
+
     last_movers: tuple[int, ...] = ()
     movers_per_sweep = []
     responses = 0
+    runs = idle_runs()
+    converged = False
     for round_no in range(1, max_rounds + 1):
         movers = []
-        for agent, skill in enumerate(skills):
-            current = efforts[agent]
-            if current == e0 and screen is not None:
-                for j, limit in screen[agent]:
+        regroup = False
+        for start, stop, limits in runs:
+            if limits is not None:
+                for j, limit in limits:
                     if not sorted_scores[j] > limit:
                         break
                 else:
-                    continue
-            responses += 1
-            if steps:
-                top, low = sorted_scores[top_j], sorted_scores[low_j]
-            # standing pat
-            best_cell = held[agent]
-            _, g_e, p_e = best_cell
-            best_score = s = g_e * skill
-            best_gain = (top_reward if s > top else bottom if s < low else walk(agent, s)) - p_e
-            current_gain, best_effort = best_gain, current
-            candidates = resting
-            if skill > 0.0:
-                for j in entry_bars:
-                    bar = sorted_scores[j]
-                    # the first column whose score is not below the bar
-                    k = bisect_left(grid_g, bar / skill)
-                    while k and grid_g[k - 1] * skill >= bar:
-                        k -= 1
-                    while k < size and grid_g[k] * skill < bar:
-                        k += 1
-                    if k == size:
-                        continue  # no grid effort reaches the bar
-                    near = by_column.get(k)
-                    if near is None:
-                        near = by_column[k] = resting + [cells[k]]
-                    candidates = near if candidates is resting else candidates + near[len(resting):]
-                    if grid_g[k] * skill == bar:
-                        # a score tying the bar takes its full position: price the first column above it too
-                        k += 1
-                        while k < size and grid_g[k] * skill <= bar:
+                    continue  # nobody in this idle run moves
+            for agent in range(start, stop):
+                current = efforts[agent]
+                skill = skills[agent]
+                top = sorted_scores[top_j]
+                if current == e0:
+                    row = idle_row
+                elif scores[agent] > top:
+                    row = top_rows.get(current)
+                else:
+                    row = None
+                if row is not None:
+                    for j, unit in row:
+                        if not sorted_scores[j] > skill * unit:
+                            break
+                    else:
+                        continue
+                responses += 1
+                low = sorted_scores[low_j]
+                # standing pat
+                best_cell = held[agent]
+                _, g_e, p_e = best_cell
+                best_score = s = g_e * skill
+                best_gain = (top_reward if s > top else bottom if s < low else walk(agent, s)) - p_e
+                current_gain, best_effort = best_gain, current
+                for cell in resting:
+                    e, g_e, p_e = cell
+                    s = g_e * skill
+                    gain = (top_reward if s > top else bottom if s < low else walk(agent, s)) - p_e
+                    if gain > best_gain or (gain == best_gain and e < best_effort):
+                        best_gain, best_effort, best_score, best_cell = gain, e, s, cell
+                if skill > 0.0:
+                    for j in entry_bars:
+                        bar = sorted_scores[j]
+                        # the first column whose score is not below the bar
+                        k = bisect_left(grid_g, bar / skill)
+                        while k and grid_g[k - 1] * skill >= bar:
+                            k -= 1
+                        while k < size and grid_g[k] * skill < bar:
                             k += 1
-                        if k < size:
-                            candidates = candidates + [cells[k]]
-            for cell in candidates:
-                e, g_e, p_e = cell
-                s = g_e * skill
-                gain = (top_reward if s > top else bottom if s < low else walk(agent, s)) - p_e
-                if gain > best_gain or (gain == best_gain and e < best_effort):
-                    best_gain, best_effort, best_score, best_cell = gain, e, s, cell
-            if best_gain > current_gain + improvement_eps and best_effort != current:
-                efforts[agent] = instance.efforts[agent] = best_effort
-                held[agent] = best_cell
-                standing.update(agent, scores[agent], best_score)
-                movers.append(agent)
+                        # price column k and, while its score ties the bar, the first column above it
+                        while k < size:
+                            cell = cells[k]
+                            e, g_e, p_e = cell
+                            s = g_e * skill
+                            gain = (top_reward if s > top else bottom if s < low else walk(agent, s)) - p_e
+                            if gain > best_gain or (gain == best_gain and e < best_effort):
+                                best_gain, best_effort, best_score, best_cell = gain, e, s, cell
+                            if s != bar:
+                                break
+                            # a score tying the bar takes its full position
+                            k += 1
+                            while k < size and grid_g[k] * skill <= bar:
+                                k += 1
+                if best_gain > current_gain + improvement_eps and best_effort != current:
+                    efforts[agent] = best_effort
+                    held[agent] = best_cell
+                    update(agent, scores[agent], best_score)
+                    movers.append(agent)
+                    if current == e0 or best_effort == e0:
+                        at_rest[agent] = best_effort == e0
+                        regroup = True
         movers_per_sweep.append(len(movers))
         if not movers:
-            return DynamicsResult(True, round_no, instance, (), tuple(movers_per_sweep), responses)
+            converged = True
+            break
         last_movers = tuple(movers)
-    return DynamicsResult(False, max_rounds, instance, last_movers, tuple(movers_per_sweep), responses)
+        if regroup:
+            runs = idle_runs()
+    instance.efforts[:] = efforts
+    return DynamicsResult(converged, round_no, instance, () if converged else last_movers,
+                          tuple(movers_per_sweep), responses)
 
 
 @dataclass(frozen=True)

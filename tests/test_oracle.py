@@ -467,12 +467,34 @@ def test_bit_identity_cases_exercise_ties_and_truncation(benchmark_population):
     assert not result.converged and result.cycling_agents
 
 
-# -- the idle screen ----------------------------------------------------------
+# -- the standing-pat screen -------------------------------------------------
 #
-# best_response_dynamics skips the best responses of idle agents that provably
-# stay at e0.  These tests hold it to the scalar reference above, which
-# evaluates every best response, on instances chosen to switch the screen off
-# as well as on.
+# best_response_dynamics skips the best responses of agents that provably
+# stand pat: idle agents at e0, alone or in runs, and agents above the highest
+# bar.  These tests hold it to the scalar reference above, which evaluates
+# every best response, on instances chosen to switch the screen off as well
+# as on.
+
+
+def _screen(instance, improvement_eps=1e-12):
+    """The idle row and the top rows of the standing-pat screen on the instance's profile."""
+    grid, grid_g, grid_p = instance._grid_table()
+    standing = oracle._StandingScores(instance, instance.scores())
+    k0 = int(np.searchsorted(grid, instance.population.e0))
+    return oracle._standing_pat_screen(standing, grid, grid_g, grid_p, k0, improvement_eps)
+
+
+def _spy_moves(monkeypatch):
+    """Record every move best_response_dynamics applies, as (agent, old score, new score)."""
+    moves = []
+    update = oracle._StandingScores.update
+
+    def spied(self, *args):
+        moves.append(args)
+        update(self, *args)
+
+    monkeypatch.setattr(oracle._StandingScores, "update", spied)
+    return moves
 
 
 def test_movers_per_sweep_count_the_reference_moves(benchmark_population, monkeypatch):
@@ -500,7 +522,7 @@ def test_idle_screen_fires_on_the_cold_start(benchmark_population):
     assert result.converged
     assert result.best_responses < result.rounds * inst.n / 2
     # the scalar reference records neither count, so both are pinned
-    assert (result.rounds, result.best_responses, sum(result.movers_per_sweep)) == (1525, 110_269, 77_661)
+    assert (result.rounds, result.best_responses, sum(result.movers_per_sweep)) == (1525, 78_834, 77_661)
 
 
 def test_idle_screen_off_for_decreasing_levels(benchmark_population):
@@ -522,9 +544,15 @@ def _increasing_cost_below_e0():
 
 
 def test_idle_screen_off_when_effort_below_e0_is_cheaper():
-    inst = DiscreteInstance.stratified(_increasing_cost_below_e0(), two_level(0.8, 0.2), 20, 1e-2)
-    result = best_response_dynamics(inst, max_rounds=1)
-    assert result.best_responses == inst.n
+    """Idling at effort 0 costs less than idling at e0 = 0.2, so a bottom-reward
+    column pays from e0: the screen has no idle row, and the run is the reference's."""
+    fast, ref = (DiscreteInstance.stratified(_increasing_cost_below_e0(), two_level(0.8, 0.2), 20, 1e-2)
+                 for _ in range(2))
+    assert _screen(fast)[0] is None
+    got = best_response_dynamics(fast, max_rounds=1)
+    want = reference_best_response_dynamics(ref, max_rounds=1)
+    assert (got.converged, got.rounds, got.cycling_agents) == (want.converged, want.rounds, want.cycling_agents)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
 
 
 def test_idle_screen_off_for_a_negative_tolerance():
@@ -577,7 +605,7 @@ def test_idle_screen_bit_identical_on_rank_check_instance():
     assert fast.efforts.tobytes() == ref.efforts.tobytes()
     assert got.best_responses < got.rounds * fast.n
     # the scalar reference records neither count, so both are pinned
-    assert got.best_responses == 20_370
+    assert got.best_responses == 18_217
     assert (len(got.movers_per_sweep), sum(got.movers_per_sweep)) == (182, 18_112)
     assert got.movers_per_sweep[:12] == (160, 200, 200, 200, 200, 200, 200, 200, 200, 199, 199, 197)
     assert got.movers_per_sweep[-12:] == (2, 2, 2, 1, 2, 2, 1, 2, 2, 2, 1, 0)
@@ -615,6 +643,127 @@ def test_idle_screen_keeps_the_reference_error(benchmark_population):
         assert fast.efforts[3] == 0.0
 
 
+def test_top_screen_lets_a_top_agent_shade_down_to_a_fallen_bar(monkeypatch):
+    """Agent 3 stands at 1.0, above the top bar 0.9375, and its top row lets it stay
+    while that bar is above 0.875.  In the sweep agent 0 drops out, the bar falls to
+    0.25, agents 1 and 2 bid it up to 0.375, and agent 3, now able to shade down,
+    must be evaluated: it moves to 0.5, the first column above the bar."""
+    def build():
+        return _unit_agents((0.0, 1.0), (0.5,), [0.75, 1.0, 1.0, 1.0], [1.25, 0.0, 0.25, 1.0])
+
+    fast, ref = build(), build()
+    assert sorted(fast.scores())[2] == 0.9375  # the top bar, above the limit 1.0 * 0.875
+    assert _screen(fast)[1][1.0] == ((2, 0.875),)
+    reference_best_response_dynamics(ref, max_rounds=1)
+    moves = _spy_moves(monkeypatch)
+    got = best_response_dynamics(fast, max_rounds=1)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert fast.efforts.tolist() == [0.0, 0.25, 0.375, 0.5]
+    assert moves[-1] == (3, 1.0, 0.5) and got.best_responses == 4
+
+
+@pytest.mark.parametrize("skills, efforts, first_moves", [
+    # agent 0 ties the bar held by agents 1 and 2 and, by the index tie-break, takes its position
+    ([1.0, 1.0, 1.0, 0.0], [0.875, 0.75, 0.75, 0.0], [(0, 0.875, 0.75)]),
+    # agent 3 would tie the bar held by agent 1, which outranks it, so it stays
+    ([0.0, 1.0, 0.0, 1.0], [0.0, 0.75, 0.0, 0.875], []),
+], ids=["tie_won", "tie_lost"])
+def test_top_screen_leaves_a_tie_with_the_top_bar_to_the_best_response(monkeypatch, skills, efforts, first_moves):
+    """The top agent stands at 0.875 and the top bar is 0.75, the score of the last
+    cheaper column that could pay: its top row needs the bar strictly above that
+    limit, so the best response decides the tie."""
+    def build():
+        return _unit_agents((0.0, 1.0), (0.5,), skills, efforts)
+
+    fast, ref = build(), build()
+    assert _screen(fast)[1][0.875] == ((2, 0.75),) and sorted(fast.scores())[2] == 0.75
+    reference_best_response_dynamics(ref, max_rounds=1)
+    moves = _spy_moves(monkeypatch)
+    best_response_dynamics(fast, max_rounds=1)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert moves[:1] == first_moves
+
+
+def test_top_screen_skips_up_to_the_move_threshold():
+    """Agent 3, at 0.875 above the top bar 0.5625, gains exactly 0.375 by shading
+    down to 0.625.  With that gain as the tolerance the move does not pay and agent 3
+    is screened; 2^-40 lower it pays, and agent 3 is evaluated and moves."""
+    for eps, responses, effort in ((0.375, 1, 0.875), (0.375 - 2.0 ** -40, 2, 0.625)):
+        fast, ref = (_unit_agents((0.0, 1.0), (0.5,), [0.0, 0.75, 0.0, 1.0], [0.0, 0.75, 0.0, 0.875])
+                     for _ in range(2))
+        got = best_response_dynamics(fast, max_rounds=1, improvement_eps=eps)
+        reference_best_response_dynamics(ref, max_rounds=1, improvement_eps=eps)
+        assert fast.efforts.tobytes() == ref.efforts.tobytes()
+        assert (got.best_responses, fast.efforts[3]) == (responses, effort)
+
+
+def test_top_screen_leaves_an_agent_one_band_down_to_climb(monkeypatch):
+    """Three reward levels.  Agent 1, at 0.375 in the middle band, is above the
+    middle bar 0.25 and below the top bar 0.625, and climbs to the top band by
+    tying that bar ahead of agent 2.  The top row of 0.375, which holds only for
+    the top reward, would keep agent 1 there: the screen must not read it below
+    the top bar."""
+    def build():
+        return _unit_agents((0.0, 0.5, 1.0), (0.3, 0.7), [0.0] + [1.0] * 5, [0.0, 0.375, 0.625, 0.875, 0.25, 0.0])
+
+    fast, ref = build(), build()
+    steps = oracle._StandingScores(fast, fast.scores()).steps
+    assert [(j, sorted(fast.scores())[j]) for j, _ in steps] == [(4, 0.625), (2, 0.25)]
+    assert _screen(fast)[1][0.375] == ((4, 0.25),)
+    reference_best_response_dynamics(ref, max_rounds=1)
+    moves = _spy_moves(monkeypatch)
+    best_response_dynamics(fast, max_rounds=1)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert moves[0] == (1, 0.375, 0.625)
+    _assert_oracle_matches_reference(fast, ref, 200, 1e-12)
+
+
+def test_idle_runs_follow_an_agent_that_leaves_e0():
+    """Agent 0 enters the band from e0 in the first sweep, at 0.5, and agents 2 and 3
+    bid the top bar up to 1.0, above agent 0's idle limit 0.875.  In the second
+    sweep agent 0, no longer idle, drops back to e0: the idle runs must have been
+    rebuilt, or agent 0's run would pass its test and be skipped."""
+    def build():
+        return _unit_agents((0.0, 1.0), (0.5,), [1.0, 4.0, 4.0, 4.0], [0.0, 0.125, 0.125, 0.0])
+
+    fast, ref = build(), build()
+    assert _screen(fast)[0] == ((2, 0.875),)
+    want = reference_best_response_dynamics(ref, max_rounds=2)
+    got = best_response_dynamics(fast, max_rounds=2)
+    assert (got.converged, got.rounds, got.cycling_agents) == (want.converged, want.rounds, want.cycling_agents)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert fast.efforts[0] == 0.0 and got.movers_per_sweep[0] == 3
+
+
+def test_screen_off_for_decreasing_levels_on_a_warm_profile():
+    """Rewards that fall with a better position: no row at all, so the agent above
+    the highest bar is evaluated too, in every sweep, as in the reference."""
+    def build():
+        return _unit_agents((1.0, 0.0), (0.5,), [1.0, 1.0, 1.0, 1.0], [0.0, 0.25, 0.5, 0.875])
+
+    fast, ref = build(), build()
+    assert _screen(fast) == (None, {})
+    got = best_response_dynamics(fast, max_rounds=50)
+    want = reference_best_response_dynamics(ref, max_rounds=50)
+    assert (got.converged, got.rounds, got.cycling_agents) == (want.converged, want.rounds, want.cycling_agents)
+    assert fast.efforts.tobytes() == ref.efforts.tobytes()
+    assert got.best_responses == got.rounds * fast.n
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"improvement_eps": math.nan}, {"improvement_eps": math.inf}, {"improvement_eps": -math.inf},
+    {"max_rounds": 0}, {"max_rounds": -3},
+], ids=["eps_nan", "eps_inf", "eps_minus_inf", "max_rounds_0", "max_rounds_negative"])
+def test_dynamics_reject_a_non_finite_tolerance_or_no_sweep(benchmark_population, kwargs):
+    """A NaN or infinite tolerance let nobody move, so the run reported convergence
+    after one sweep; max_rounds=-3 returned rounds=-3.  A negative finite tolerance
+    stays legal."""
+    inst = DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 10, 1e-2)
+    with pytest.raises(DomainError, match="improvement_eps|max_rounds"):
+        best_response_dynamics(inst, **kwargs)
+    assert best_response_dynamics(inst, max_rounds=1, improvement_eps=-1e-12).rounds == 1
+
+
 _SKILLS = [
     Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
     PiecewiseMonotone(((0.0, 0.0), (0.3, 0.5), (1.0, 1.2)), role=Role.SKILL_QUANTILE),
@@ -638,13 +787,13 @@ _COSTS = [  # (p, e0) with p(e0) = 0
 
 
 @st.composite
-def _policies(draw):
-    """1-4 levels, non-decreasing, decreasing or shuffled, duplicates allowed."""
-    k = draw(st.integers(1, 4))
+def _policies(draw, min_k=1, orders=("non-decreasing", "decreasing", "shuffled")):
+    """min_k-4 levels, in one of ``orders``, duplicates allowed."""
+    k = draw(st.integers(min_k, 4))
     cutpoints = sorted(draw(st.lists(st.sampled_from([0.1, 0.3, 0.45, 0.6, 0.75, 0.9]),
                                      min_size=k - 1, max_size=k - 1, unique=True)))
     levels = sorted(draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), min_size=k, max_size=k)))
-    order = draw(st.sampled_from(["non-decreasing", "decreasing", "shuffled"]))
+    order = draw(st.sampled_from(orders))
     if order == "decreasing":
         levels.reverse()
     elif order == "shuffled":
@@ -760,6 +909,51 @@ def _tied_instances(draw):
 @settings(max_examples=_examples(60), deadline=None)
 @given(build=_tied_instances(), max_rounds=st.integers(1, 100), eps=st.sampled_from([1e-12, 0.0]))
 def test_bars_bit_identical_on_tied_profiles(build, max_rounds, eps):
+    _assert_oracle_matches_reference(build(), build(), max_rounds, eps)
+
+
+@st.composite
+def _near_bar_profiles(draw):
+    """Warm grid profiles whose agents hold, per a drawn choice, the first grid column
+    where their score reaches a bar of a draft profile, or the column either side of
+    it: top-band agents just above a bar, and agents a column short of one.
+    Levels never fall and there is a reward step, so the screen is on."""
+    policy = draw(_policies(min_k=2, orders=("non-decreasing",)))
+    p, e0 = draw(st.sampled_from(_COSTS))
+    population = PopulationSpec(f=Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+                                g=draw(st.sampled_from(_DYADIC_TRANSFERS + _TRANSFERS)), p=p, e0=e0)
+    n = draw(st.integers(1, 24))
+    delta_e = draw(st.sampled_from([1 / 8, 1 / 16, 1e-2, 3e-2]))
+    skills = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), st.floats(0.0, 2.0)),
+                           min_size=n, max_size=n))
+    draft = draw(st.lists(st.integers(0, 200), min_size=n, max_size=n))
+    # per agent, the draft column, or (which bar, column offset -1, 0 or 1)
+    near = draw(st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 3), st.sampled_from([-1, 0, 1]))),
+                         min_size=n, max_size=n))
+
+    def build():
+        inst = DiscreteInstance.stratified(population, policy, n, delta_e)
+        inst.skill = np.asarray(skills, dtype=float)  # any order: the index tie-break matters
+        grid, grid_g, _ = inst._grid_table()
+        inst.efforts = grid[np.asarray(draft) % len(grid)]
+        steps = oracle._StandingScores(inst, inst.scores()).steps
+        bars = np.sort(inst.scores())[[j for j, _ in steps]]
+        efforts = inst.efforts.copy()
+        for agent, choice in enumerate(near):
+            if choice is not None and len(bars):
+                which, offset = choice
+                reached = np.flatnonzero(inst.skill[agent] * grid_g >= bars[which % len(bars)])
+                k = reached[0] if len(reached) else len(grid) - 1
+                efforts[agent] = grid[min(max(k + offset, 0), len(grid) - 1)]
+        inst.efforts = efforts
+        return inst
+
+    return build
+
+
+@settings(max_examples=_examples(60), deadline=None)
+@given(build=_near_bar_profiles(), max_rounds=st.integers(1, 100), eps=st.sampled_from([1e-12, 0.0, 1e-3]))
+def test_screen_bit_identical_near_the_bars(build, max_rounds, eps):
     _assert_oracle_matches_reference(build(), build(), max_rounds, eps)
 
 
