@@ -5,6 +5,10 @@ profiles need not be concave for arbitrary primitives, so no derivative-based
 method is used.  The three-level search looks for step policies with an
 intermediate admission tier that beat non-randomized admissions on private
 utility, which requires a sufficiently heavy-tailed skill distribution.
+Both price many policies in one ``band_utilities`` call (the search all its
+candidates, the optimizer the grid of the two closed-form objectives) and
+evaluate the winner again with scalar ``solve``, so they return what one
+scalar evaluation per policy would.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .equilibrium import solve
 from .errors import CapacityError, DomainError
 from .functions import PopulationSpec
-from .policy import RewardPolicy, two_level, validate
-from .welfare import applicant_welfare, private_utility, societal_utility
+from .policy import CAPACITY_TOL, RewardPolicy, two_level, validate
+from .welfare import applicant_welfare, band_utilities, private_utility, societal_utility
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINTS = 200
@@ -54,6 +60,19 @@ def _objective_fn(population: PopulationSpec, capacity: float, objective: Object
     return value_at
 
 
+# which of band_utilities' (societal, private) arrays holds each batched objective
+_BATCHED = {Objective.SOCIETAL_UTILITY: 0, Objective.PRIVATE_UTILITY: 1}
+
+
+def _grid_values(population: PopulationSpec, capacity: float, objective: Objective, cs: list[float], value_at):
+    """The objective at two-level cutoffs cs > 0; closed-form objectives in one batch."""
+    if objective not in _BATCHED:
+        return [value_at(c) for c in cs]
+    c = np.array(cs)
+    levels = np.stack((np.zeros_like(c), np.minimum(capacity / (1.0 - c), 1.0)), axis=1)  # two_level(c)'s levels
+    return band_utilities(population, levels, c[:, None])[_BATCHED[objective]].tolist()
+
+
 def optimize_two_level(
     population: PopulationSpec, capacity: float, objective: Objective
 ) -> OptimizeResult:
@@ -61,20 +80,24 @@ def optimize_two_level(
 
     c = 0 (pure randomization) is included as a boundary candidate.  A
     200-point grid locates the best cell; golden-section search narrows the
-    cutoff to within 1e-6.
+    cutoff to within 1e-6.  Societal and private utility price the grid's
+    cutoffs c > 0 in one ``band_utilities`` call, exact to rounding, and the
+    best one again with scalar ``solve``; applicant welfare, c = 0 and the
+    golden-section search take one scalar ``solve`` per cutoff.
     """
     if not (0.0 < capacity < 1.0):
         raise DomainError(f"capacity {capacity!r} outside (0, 1)")
     value_at = _objective_fn(population, capacity, objective)
     hi = 1.0 - capacity
     cs = [0.0] + [hi * i / GRID_POINTS for i in range(1, GRID_POINTS + 1)]
-    profile = [(c, value_at(c)) for c in cs]
+    profile = list(zip(cs, [value_at(0.0)] + _grid_values(population, capacity, objective, cs[1:], value_at)))
     best = max(range(len(profile)), key=lambda i: profile[i][1])
     lo_b = cs[max(best - 1, 0)]
     hi_b = cs[min(best + 1, len(cs) - 1)]
     c_star, v_star = _golden_max(value_at, lo_b, hi_b)
-    if profile[best][1] > v_star:
-        c_star, v_star = profile[best]
+    best_value = value_at(cs[best]) if objective in _BATCHED else profile[best][1]
+    if best_value > v_star:
+        c_star, v_star = cs[best], best_value
     return OptimizeResult(c_star, v_star, tuple(profile))
 
 
@@ -165,57 +188,70 @@ class ThreeLevelSearchResult:
         return self.value - self.baseline
 
 
+def _three_level_candidates(capacity: float, budget: int, seed: int) -> tuple[np.ndarray, ...]:
+    """(x, c1, c2) of every candidate the budget pays for, in search order.
+
+    The capacity identity x*(c2-c1) + (1-c2) = capacity pins c1; a pair
+    (x, c2) is feasible when 0 < c1 < c2 < 1.  x is in (0, 1), so a spare
+    capacity <= 0 gives c1 >= c2, which is infeasible.
+    """
+
+    def feasible(x, c2):
+        c1 = c2 - (capacity - (1.0 - c2)) / x
+        return c1, (0.0 < c1) & (c1 < c2) & (c2 < 1.0)
+
+    lattice = max(2, int(math.isqrt(budget // 2)))
+    x = np.repeat((np.arange(lattice) + 0.5) / lattice, lattice)
+    c2 = np.tile(1.0 - capacity + capacity * (np.arange(lattice) + 0.5) / lattice, lattice)
+    # a budget below 4 ends inside the smallest, 2 x 2 lattice
+    keep = np.flatnonzero(feasible(x, c2)[1])[:budget]
+    rng = random.Random(seed)
+    draws = [
+        (rng.uniform(1e-3, 1.0 - 1e-3), rng.uniform(1.0 - capacity + 1e-6, 1.0 - 1e-6))
+        for _ in range(budget - len(keep))
+    ]
+    drawn = np.array(draws).reshape(-1, 2)
+    x = np.concatenate((x[keep], drawn[:, 0]))
+    c2 = np.concatenate((c2[keep], drawn[:, 1]))
+    c1, ok = feasible(x, c2)  # an infeasible draw still consumed its budget unit
+    return x[ok], c1[ok], c2[ok]
+
+
 def find_three_level_improvement(
     population: PopulationSpec,
     capacity: float,
     search_budget: int,
     seed: int = 0,
 ) -> ThreeLevelSearchResult | None:
-    """Search (x, c1, c2) for a three-level policy beating non-randomization.
+    """Search (x, c1, c2) for a three-level policy (0, x, 1) beating non-randomization.
 
-    Half the budget goes to a lattice over (x, c2) with c1 solved from the
-    capacity identity, the rest to seeded random draws.  Returns the best
-    policy if it improves private utility by more than 1e-6, else None.
+    Each candidate picks (x, c2) and solves c1 from the capacity identity;
+    it is feasible when 0 < c1 < c2 < 1.  The budget counts candidates:
+    first the feasible points, in order, of an L x L lattice over (x, c2)
+    with L = max(2, isqrt(budget // 2)), at most ``search_budget`` of them;
+    then one seeded draw per remaining unit, which consumes its unit
+    whether feasible or not.  The feasible candidates that pass
+    ``validate``'s checks are priced in one ``band_utilities`` call; the
+    first maximum is re-evaluated with scalar ``solve`` and
+    ``private_utility``, which give the returned value.  Returns that policy
+    if it improves private utility by more than 1e-6, else None.
     """
     if search_budget < 1:
         return None
     baseline = private_utility(solve(population, two_level(1.0 - capacity, capacity)))
-    rng = random.Random(seed)
-    best: ThreeLevelSearchResult | None = None
-    evals = 0
-
-    def consider(x: float, c2: float) -> None:
-        nonlocal best, evals
-        if evals >= search_budget:  # a budget below 4 ends inside the smallest, 2 x 2 lattice
-            return
-        # capacity identity pins c1: x*(c2-c1) + (1-c2) = capacity; x is in
-        # (0, 1), so a spare capacity <= 0 gives c1 >= c2, rejected below
-        spare = capacity - (1.0 - c2)
-        c1 = c2 - spare / x
-        if not (0.0 < c1 < c2 < 1.0):
-            return
-        evals += 1
-        try:
-            policy = three_level_policy(x, c1, c2, capacity)
-            value = private_utility(solve(population, policy))
-        except (DomainError, CapacityError):
-            return
-        if best is None or value > best.value:
-            best = ThreeLevelSearchResult(policy, x, c1, c2, value, baseline)
-
-    lattice = max(2, int(math.isqrt(search_budget // 2)))
-    for i in range(lattice):
-        x = (i + 0.5) / lattice
-        for j in range(lattice):
-            c2 = 1.0 - capacity + capacity * (j + 0.5) / lattice
-            consider(x, c2)
-    while evals < search_budget:
-        x = rng.uniform(1e-3, 1.0 - 1e-3)
-        c2 = rng.uniform(1.0 - capacity + 1e-6, 1.0 - 1e-6)
-        before = evals
-        consider(x, c2)
-        if evals == before:  # infeasible draw still consumes budget
-            evals += 1
-    if best is not None and best.margin > 1e-6:
-        return best
+    x, c1, c2 = _three_level_candidates(capacity, search_budget, seed)
+    # validate's checks that the construction leaves open; the mass is summed
+    # in expected_reward's order, 0*c1 + x*(c2 - c1) + 1*(1 - c2)
+    valid = (0.0 < x) & (x < 1.0) & (np.abs(x * (c2 - c1) + (1.0 - c2) - capacity) <= CAPACITY_TOL)
+    x, c1, c2 = x[valid], c1[valid], c2[valid]
+    if not len(x):
+        return None
+    levels = np.stack((np.zeros_like(x), x, np.ones_like(x)), axis=1)
+    _, values = band_utilities(population, levels, np.stack((c1, c2), axis=1))
+    best = int(np.argmax(values))
+    x, c1, c2 = float(x[best]), float(c1[best]), float(c2[best])
+    policy = three_level_policy(x, c1, c2, capacity)
+    value = private_utility(solve(population, policy))
+    if value - baseline > 1e-6:
+        return ThreeLevelSearchResult(policy, x, c1, c2, value, baseline)
     return None

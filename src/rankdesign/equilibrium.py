@@ -14,7 +14,8 @@ max(g_inverse(floor / f(theta)), e0): above its switch point the band idles
 at e0.  ``solve`` computes each band's floor and idle transfer g(e0) once and
 stores them on its ``BandSolution``; ``_band_effort`` and ``_band_score`` are
 the one band formula every other module reads, for a rank or an array of
-ranks.  No grid is built.
+ranks.  No grid is built.  ``solve_bands`` runs the same recursion for a
+batch of equal-K policies at once, as arrays of band constants.
 """
 
 from __future__ import annotations
@@ -130,6 +131,75 @@ def solve(population: PopulationSpec, policy: RewardPolicy) -> EquilibriumSchedu
         threshold = population.cost_inverse(population.p.evaluate(boundary_effort) + jump)
         bands.append(_entered_band(population, k, lo, hi, threshold, idle))
     return EquilibriumSchedule(population, policy, tuple(bands))
+
+
+@dataclass(frozen=True)
+class BandArrays:
+    """``BandSolution``'s constants for a batch of equal-K policies.
+
+    Each array has one row per policy and one column per band.  Band 0's
+    threshold effort and floor, and every absent switch point, are NaN.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    threshold_effort: np.ndarray
+    switch_point: np.ndarray
+    floor: np.ndarray
+    idle: float
+
+
+def _boundary_efforts(pop: PopulationSpec, floor: np.ndarray, theta: np.ndarray, idle: float) -> np.ndarray:
+    """``_band_effort``'s scalar branch at rank theta of rows whose band has a floor: e0 where it idles."""
+    target = floor / pop.f.evaluate(theta)
+    entered = target > idle
+    effort = np.full_like(target, pop.e0)
+    try:
+        effort[entered] = pop.g.invert(target[entered])
+    except RangeError as exc:
+        raise ModelError(f"a score target outside the image of the effort transfer: {exc}") from exc
+    return effort
+
+
+def _switch_points(pop: PopulationSpec, floor: np.ndarray, lo: np.ndarray, hi: np.ndarray, idle: float) -> np.ndarray:
+    """``_entered_band``'s switch points, NaN where absent.
+
+    f increases, so f_inverse(floor / idle) lies in (lo, hi) only where
+    floor / idle lies in (f(lo), f(hi)); only those rows are inverted.
+    """
+    switch = np.full_like(floor, np.nan)
+    if idle > 0.0:
+        y = floor / idle
+        inside = (pop.f.evaluate(lo) < y) & (y < pop.f.evaluate(hi))
+        theta = pop.f.invert(y[inside])
+        switch[inside] = np.where((lo[inside] < theta) & (theta < hi[inside]), theta, np.nan)
+    return switch
+
+
+def solve_bands(population: PopulationSpec, levels: np.ndarray, cutpoints: np.ndarray) -> BandArrays:
+    """``solve``'s band recursion for a batch of valid policies with equal K.
+
+    ``levels`` is (n, K) and ``cutpoints`` (n, K-1), one policy per row; the
+    caller validates them.  A row agrees with ``solve`` to rounding (numpy's
+    pow against libm's).  If ``solve`` raises ModelError on any row, so does
+    the batch.
+    """
+    n, k_levels = levels.shape
+    bounds = np.hstack((np.zeros((n, 1)), cutpoints, np.ones((n, 1))))
+    lo, hi = bounds[:, :-1], bounds[:, 1:]
+    threshold = np.full((n, k_levels), np.nan)
+    floor = np.full((n, k_levels), np.nan)
+    switch = np.full((n, k_levels), np.nan)
+    idle = population.g.evaluate(population.e0)
+    boundary = np.full(n, population.e0)  # band 0 idles at e0
+    for k in range(1, k_levels):
+        if k > 1:
+            boundary = _boundary_efforts(population, floor[:, k - 1], lo[:, k], idle)
+        jump = levels[:, k] - levels[:, k - 1]
+        threshold[:, k] = population.cost_inverse(population.p.evaluate(boundary) + jump)
+        floor[:, k] = _transfer_at(population, threshold[:, k]) * population.f.evaluate(lo[:, k])
+        switch[:, k] = _switch_points(population, floor[:, k], lo[:, k], hi[:, k], idle)
+    return BandArrays(lo, hi, threshold, switch, floor, idle)
 
 
 def effort_at(schedule: EquilibriumSchedule, theta: float) -> float:

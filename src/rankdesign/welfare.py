@@ -12,13 +12,17 @@ forms in the exact integral of f.  Only the effort cost needs quadrature, of
 p applied to the band formula ``_band_effort``, and only below the switch
 point: above it, and in band 0, effort idles at e0 and p(e0) = 0.  The cost
 quadrature splits at every kink the primitives put into the band.
+``band_utilities`` evaluates the two closed forms for a batch of policies in
+one array pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equilibrium import EquilibriumSchedule, _band_effort, _band_score  # noqa: F401
+import numpy as np
+
+from .equilibrium import EquilibriumSchedule, _band_effort, _band_score, solve_bands  # noqa: F401
 from .errors import DomainError, RangeError
 from .quadrature import geometric_breakpoints, integrate_piecewise
 
@@ -100,6 +104,30 @@ def _band_score_integral(schedule: EquilibriumSchedule, k: int) -> float:
     m = _floor_end(schedule, k)
     floor = 0.0 if band.floor is None else band.floor
     return floor * (m - band.lo) + band.idle * pop.f.integral(m, band.hi)
+
+
+def band_utilities(population, levels: np.ndarray, cutpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Societal and private utility of each row of a batch of valid equal-K policies.
+
+    The batch form of ``societal_utility`` and ``private_utility``: bands
+    from ``solve_bands``, each band's score integral from the closed form of
+    ``_band_score_integral`` and ``_floor_end``, summed in the same order.
+    """
+    bands = solve_bands(population, levels, cutpoints)
+    f, idle = population.f, bands.idle
+    societal = private = np.zeros(len(levels))
+    for k in range(levels.shape[1]):
+        lo, hi, floor = bands.lo[:, k], bands.hi[:, k], bands.floor[:, k]
+        if k == 0:
+            m, floor = lo, 0.0
+        else:
+            switch = bands.switch_point[:, k]
+            one_branch = np.where(idle * f.evaluate(hi) <= floor, hi, lo)
+            m = np.where(np.isnan(switch), one_branch, switch)
+        score = floor * (m - lo) + idle * f.integral(m, hi)
+        societal = societal + score
+        private = private + levels[:, k] * score  # a zero level adds exactly 0, as skipping it does
+    return societal, private
 
 
 def total_effort_cost(schedule: EquilibriumSchedule) -> tuple[float, float]:

@@ -26,6 +26,7 @@ def identity_population():
     )
 
 
-# CI reruns the oracle equivalence property tests of tests/test_oracle.py with
-# ``--hypothesis-profile oracle-deep``: five times their local example budget.
+# CI reruns the equivalence property tests of tests/test_oracle.py and
+# tests/test_batch.py with ``--hypothesis-profile oracle-deep``: five times
+# their local example budget.
 settings.register_profile("oracle-deep", max_examples=300)

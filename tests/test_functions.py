@@ -324,3 +324,37 @@ def test_piecewise_scalar_evaluate_returns_knot_ys_exactly():
     for x, y in spec.knots:
         assert spec.evaluate(x) == y
         assert spec.invert(y) == x
+
+
+@pytest.mark.parametrize("spec", PIECEWISE_SPECS)
+def test_piecewise_array_integral_matches_scalar(spec):
+    xs = [x for x, _ in spec.knots]
+    lo, hi = xs[0], xs[-1]
+    rng = np.random.default_rng(37)
+    pairs = [
+        (lo, hi), (hi, lo), (xs[1], xs[-2]), (xs[1], xs[1]), (lo, xs[1]),  # limits on knots
+        (0.5 * (xs[0] + xs[1]), 0.25 * xs[0] + 0.75 * xs[1]),  # inside one segment
+        (0.5 * (xs[0] + xs[1]), 0.5 * (xs[-2] + xs[-1])),  # across every interior knot
+        (xs[1], 0.5 * (xs[-2] + xs[-1])), (0.5 * (xs[0] + xs[1]), xs[-2]),
+    ] + [tuple(rng.uniform(lo, hi, 2)) for _ in range(200)]
+    a, b = (np.array(v) for v in zip(*pairs))
+    scale = spec.integral(lo, hi) - 2.0 * min(0.0, spec.evaluate(lo)) * (hi - lo)  # bounds the integral of |f|
+    got = spec.integral(a, b)
+    for (x, y), value in zip(pairs, got):
+        assert value == pytest.approx(spec.integral(float(x), float(y)), rel=1e-13, abs=4e-16 * scale)
+    with pytest.raises(DomainError):
+        spec.integral(np.array([lo, hi]), np.array([hi, hi + 1.0]))
+
+
+def test_cost_inverse_takes_arrays():
+    pops = [
+        PopulationSpec(Power(2.0, 1.0), Power(1.0, 0.5), Power(1.0, 2.0)),
+        PopulationSpec(Power(1.0, 1.0), Power(1.0, 0.5), PIECEWISE),
+    ]
+    for pop in pops:
+        ys = np.array([0.0, 0.25, 1.0, 3.5])
+        assert pop.cost_inverse(ys).tolist() == pytest.approx([pop.cost_inverse(float(y)) for y in ys], rel=1e-15)
+        with pytest.raises(RangeError):
+            pop.cost_inverse(np.array([0.25, -1e-300, 1.0]))
+    with pytest.raises(ModelError):  # beyond the image of a bounded cost
+        pops[1].cost_inverse(np.array([0.25, 4.0]))
