@@ -5,10 +5,12 @@ profiles need not be concave for arbitrary primitives, so no derivative-based
 method is used.  The three-level search looks for step policies with an
 intermediate admission tier that beat non-randomized admissions on private
 utility, which requires a sufficiently heavy-tailed skill distribution.
-Both price many policies in one ``band_utilities`` call (the search all its
-candidates, the optimizer the grid of the two closed-form objectives) and
-evaluate the winner again with scalar ``solve``, so they return what one
-scalar evaluation per policy would.
+Both price many policies in one batch call and evaluate the winner again
+with scalar ``solve``, so they return what one scalar evaluation per policy
+would: the search all its candidates in one ``band_utilities`` call, the
+optimizer its grid cutoffs c > 0 in one ``band_welfare`` call for
+applicant welfare or one ``band_utilities`` call for the closed-form
+objectives.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import solve
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, RankDesignError
 from .functions import PopulationSpec
 from .policy import CAPACITY_TOL, RewardPolicy, two_level, validate
-from .welfare import applicant_welfare, band_utilities, private_utility, societal_utility
+from .welfare import applicant_welfare, band_utilities, band_welfare, private_utility, societal_utility
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINTS = 200
@@ -60,17 +62,26 @@ def _objective_fn(population: PopulationSpec, capacity: float, objective: Object
     return value_at
 
 
-# which of band_utilities' (societal, private) arrays holds each batched objective
-_BATCHED = {Objective.SOCIETAL_UTILITY: 0, Objective.PRIVATE_UTILITY: 1}
+# which of band_utilities' (societal, private) arrays holds each closed-form objective
+_UTILITY_COLUMN = {Objective.SOCIETAL_UTILITY: 0, Objective.PRIVATE_UTILITY: 1}
 
 
 def _grid_values(population: PopulationSpec, capacity: float, objective: Objective, cs: list[float], value_at):
-    """The objective at two-level cutoffs cs > 0; closed-form objectives in one batch."""
-    if objective not in _BATCHED:
-        return [value_at(c) for c in cs]
+    """The objective at two-level cutoffs cs > 0, priced in one batch.
+
+    If the batch raises, the cutoffs are priced again one by one, so the
+    error raised is the first failing cutoff's own.
+    """
     c = np.array(cs)
     levels = np.stack((np.zeros_like(c), np.minimum(capacity / (1.0 - c), 1.0)), axis=1)  # two_level(c)'s levels
-    return band_utilities(population, levels, c[:, None])[_BATCHED[objective]].tolist()
+    try:
+        if objective is Objective.APPLICANT_WELFARE:
+            values = band_welfare(population, levels, c[:, None], capacity)[0]
+        else:
+            values = band_utilities(population, levels, c[:, None])[_UTILITY_COLUMN[objective]]
+    except RankDesignError:
+        return [value_at(x) for x in cs]
+    return values.tolist()
 
 
 def optimize_two_level(
@@ -80,10 +91,12 @@ def optimize_two_level(
 
     c = 0 (pure randomization) is included as a boundary candidate.  A
     200-point grid locates the best cell; golden-section search narrows the
-    cutoff to within 1e-6.  Societal and private utility price the grid's
-    cutoffs c > 0 in one ``band_utilities`` call, exact to rounding, and the
-    best one again with scalar ``solve``; applicant welfare, c = 0 and the
-    golden-section search take one scalar ``solve`` per cutoff.
+    cutoff to within 1e-6.  The grid's cutoffs c > 0 are priced in one
+    batch, exact to rounding: applicant welfare by ``band_welfare``, the
+    other two objectives by ``band_utilities``.  The best grid point is
+    priced again with scalar ``solve``, and c = 0 and the golden-section
+    search take one scalar ``solve`` per cutoff, so the result is what one
+    scalar evaluation per cutoff gives.
     """
     if not (0.0 < capacity < 1.0):
         raise DomainError(f"capacity {capacity!r} outside (0, 1)")
@@ -95,7 +108,7 @@ def optimize_two_level(
     lo_b = cs[max(best - 1, 0)]
     hi_b = cs[min(best + 1, len(cs) - 1)]
     c_star, v_star = _golden_max(value_at, lo_b, hi_b)
-    best_value = value_at(cs[best]) if objective in _BATCHED else profile[best][1]
+    best_value = value_at(cs[best])
     if best_value > v_star:
         c_star, v_star = cs[best], best_value
     return OptimizeResult(c_star, v_star, tuple(profile))

@@ -14,8 +14,9 @@ max(g_inverse(floor / f(theta)), e0): above its switch point the band idles
 at e0.  ``solve`` computes each band's floor and idle transfer g(e0) once and
 stores them on its ``BandSolution``; ``_band_effort`` and ``_band_score`` are
 the one band formula every other module reads, for a rank or an array of
-ranks.  No grid is built.  ``solve_bands`` runs the same recursion for a
-batch of equal-K policies at once, as arrays of band constants.
+ranks; ``_floor_effort`` is its array formula, which also takes one floor
+per rank.  No grid is built.  ``solve_bands`` runs the same recursion for
+a batch of equal-K policies at once, as arrays of band constants.
 """
 
 from __future__ import annotations
@@ -90,18 +91,31 @@ def _band_effort(pop: PopulationSpec, band: BandSolution, theta):
     """Effort in ``band`` at rank theta, a number or an array of ranks.
 
     A number stays on Python float arithmetic, so ``effort_at`` gives the
-    same bits wherever it is read.  An array clamps the score target at the
-    idle transfer instead, g_inverse(max(target, g(e0))), which is e0 to
-    rounding where the band idles.
+    same bits wherever it is read.  An array takes ``_floor_effort``'s
+    formula instead.
     """
     array = theta.__class__ is np.ndarray
     if band.floor is None:
         return np.full_like(theta, pop.e0) if array else pop.e0
+    if array:
+        return _floor_effort(pop, band.floor, band.idle, theta)
     target = band.floor / pop.f.evaluate(theta)
     try:
-        if array:
-            return pop.g.invert(np.maximum(target, band.idle))
         return pop.e0 if target <= band.idle else pop.g.invert(target)
+    except RangeError as exc:
+        raise ModelError(f"score target {target!r} outside the image of the effort transfer") from exc
+
+
+def _floor_effort(pop: PopulationSpec, floor, idle: float, theta: np.ndarray) -> np.ndarray:
+    """Effort at an array of ranks in a band entered at score ``floor``.
+
+    The score target is clamped at the idle transfer, g_inverse(max(floor
+    / f(theta), idle)), which is e0 to rounding where the band idles.
+    ``floor`` is a number or an array that broadcasts against theta.
+    """
+    target = floor / pop.f.evaluate(theta)
+    try:
+        return pop.g.invert(np.maximum(target, idle))
     except RangeError as exc:
         raise ModelError(f"score target {target!r} outside the image of the effort transfer") from exc
 

@@ -5,12 +5,15 @@ cutpoints, effort switch points and the kinks of the primitives), so the
 caller passes those as forced breakpoints and each piece is integrated on
 its own.
 
-``integrate_piecewise`` takes an integrand that maps an array of points to
-an array of values and evaluates a 20-point and a 10-point Gauss-Legendre
-rule on every piece in one call; the difference of the two rules is the
+``integrate_stacked`` is the one adaptive routine.  It integrates many
+rows at once, each one integral over its own breakpoints, and evaluates a
+20-point and a 10-point Gauss-Legendre rule on every open piece of every
+row in one call of the integrand; the difference of the two rules is the
 error estimate, in the spirit of QUADPACK's Gauss-Kronrod pairs (Piessens
-et al., 1983).  ``adaptive_simpson`` is the scalar recursive Simpson rule,
-kept as an independent reference for the tests.
+et al., 1983).  Each row is accepted or refined by its own estimate.
+``integrate_piecewise`` is its one-row case.  ``adaptive_simpson`` is the
+scalar recursive Simpson rule, kept as an independent reference for the
+tests.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import QuadratureError
 DEFAULT_REL_TOL = 1e-8
 MAX_DEPTH = 20
 MAX_PIECES = 1 << 14  # open pieces in one round; bounds the memory of a round
+_CHUNK = 128  # pieces per call of the integrand; bounds the memory of a call
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -47,12 +51,29 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _HIGH_NODES, _HIGH_WEIGHTS = _gauss_legendre(20)
 _LOW_NODES, _LOW_WEIGHTS = _gauss_legendre(10)
 _HIGH = _HIGH_NODES.size
-# both rules moved to [0, 1]: one row of nodes per piece, and a weight matrix
-# whose two columns apply the 20-point and the 10-point rule to that row
+# both rules moved to [0, 1]: one line of nodes per piece, the 20-point rule's first
 _UNIT_NODES = 0.5 * (np.concatenate([_HIGH_NODES, _LOW_NODES]) + 1.0)
-_RULES = np.zeros((_UNIT_NODES.size, 2))
-_RULES[:_HIGH, 0] = 0.5 * _HIGH_WEIGHTS
-_RULES[_HIGH:, 1] = 0.5 * _LOW_WEIGHTS
+# _rules' three weight lines, applied to a piece's values followed by the
+# |values| at its 20-point nodes
+_WEIGHTS = np.zeros((3, _UNIT_NODES.size + _HIGH))
+_WEIGHTS[0, :_HIGH] = _WEIGHTS[2, _UNIT_NODES.size :] = 0.5 * _HIGH_WEIGHTS
+_WEIGHTS[1, _HIGH : _UNIT_NODES.size] = 0.5 * _LOW_WEIGHTS
+
+
+def _rules(f, lo: np.ndarray, hi: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Per piece: the 20-point rule, the 10-point rule and the 20-point rule of |f|, as three lines.
+
+    f sees at most _CHUNK pieces per call.  The sums are einsums, not BLAS
+    products: BLAS kernels round a line differently by how many lines there
+    are, and a row's result must not depend on the rows stacked with it.
+    """
+    if lo.size > _CHUNK:
+        chunks = range(0, lo.size, _CHUNK)
+        return np.hstack([_rules(f, lo[i : i + _CHUNK], hi[i : i + _CHUNK], row[i : i + _CHUNK]) for i in chunks])
+    width = hi - lo
+    values = f(lo[:, None] + width[:, None] * _UNIT_NODES, row[:, None])
+    values = np.concatenate([values, np.abs(values[:, :_HIGH])], axis=1)
+    return np.einsum("ij,kj->ki", values, _WEIGHTS) * width
 
 
 def geometric_breakpoints(lo: float, hi: float) -> list[float]:
@@ -118,45 +139,70 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = DEFAULT_REL_TOL) ->
     return _adaptive(f, a, m, b, fa, fm, fb, whole, eps, 0)
 
 
+def integrate_stacked(f, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate many piecewise integrands at once; returns (values, error estimates), one per row.
+
+    Row r integrates over the consecutive pieces between its breakpoints
+    ``rows[r]``.  Each round evaluates the 20- and 10-point Gauss-Legendre
+    rules on every open piece of every row in one call ``f(x, row)``: x
+    holds the nodes, one line per open piece, ``row`` is the column of the
+    rows those pieces belong to, and f returns the values in x's shape.  A
+    row's value sums its 20-point rules and its error estimate their
+    distances to the 10-point rules.  A row is accepted once its error
+    estimate is at most DEFAULT_REL_TOL times its integral of |f|; until
+    then every piece of that row whose own estimate exceeds that share is
+    bisected for the next round, and the other rows are not touched.  A row
+    is summed in the same order whatever rows it is stacked with, so its
+    result does not depend on them.  After MAX_DEPTH bisections, or with
+    more than MAX_PIECES pieces open over all rows, raises QuadratureError
+    carrying the value so far of the first row still open as ``partial``.
+    """
+    rows = list(rows)
+    n = len(rows)
+    lo, hi, row = [], [], []
+    for r, breakpoints in enumerate(rows):
+        pts = sorted(set(float(x) for x in breakpoints))
+        for a, b in zip(pts, pts[1:]):
+            if b - a > 1e-15 * max(1.0, abs(b)):
+                lo.append(a)
+                hi.append(b)
+                row.append(r)
+    lo, hi, row = np.array(lo), np.array(hi), np.array(row, dtype=np.intp)
+    value, err, size = np.zeros(n), np.zeros(n), np.zeros(n)  # of each row's pieces already done
+    depth = 0
+    while lo.size:
+        sums = _rules(f, lo, hi, row)
+        high, piece_size = sums[0], sums[2]
+        delta = np.abs(high - sums[1])
+        open_err = np.bincount(row, delta, n)
+        accepted = err + open_err <= DEFAULT_REL_TOL * (size + np.bincount(row, piece_size, n))
+        if accepted.all():  # every row closes on all its open pieces
+            return value + np.bincount(row, high, n), err + open_err
+        keep = ~accepted[row] & (delta > DEFAULT_REL_TOL * piece_size)
+        done = ~keep
+        value += np.bincount(row[done], high[done], n)
+        err += np.bincount(row[done], delta[done], n)
+        size += np.bincount(row[done], piece_size[done], n)
+        lo, hi, row = lo[keep], hi[keep], row[keep]
+        if lo.size and (depth == MAX_DEPTH or 2 * lo.size > MAX_PIECES):
+            r = int(row.min())
+            first = int(np.argmax(row == r))
+            raise QuadratureError(
+                f"Gauss-Legendre refinement did not converge on {lo.size} pieces "
+                f"after {depth} bisections, first [{lo[first]}, {hi[first]}] in row {r}",
+                partial=float(value[r] + high[keep][row == r].sum()),
+            )
+        mid = 0.5 * (lo + hi)
+        lo, hi, row = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([row, row])
+        depth += 1
+    return value, err
+
+
 def integrate_piecewise(f, breakpoints) -> tuple[float, float]:
     """Integrate f over consecutive [b_i, b_{i+1}] pieces; returns (value, error estimate).
 
-    ``f`` maps a 1-d array of points to the array of its values.  Each round
-    evaluates the 20- and 10-point Gauss-Legendre rules on every open piece
-    in one call of ``f``.  The value sums the 20-point rules and the error
-    estimate their distances to the 10-point rules.  The result is accepted
-    once the error estimate is at most DEFAULT_REL_TOL times the integral of
-    |f|; until then every piece whose own estimate exceeds that share is
-    bisected for the next round.  After MAX_DEPTH bisections, or with more
-    than MAX_PIECES pieces open, raises QuadratureError carrying the value
-    so far as ``partial``.
+    ``f`` maps a 1-d array of points to the array of its values.  This is
+    ``integrate_stacked`` with one row, and raises as it does.
     """
-    pts = sorted(set(float(x) for x in breakpoints))
-    pieces = [(a, b) for a, b in zip(pts, pts[1:]) if b - a > 1e-15 * max(1.0, abs(b))]
-    if not pieces:
-        return 0.0, 0.0
-    lo, hi = np.array(pieces).T
-    value = err = size = 0.0  # of the pieces already done
-    depth = 0
-    while True:
-        width = hi - lo
-        values = f((lo[:, None] + width[:, None] * _UNIT_NODES).ravel()).reshape(lo.size, -1)
-        rules = (values @ _RULES) * width[:, None]
-        delta = np.abs(rules[:, 0] - rules[:, 1])
-        piece_size = (np.abs(values[:, :_HIGH]) @ _RULES[:_HIGH, 0]) * width
-        if err + delta.sum() <= DEFAULT_REL_TOL * (size + piece_size.sum()):
-            return value + float(rules[:, 0].sum()), err + float(delta.sum())
-        done = delta <= DEFAULT_REL_TOL * piece_size
-        value += float(rules[done, 0].sum())
-        err += float(delta[done].sum())
-        size += float(piece_size[done].sum())
-        lo, hi = lo[~done], hi[~done]
-        if depth == MAX_DEPTH or 2 * lo.size > MAX_PIECES:
-            raise QuadratureError(
-                f"Gauss-Legendre refinement did not converge on {lo.size} pieces "
-                f"after {depth} bisections, first [{lo[0]}, {hi[0]}]",
-                partial=value + float(rules[~done, 0].sum()),
-            )
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        depth += 1
+    value, err = integrate_stacked(lambda x, _row: f(x.ravel()).reshape(x.shape), [breakpoints])
+    return float(value[0]), float(err[0])

@@ -13,18 +13,29 @@ p applied to the band formula ``_band_effort``, and only below the switch
 point: above it, and in band 0, effort idles at e0 and p(e0) = 0.  The cost
 quadrature splits at every kink the primitives put into the band.
 ``band_utilities`` evaluates the two closed forms for a batch of policies in
-one array pass.
+one array pass, and ``band_welfare`` adds applicant welfare: the effort
+cost of every band of every policy is one row of a single stacked
+quadrature call, each row accepted by its own error estimate.
+``two_level_sweep`` prices its cutoffs through ``band_welfare``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import EquilibriumSchedule, _band_effort, _band_score, solve_bands  # noqa: F401
-from .errors import DomainError, RangeError
-from .quadrature import geometric_breakpoints, integrate_piecewise
+from .equilibrium import (  # noqa: F401
+    BandArrays,
+    EquilibriumSchedule,
+    _band_effort,
+    _band_score,
+    _floor_effort,
+    solve_bands,
+)
+from .errors import DomainError, RangeError, RankDesignError
+from .quadrature import geometric_breakpoints, integrate_piecewise, integrate_stacked
 
 # _band_score is not used here; it stays importable from this module because
 # perfbench/tracing.py wraps it here.
@@ -48,30 +59,31 @@ class WelfareReport:
         }
 
 
-def _band_pieces(schedule: EquilibriumSchedule, k: int) -> list[float]:
-    """Breakpoints of band k's effort cost: every kink, so each piece is smooth.
+def _effort_breakpoints(
+    pop, lo: float, hi: float, switch: float | None, floor: float | None, end: float
+) -> list[float]:
+    """Breakpoints of a band's effort cost on [lo, end]: every kink, so each piece is smooth.
 
-    Effort bends at the switch point, at the kinks of f, and where it
-    crosses a kink x of g or p, at the rank theta where
-    floor / f(theta) = g(x).  Points whose image or domain check fails do
-    not occur in the band and are skipped.
+    The band is [lo, hi), entered at score ``floor`` with its switch point,
+    and ``end`` is where its score leaves the floor.  Effort bends at the
+    switch point, at the kinks of f, and where it crosses a kink x of g or
+    p, at the rank theta where floor / f(theta) = g(x).  Points whose image
+    or domain check fails do not occur in the band and are skipped.  The
+    scalar and the batch path both take their pieces from here.
     """
-    pop = schedule.population
-    band = schedule.bands[k]
-    lo, hi = band.lo, band.hi
     pts = {lo, hi}
-    if band.switch_point is not None:
-        pts.add(band.switch_point)
+    if switch is not None:
+        pts.add(switch)
     candidates = list(pop.f.kinks)
-    if band.floor is not None:
+    if floor is not None:
         for x in pop.g.kinks + pop.p.kinks:
             try:
-                candidates.append(pop.f.invert(band.floor / pop.g.evaluate(x)))
+                candidates.append(pop.f.invert(floor / pop.g.evaluate(x)))
             except (DomainError, RangeError, ZeroDivisionError):
                 continue
     pts.update(theta for theta in candidates if lo < theta < hi)
     pts.update(geometric_breakpoints(lo, hi))
-    return sorted(pts)
+    return [t for t in sorted(pts) if t <= end]
 
 
 def _floor_end(schedule: EquilibriumSchedule, k: int) -> float:
@@ -94,7 +106,7 @@ def band_effort_cost(schedule: EquilibriumSchedule, k: int) -> tuple[float, floa
     m = _floor_end(schedule, k)
     if m == band.lo:
         return 0.0, 0.0
-    pieces = [t for t in _band_pieces(schedule, k) if t <= m]
+    pieces = _effort_breakpoints(pop, band.lo, band.hi, band.switch_point, band.floor, m)
     return integrate_piecewise(lambda theta: pop.p.evaluate(_band_effort(pop, band, theta)), pieces)
 
 
@@ -106,6 +118,24 @@ def _band_score_integral(schedule: EquilibriumSchedule, k: int) -> float:
     return floor * (m - band.lo) + band.idle * pop.f.integral(m, band.hi)
 
 
+def _floor_ends(population, bands: BandArrays) -> np.ndarray:
+    """``_floor_end`` of every band of a batch; band 0, with no floor, gets lo."""
+    one_branch = np.where(bands.idle * population.f.evaluate(bands.hi) <= bands.floor, bands.hi, bands.lo)
+    return np.where(np.isnan(bands.switch_point), one_branch, bands.switch_point)
+
+
+def _utilities(population, levels: np.ndarray, bands: BandArrays, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Societal and private utility of each row, from its bands and their floor ends."""
+    societal = private = np.zeros(len(levels))
+    for k in range(levels.shape[1]):
+        lo, hi, m = bands.lo[:, k], bands.hi[:, k], end[:, k]
+        floor = 0.0 if k == 0 else bands.floor[:, k]
+        score = floor * (m - lo) + bands.idle * population.f.integral(m, hi)
+        societal = societal + score
+        private = private + levels[:, k] * score  # a zero level adds exactly 0, as skipping it does
+    return societal, private
+
+
 def band_utilities(population, levels: np.ndarray, cutpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Societal and private utility of each row of a batch of valid equal-K policies.
 
@@ -114,20 +144,39 @@ def band_utilities(population, levels: np.ndarray, cutpoints: np.ndarray) -> tup
     ``_band_score_integral`` and ``_floor_end``, summed in the same order.
     """
     bands = solve_bands(population, levels, cutpoints)
-    f, idle = population.f, bands.idle
-    societal = private = np.zeros(len(levels))
-    for k in range(levels.shape[1]):
-        lo, hi, floor = bands.lo[:, k], bands.hi[:, k], bands.floor[:, k]
-        if k == 0:
-            m, floor = lo, 0.0
-        else:
-            switch = bands.switch_point[:, k]
-            one_branch = np.where(idle * f.evaluate(hi) <= floor, hi, lo)
-            m = np.where(np.isnan(switch), one_branch, switch)
-        score = floor * (m - lo) + idle * f.integral(m, hi)
-        societal = societal + score
-        private = private + levels[:, k] * score  # a zero level adds exactly 0, as skipping it does
-    return societal, private
+    return _utilities(population, levels, bands, _floor_ends(population, bands))
+
+
+def band_welfare(population, levels: np.ndarray, cutpoints: np.ndarray, capacity) -> tuple[np.ndarray, ...]:
+    """Applicant welfare, societal and private utility of each row of a batch of valid equal-K policies.
+
+    ``band_utilities`` plus the batch form of ``applicant_welfare``, from
+    one ``solve_bands`` call.  Every band's effort cost that
+    ``band_effort_cost`` would integrate is one row of a single
+    ``integrate_stacked`` call, with ``_effort_breakpoints``' pieces and
+    ``_floor_effort``'s integrand; each row is accepted on its own, by the
+    scalar rule.  ``capacity`` is a number or one per policy.
+    """
+    pop = population
+    bands = solve_bands(pop, levels, cutpoints)
+    end = _floor_ends(pop, bands)
+    rows, cols = np.nonzero(end > bands.lo)
+    breakpoints = [
+        _effort_breakpoints(pop, lo, hi, None if math.isnan(switch) else switch, floor, m)
+        for lo, hi, switch, floor, m in zip(
+            *(a[rows, cols].tolist() for a in (bands.lo, bands.hi, bands.switch_point, bands.floor, end))
+        )
+    ]
+    floor = bands.floor[rows, cols]
+    values, _ = integrate_stacked(
+        lambda theta, row: pop.p.evaluate(_floor_effort(pop, floor[row], bands.idle, theta)), breakpoints
+    )
+    costs = np.zeros(bands.lo.shape)
+    costs[rows, cols] = values
+    total = 0.0
+    for k in range(costs.shape[1]):
+        total = total + costs[:, k]  # in total_effort_cost's order
+    return (capacity - total, *_utilities(pop, levels, bands, end))
 
 
 def total_effort_cost(schedule: EquilibriumSchedule) -> tuple[float, float]:
@@ -167,23 +216,74 @@ def welfare_report(schedule: EquilibriumSchedule) -> WelfareReport:
     )
 
 
-def two_level_sweep(population, capacity: float, cs):
-    """Welfare profile over two-level cutoffs; rows (c, level1, W, U_soc, U_pri)."""
+def _sweep_row(population, capacity: float, c) -> tuple[float, ...]:
+    """One ``two_level_sweep`` row on the scalar path."""
     from .equilibrium import solve
     from .policy import two_level
 
-    rows = []
-    for c in cs:
-        pol = two_level(c, capacity)
-        sched = solve(population, pol)
-        rep = welfare_report(sched)
-        rows.append(
-            (
-                c,
-                pol.levels[-1],
-                rep.applicant_welfare,
-                rep.societal_utility,
-                rep.private_utility,
-            )
-        )
+    policy = two_level(c, capacity)
+    report = welfare_report(solve(population, policy))
+    return (float(c), policy.levels[-1], report.applicant_welfare, report.societal_utility, report.private_utility)
+
+
+def _first_rejected(cs: list, capacity) -> int:
+    """Index of the first cutoff ``two_level`` rejects, len(cs) if none.
+
+    Numbers are checked as one array, by ``two_level``'s own tests; any
+    other cutoff or capacity by calling it.
+    """
+    from .policy import two_level
+
+    c = np.array(cs)
+    numbers = c.ndim == 1 and c.dtype.kind in "iuf" and isinstance(capacity, float)
+    if numbers and math.isfinite(capacity) and 0.0 < capacity < 1.0:
+        ok = (c >= 0.0) & (c < 1.0) & (c <= 1.0 - capacity + 1e-15)  # NaN fails every test
+        return len(cs) if ok.all() else int(np.argmin(ok))
+    for i, x in enumerate(cs):
+        try:
+            two_level(x, capacity)
+        except (RankDesignError, TypeError):
+            return i
+    return len(cs)
+
+
+def _sweep_rows(population, capacity: float, cs: list) -> list[tuple[float, ...]]:
+    """``two_level_sweep``'s rows for cutoffs that ``two_level`` accepts.
+
+    The cutoffs c > 0 are priced in one ``band_welfare`` call and c = 0 by
+    one scalar row.  If the batch raises, every row is priced again on the
+    scalar path, so the error raised is the first failing cutoff's own.
+    """
+    c = np.array(cs, dtype=float)
+    positive = c > 0.0
+    level = np.full_like(c, capacity)  # one level at c = 0
+    level[positive] = np.minimum(capacity / (1.0 - c[positive]), 1.0)
+    welfare = np.empty((3, len(c)))
+    try:
+        if not positive.all():
+            welfare[:, ~positive] = np.array(_sweep_row(population, capacity, 0.0)[2:])[:, None]
+        levels = np.stack((np.zeros(positive.sum()), level[positive]), axis=1)
+        welfare[:, positive] = band_welfare(population, levels, c[positive, None], capacity)
+    except RankDesignError:
+        return [_sweep_row(population, capacity, x) for x in cs]
+    return list(zip(c.tolist(), level.tolist(), *welfare.tolist()))
+
+
+def two_level_sweep(population, capacity: float, cs) -> list[tuple[float, ...]]:
+    """Welfare profile over two-level cutoffs; rows (c, level1, W, U_soc, U_pri) of Python floats.
+
+    ``cs`` is any iterable of cutoffs.  A row equals the scalar
+    ``welfare_report(solve(population, two_level(c, capacity)))`` to
+    rounding; the cutoffs c > 0 are priced in one batch.  Raises what a loop
+    over those scalar calls would raise first: ``two_level``'s DomainError
+    or CapacityError for a cutoff it rejects, otherwise the first failing
+    row's error.
+    """
+    from .policy import two_level
+
+    cs = list(cs)
+    first = _first_rejected(cs, capacity)
+    rows = _sweep_rows(population, capacity, cs[:first])
+    if first < len(cs):
+        two_level(cs[first], capacity)  # raises two_level's own error for that cutoff
     return rows

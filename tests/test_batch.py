@@ -1,9 +1,10 @@
-"""The batch path of ``solve_bands`` and ``band_utilities`` against scalar ``solve``.
+"""The batch path of ``solve_bands``, ``band_utilities`` and ``band_welfare`` against scalar ``solve``.
 
-Each row of a batch must reproduce ``solve``'s band constants and
-``societal_utility``/``private_utility`` to rounding: the two paths differ
-only where numpy's pow and libm's round differently.  The transfer has
-g(e0) > 0, so bands can switch to the idle branch inside.
+Each row of a batch must reproduce ``solve``'s band constants,
+``societal_utility``/``private_utility`` and ``welfare_report``'s applicant
+welfare to rounding: the two paths differ only where numpy's pow and
+libm's round differently.  The transfer has g(e0) > 0, so bands can switch
+to the idle branch inside.
 """
 
 import math
@@ -18,6 +19,7 @@ from rankdesign import (
     PiecewiseMonotone,
     PopulationSpec,
     Power,
+    RankDesignError,
     RewardPolicy,
     Role,
     private_utility,
@@ -25,9 +27,10 @@ from rankdesign import (
     solve,
     two_level,
     validate,
+    welfare_report,
 )
 from rankdesign.equilibrium import solve_bands
-from rankdesign.welfare import band_utilities
+from rankdesign.welfare import band_utilities, band_welfare
 
 REL = 1e-12
 
@@ -164,3 +167,40 @@ def test_batch_raises_model_error_when_any_row_does():
             band_utilities(population, levels, cutpoints)
         first, _ = band_utilities(population, levels[:1], cutpoints[:1])
         assert _close(first[0], societal_utility(solve(population, policies[0])))
+
+
+@st.composite
+def _welfare_batches(draw):
+    """``_batches``, or 1-5 two-level policies with cutoffs near 0 or near 1 - capacity."""
+    if draw(st.booleans()):
+        return draw(_batches())
+    capacity = draw(st.floats(0.05, 0.95))
+    top = 1.0 - capacity
+    near = st.one_of(st.floats(1e-9, 1e-3), st.floats(0.0, 1e-3).map(lambda d: top * (1.0 - d)))
+    return [two_level(c, capacity) for c in draw(st.lists(near, min_size=1, max_size=5))]
+
+
+@settings(max_examples=_examples(60), deadline=None)
+@given(
+    f=_skills(),
+    g=st.one_of(_transfers(), st.builds(lambda e: Power(1.0, e, role=Role.EFFORT_TRANSFER), st.floats(0.25, 1.0))),
+    p=_costs(),
+    policies=_welfare_batches(),
+)
+def test_batch_welfare_matches_scalar(f, g, p, policies):
+    population = PopulationSpec(f, g, p)
+    levels, cutpoints = _arrays(policies)
+    capacity = np.array([policy.capacity for policy in policies])
+    try:
+        reports = [welfare_report(solve(population, policy)) for policy in policies]
+    except RankDesignError:
+        with pytest.raises(RankDesignError):
+            band_welfare(population, levels, cutpoints, capacity)
+        return
+    batch = band_welfare(population, levels, cutpoints, capacity)
+    for i, report in enumerate(reports):
+        want = (report.applicant_welfare, report.societal_utility, report.private_utility)
+        assert all(_close(got[i], value) for got, value in zip(batch, want))
+        # a row does not depend on the rows it is stacked with
+        alone = band_welfare(population, levels[i : i + 1], cutpoints[i : i + 1], capacity[i])
+        assert all(math.isclose(got[i], one[0], rel_tol=1e-15, abs_tol=1e-300) for got, one in zip(batch, alone))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankdesign import PopulationSpec, two_level_sweep
 from rankdesign.cli import main
 
 BENCHMARK_POPULATION = {
@@ -110,6 +111,25 @@ def test_sweep_flags_infeasible_points(tmp_path, capsys):
     errors = [r["error"] for r in rows]
     assert "CapacityError" in errors
     assert any(e == "" for e in errors)
+
+
+def test_sweep_rows_match_two_level_sweep(tmp_path, capsys):
+    # the CLI prices each point on the scalar path, two_level_sweep its feasible points in one batch
+    cfg = write_config(tmp_path, _sweep_config(0.01, 0.9, 12))
+    code, out = run(capsys, ["--config", cfg, "sweep"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    feasible = [r for r in rows if not r["error"]]
+    assert len(feasible) == 10 and [r["error"] for r in rows[10:]] == ["CapacityError"] * 2
+    batch = two_level_sweep(PopulationSpec.from_json(BENCHMARK_POPULATION), 0.2, [float(r["c"]) for r in feasible])
+    for row, want in zip(feasible, batch):
+        got = [float(row[k]) for k in ("c", "level1", "applicant_welfare", "societal_utility", "private_utility")]
+        assert got == pytest.approx(list(want), rel=1e-12, abs=0.0)
+    # the infeasible points keep their error rows
+    cfg = write_config(tmp_path, _sweep_config(0.7, 0.9, 5))
+    code, out = run(capsys, ["--config", cfg, "sweep"])
+    assert code == 0
+    assert out.splitlines()[-2:] == ["0.85,,,,,CapacityError", "0.9,,,,,CapacityError"]
 
 
 def test_equilibrium_minimal_grid(tmp_path, capsys):

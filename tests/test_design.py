@@ -6,6 +6,7 @@ import pytest
 from rankdesign import (
     CapacityError,
     DomainError,
+    ModelError,
     Objective,
     PiecewiseMonotone,
     PopulationSpec,
@@ -131,7 +132,7 @@ def reference_optimize_two_level(population, capacity, objective):
     return OptimizeResult(c_star, v_star, tuple(profile))
 
 
-@pytest.mark.parametrize("objective", [Objective.SOCIETAL_UTILITY, Objective.PRIVATE_UTILITY])
+@pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize("heavy_tail", [False, True])
 def test_batched_grid_keeps_the_optimum(benchmark_population, objective, heavy_tail):
     population = HEAVY_TAIL if heavy_tail else benchmark_population
@@ -141,6 +142,21 @@ def test_batched_grid_keeps_the_optimum(benchmark_population, objective, heavy_t
     assert [c for c, _ in got.profile] == [c for c, _ in want.profile]
     for (_, value), (_, exact) in zip(got.profile, want.profile):
         assert value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_batched_grid_raises_the_first_failing_cutoffs_error(objective):
+    # the transfer ends at effort 0.8: grid cutoffs from 0.688 up need a larger threshold effort
+    population = PopulationSpec(
+        Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+        PiecewiseMonotone(((0.0, 0.1), (0.4, 0.4), (0.8, 0.6)), role=Role.EFFORT_TRANSFER),
+        Power(1.0, 2.0, role=Role.COST_FUNCTION),
+    )
+    with pytest.raises(ModelError) as want:
+        reference_optimize_two_level(population, 0.2, objective)
+    with pytest.raises(ModelError) as got:
+        optimize_two_level(population, 0.2, objective)
+    assert str(got.value) == str(want.value)
 
 
 def reference_find_three_level_improvement(population, capacity, search_budget, seed=0):

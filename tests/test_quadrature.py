@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from rankdesign import QuadratureError
-from rankdesign.quadrature import MAX_DEPTH, MAX_PIECES, _gauss_legendre, integrate_piecewise
+from rankdesign.quadrature import MAX_DEPTH, MAX_PIECES, _gauss_legendre, integrate_piecewise, integrate_stacked
 
 
 @pytest.mark.parametrize("n", [10, 20])
@@ -52,3 +52,55 @@ def test_open_pieces_are_capped():
         integrate_piecewise(lambda x: np.sin(1e9 * x), [0.0, 1.0])
     assert f"on {MAX_PIECES} pieces" in str(info.value)
     assert math.isfinite(info.value.partial)
+
+
+def _wild(x):
+    x = np.maximum(x, 1e-12)
+    return np.sin(1.0 / x) / x
+
+
+def _easy(x):
+    # exp(x), but sqrt(x) on a piece too small to matter: the row passes in one round, that piece alone would not
+    return np.where(x < 1e-9, np.sqrt(x), np.exp(x))
+
+
+def _steep(x):
+    return 1.0 / np.sqrt(x)
+
+
+def test_stacked_rows_refine_alone():
+    # the steep row bisects for many rounds; the easy one closes on both its pieces in the first
+    open_pieces = []
+
+    def f(x, row):
+        open_pieces.append(np.bincount(row.ravel(), minlength=2).tolist())
+        return np.where(row == 0, _easy(x), _steep(x))
+
+    values, errors = integrate_stacked(f, [[0.0, 1e-9, 1.0], [1e-6, 1.0]])
+    assert open_pieces[0] == [2, 1] and len(open_pieces) > 2
+    assert all(easy == 0 for easy, _ in open_pieces[1:])
+    alone = [integrate_piecewise(_easy, [0.0, 1e-9, 1.0]), integrate_piecewise(_steep, [1e-6, 1.0])]
+    assert list(zip(values, errors)) == alone
+
+
+def test_stacked_failure_carries_the_failing_rows_partial():
+    with pytest.raises(QuadratureError) as alone:
+        integrate_piecewise(_wild, [1e-9, 1.0])
+    with pytest.raises(QuadratureError) as stacked:
+        integrate_stacked(lambda x, row: np.where(row == 1, _wild(x), x), [[0.0, 1.0], [1e-9, 1.0], [0.0, 1.0]])
+    assert stacked.value.partial == alone.value.partial
+    assert f"after {MAX_DEPTH} bisections" in str(stacked.value) and "in row 1" in str(stacked.value)
+
+
+def test_open_pieces_are_capped_over_all_rows():
+    # one row splits to MAX_PIECES pieces in 14 bisections; two rows reach the cap together in 13
+    for rows, depth in (([[0.0, 1.0]], 14), ([[0.0, 1.0], [0.0, 1.0]], 13)):
+        with pytest.raises(QuadratureError) as info:
+            integrate_stacked(lambda x, row: np.sin(1e9 * x), rows)
+        assert f"on {MAX_PIECES} pieces after {depth} bisections" in str(info.value)
+
+
+def test_stacked_rows_without_pieces_are_zero():
+    values, errors = integrate_stacked(lambda x, row: np.exp(x), [[1.0], [0.0, 1.0], []])
+    assert values.tolist()[0::2] == [0.0, 0.0] and errors.tolist()[0::2] == [0.0, 0.0]
+    assert values[1] == pytest.approx(math.e - 1.0, rel=1e-14)

@@ -5,10 +5,14 @@ import pytest
 
 from rankdesign import (
     AffinePower,
+    CapacityError,
+    DomainError,
+    ModelError,
     PiecewiseMonotone,
     PopulationSpec,
     Power,
     QuadratureError,
+    RankDesignError,
     RewardPolicy,
     Role,
     applicant_welfare,
@@ -21,6 +25,7 @@ from rankdesign import (
     two_level_sweep,
     welfare_report,
 )
+from rankdesign import quadrature
 from rankdesign.quadrature import adaptive_simpson, integrate_piecewise
 
 
@@ -126,6 +131,95 @@ def test_report_identity_and_fields(benchmark_population):
     assert math.isfinite(report.quadrature_error_estimate)
     payload = report.to_json()
     assert payload["private_utility"] == pytest.approx(0.32, abs=1e-9)
+
+
+def _scalar_sweep(population, capacity, cs):
+    """two_level_sweep as one scalar solve and welfare_report per cutoff."""
+    rows = []
+    for c in cs:
+        policy = two_level(c, capacity)
+        report = welfare_report(solve(population, policy))
+        rows.append((c, policy.levels[-1], report.applicant_welfare, report.societal_utility, report.private_utility))
+    return rows
+
+
+def test_sweep_rows_equal_the_scalar_path(benchmark_population):
+    cs = [0.0, 1e-4, 0.01, 0.3, 0.0, 0.8, 0.8 + 1e-16]
+    rows = two_level_sweep(benchmark_population, 0.2, cs)
+    want = _scalar_sweep(benchmark_population, 0.2, cs)
+    assert [row[:2] for row in rows] == [row[:2] for row in want]
+    for row, scalar in zip(rows, want):
+        assert row[2:] == pytest.approx(scalar[2:], rel=1e-12, abs=0.0)
+    # c = 0 is the one-level row of the scalar path itself
+    assert rows[0] == rows[4] == want[0] == (0.0, 0.2, 0.2, want[0][3], want[0][4])
+
+
+def test_sweep_takes_any_iterable_and_returns_floats(benchmark_population):
+    cs = [0.0, 0.25, 0.5]
+    want = two_level_sweep(benchmark_population, 0.2, cs)
+    for given in (tuple(cs), iter(cs), np.array(cs), (c for c in cs), [0, 0.25, 0.5], range(1)):
+        rows = two_level_sweep(benchmark_population, 0.2, given)
+        assert rows == want[: len(rows)]
+        assert all(type(v) is float for row in rows for v in row)
+    assert two_level_sweep(benchmark_population, 0.2, []) == []
+
+
+def _first_error(fn, *args):
+    with pytest.raises(RankDesignError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+# the transfer ends at effort 0.8, below the admitted band's threshold effort at c = 0.8
+SHORT_TRANSFER = PopulationSpec(
+    Power(2.0, 1.0, role=Role.SKILL_QUANTILE),
+    PiecewiseMonotone(((0.0, 0.1), (0.4, 0.4), (0.8, 0.6)), role=Role.EFFORT_TRANSFER),
+    Power(1.0, 2.0, role=Role.COST_FUNCTION),
+)
+
+
+@pytest.mark.parametrize(
+    "capacity, cs, error",
+    [
+        (0.2, [0.3, float("nan"), 0.5], DomainError),
+        (0.2, [0.3, -0.1], DomainError),
+        (0.2, [0.0, 1.0], DomainError),
+        (0.2, [0.3, math.inf], DomainError),
+        (0.2, [0.3, 0.9, float("nan")], CapacityError),
+        (1.5, [0.3], DomainError),
+        (float("nan"), [0.0], DomainError),
+        (0.2, [0.3, "0.5"], TypeError),
+    ],
+)
+def test_sweep_rejects_a_cutoff_as_two_level_does(benchmark_population, capacity, cs, error):
+    with pytest.raises(error) as scalar:
+        _scalar_sweep(benchmark_population, capacity, cs)
+    with pytest.raises(error) as batch:
+        two_level_sweep(benchmark_population, capacity, cs)
+    assert str(batch.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize(
+    "cs, error",
+    [([0.3, 0.8, float("nan")], ModelError), ([0.3, float("nan"), 0.8], DomainError), ([0.0, 0.8], ModelError)],
+)
+def test_sweep_raises_the_first_failing_rows_error(cs, error):
+    want = _first_error(_scalar_sweep, SHORT_TRANSFER, 0.2, cs)
+    assert want[0] is error
+    assert _first_error(two_level_sweep, SHORT_TRANSFER, 0.2, cs) == want
+    assert two_level_sweep(SHORT_TRANSFER, 0.2, cs[:1]) == _scalar_sweep(SHORT_TRANSFER, 0.2, cs[:1])
+
+
+def test_sweep_raises_the_first_rows_quadrature_error(benchmark_population, monkeypatch):
+    # with no bisection allowed, c = 0.7 still converges on its pieces and c = 0.1 does not
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
+    cs = [0.7, 0.1, 0.05]
+    want = _first_error(_scalar_sweep, benchmark_population, 0.2, cs)
+    assert want[0] is QuadratureError
+    assert _first_error(two_level_sweep, benchmark_population, 0.2, cs) == want
+    assert two_level_sweep(benchmark_population, 0.2, cs[:1])[0][2] == pytest.approx(
+        _scalar_sweep(benchmark_population, 0.2, cs[:1])[0][2], rel=1e-12
+    )
 
 
 def test_sweep_monotonicity(benchmark_population):
