@@ -21,7 +21,7 @@ from .errors import ConfigError, QuadratureError, RankDesignError
 from .functions import PopulationSpec
 from .groups import GroupSpec
 from .policy import policy_from_json, two_level, validate
-from .welfare import welfare_report
+from .welfare import sweep_row, welfare_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,11 +137,9 @@ def cmd_eval(args, config: dict) -> int:
 def _sweep_point(population: PopulationSpec, c: float, capacity: float):
     """One sweep row on the scalar path, or the name of the error that point raised."""
     try:
-        policy = two_level(c, capacity)
-        report = welfare_report(solve(population, policy))
+        return (*sweep_row(population, capacity, c), "")
     except RankDesignError as exc:
         return (c, "", "", "", "", type(exc).__name__)
-    return (c, policy.levels[-1], report.applicant_welfare, report.societal_utility, report.private_utility, "")
 
 
 def cmd_sweep(args, config: dict) -> int:

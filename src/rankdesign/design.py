@@ -8,9 +8,9 @@ utility, which requires a sufficiently heavy-tailed skill distribution.
 Both price many policies in one batch call and evaluate the winner again
 with scalar ``solve``, so they return what one scalar evaluation per policy
 would: the search all its candidates in one ``band_utilities`` call, the
-optimizer its grid cutoffs c > 0 in one ``band_welfare`` call for
-applicant welfare or one ``band_utilities`` call for the closed-form
-objectives.
+optimizer its grid cutoffs c > 0 in one ``two_level_sweep`` (one
+``band_welfare`` call) for applicant welfare or one ``band_utilities``
+call for the closed-form objectives.
 """
 
 from __future__ import annotations
@@ -23,10 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import solve
-from .errors import CapacityError, DomainError, RankDesignError
+from .errors import CapacityError, DomainError
 from .functions import PopulationSpec
 from .policy import CAPACITY_TOL, RewardPolicy, two_level, validate
-from .welfare import applicant_welfare, band_utilities, band_welfare, private_utility, societal_utility
+from .welfare import (
+    applicant_welfare,
+    band_utilities,
+    price_policies,
+    private_utility,
+    societal_utility,
+    two_level_sweep,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINTS = 200
@@ -66,22 +73,23 @@ def _objective_fn(population: PopulationSpec, capacity: float, objective: Object
 _UTILITY_COLUMN = {Objective.SOCIETAL_UTILITY: 0, Objective.PRIVATE_UTILITY: 1}
 
 
-def _grid_values(population: PopulationSpec, capacity: float, objective: Objective, cs: list[float], value_at):
+def _grid_values(population: PopulationSpec, capacity: float, objective: Objective, cs: list[float]) -> list[float]:
     """The objective at two-level cutoffs cs > 0, priced in one batch.
 
-    If the batch raises, the cutoffs are priced again one by one, so the
-    error raised is the first failing cutoff's own.
+    Applicant welfare is ``two_level_sweep``'s column; the closed-form
+    objectives take ``price_policies`` with ``band_utilities``.  Either way
+    a failing batch is priced again one cutoff at a time, so the error
+    raised is the first failing cutoff's own.
     """
-    c = np.array(cs)
-    levels = np.stack((np.zeros_like(c), np.minimum(capacity / (1.0 - c), 1.0)), axis=1)  # two_level(c)'s levels
-    try:
-        if objective is Objective.APPLICANT_WELFARE:
-            values = band_welfare(population, levels, c[:, None], capacity)[0]
-        else:
-            values = band_utilities(population, levels, c[:, None])[_UTILITY_COLUMN[objective]]
-    except RankDesignError:
-        return [value_at(x) for x in cs]
-    return values.tolist()
+    if objective is Objective.APPLICANT_WELFARE:
+        return [row[2] for row in two_level_sweep(population, capacity, cs)]
+    column = _UTILITY_COLUMN[objective]
+    rows = price_policies(
+        [two_level(c, capacity) for c in cs],
+        lambda levels, cutpoints: band_utilities(population, levels, cutpoints)[column : column + 1],
+        lambda policy: (_EVALUATORS[objective](solve(population, policy)),),
+    )
+    return [value for (value,) in rows]
 
 
 def optimize_two_level(
@@ -92,7 +100,7 @@ def optimize_two_level(
     c = 0 (pure randomization) is included as a boundary candidate.  A
     200-point grid locates the best cell; golden-section search narrows the
     cutoff to within 1e-6.  The grid's cutoffs c > 0 are priced in one
-    batch, exact to rounding: applicant welfare by ``band_welfare``, the
+    batch, exact to rounding: applicant welfare by ``two_level_sweep``, the
     other two objectives by ``band_utilities``.  The best grid point is
     priced again with scalar ``solve``, and c = 0 and the golden-section
     search take one scalar ``solve`` per cutoff, so the result is what one
@@ -103,7 +111,7 @@ def optimize_two_level(
     value_at = _objective_fn(population, capacity, objective)
     hi = 1.0 - capacity
     cs = [0.0] + [hi * i / GRID_POINTS for i in range(1, GRID_POINTS + 1)]
-    profile = list(zip(cs, [value_at(0.0)] + _grid_values(population, capacity, objective, cs[1:], value_at)))
+    profile = list(zip(cs, [value_at(0.0)] + _grid_values(population, capacity, objective, cs[1:])))
     best = max(range(len(profile)), key=lambda i: profile[i][1])
     lo_b = cs[max(best - 1, 0)]
     hi_b = cs[min(best + 1, len(cs) - 1)]

@@ -62,7 +62,7 @@ class FunctionSpec:
 # Scalar arguments keep their plain comparisons: one pass of the benchmark's
 # design workload makes 17,327 scalar evaluate and invert calls (mostly the
 # piecewise population's per-cutoff solves and quadrature breakpoints, the
-# group audits, the multi-skill cutoffs and the CLI sweep) against 4,261
+# group audits, the multi-skill cutoffs and the CLI sweep) against 4,234
 # array calls, and a try block costs the scalar ones nothing.  An array
 # makes those comparisons raise ValueError (it has no single truth value),
 # or is dispatched on its exact class, and these check it value by value;

@@ -24,8 +24,7 @@ from .errors import QuadratureError
 
 DEFAULT_REL_TOL = 1e-8
 MAX_DEPTH = 20
-MAX_PIECES = 1 << 14  # open pieces in one round; bounds the memory of a round
-_CHUNK = 128  # pieces per call of the integrand; bounds the memory of a call
+MAX_PIECES = 1 << 14  # open pieces in one round, over all rows; bounds the memory of a round
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -63,13 +62,10 @@ _WEIGHTS[1, _HIGH : _UNIT_NODES.size] = 0.5 * _LOW_WEIGHTS
 def _rules(f, lo: np.ndarray, hi: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Per piece: the 20-point rule, the 10-point rule and the 20-point rule of |f|, as three lines.
 
-    f sees at most _CHUNK pieces per call.  The sums are einsums, not BLAS
-    products: BLAS kernels round a line differently by how many lines there
-    are, and a row's result must not depend on the rows stacked with it.
+    The sums are einsums, not BLAS products: BLAS kernels round a line
+    differently by how many lines there are, and a row's result must not
+    depend on the rows stacked with it.
     """
-    if lo.size > _CHUNK:
-        chunks = range(0, lo.size, _CHUNK)
-        return np.hstack([_rules(f, lo[i : i + _CHUNK], hi[i : i + _CHUNK], row[i : i + _CHUNK]) for i in chunks])
     width = hi - lo
     values = f(lo[:, None] + width[:, None] * _UNIT_NODES, row[:, None])
     values = np.concatenate([values, np.abs(values[:, :_HIGH])], axis=1)
@@ -139,6 +135,62 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = DEFAULT_REL_TOL) ->
     return _adaptive(f, a, m, b, fa, fm, fb, whole, eps, 0)
 
 
+def _by_row(row: np.ndarray, x: np.ndarray, n: int):
+    """Sum of x over each of n rows' pieces, added in piece order; a float when n is 1.
+
+    Both branches add as 0.0 + x[0] + x[1] + ..., so a row's sum is the
+    same bits alone as among other rows.
+    """
+    if n != 1:
+        return np.bincount(row, x, n)
+    return float(np.add.accumulate(x)[-1]) if x.size else 0.0
+
+
+def _integrate(f, rows) -> tuple:
+    """``integrate_stacked``'s loop; (value, error estimate) as floats when there is one row."""
+    rows = list(rows)
+    n = len(rows)
+    lo, hi, row = [], [], []
+    for r, breakpoints in enumerate(rows):
+        pts = sorted(set(float(x) for x in breakpoints))
+        for a, b in zip(pts, pts[1:]):
+            if b - a > 1e-15 * max(1.0, abs(b)):
+                lo.append(a)
+                hi.append(b)
+                row.append(r)
+    lo, hi, row = np.array(lo), np.array(hi), np.array(row, dtype=np.intp)
+    value = err = size = 0.0 if n == 1 else np.zeros(n)  # of each row's pieces already done
+    depth = 0
+    while lo.size:
+        sums = _rules(f, lo, hi, row)
+        high, piece_size = sums[0], sums[2]
+        delta = np.abs(high - sums[1])
+        open_err = _by_row(row, delta, n)
+        accepted = err + open_err <= DEFAULT_REL_TOL * (size + _by_row(row, piece_size, n))
+        if accepted if n == 1 else accepted.all():  # every row closes on all its open pieces
+            return value + _by_row(row, high, n), err + open_err
+        keep = delta > DEFAULT_REL_TOL * piece_size
+        if n != 1:
+            keep &= ~accepted[row]  # an accepted row closes on all its pieces
+        done = ~keep
+        value = value + _by_row(row[done], high[done], n)
+        err = err + _by_row(row[done], delta[done], n)
+        size = size + _by_row(row[done], piece_size[done], n)
+        lo, hi, row = lo[keep], hi[keep], row[keep]
+        if lo.size and (depth == MAX_DEPTH or 2 * lo.size > MAX_PIECES):
+            r = int(row.min())
+            first = int(np.argmax(row == r))
+            raise QuadratureError(
+                f"Gauss-Legendre refinement did not converge on {lo.size} pieces "
+                f"after {depth} bisections, first [{lo[first]}, {hi[first]}] in row {r}",
+                partial=float((value if n == 1 else value[r]) + high[keep][row == r].sum()),
+            )
+        mid = 0.5 * (lo + hi)
+        lo, hi, row = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([row, row])
+        depth += 1
+    return value, err
+
+
 def integrate_stacked(f, rows) -> tuple[np.ndarray, np.ndarray]:
     """Integrate many piecewise integrands at once; returns (values, error estimates), one per row.
 
@@ -155,47 +207,12 @@ def integrate_stacked(f, rows) -> tuple[np.ndarray, np.ndarray]:
     is summed in the same order whatever rows it is stacked with, so its
     result does not depend on them.  After MAX_DEPTH bisections, or with
     more than MAX_PIECES pieces open over all rows, raises QuadratureError
-    carrying the value so far of the first row still open as ``partial``.
+    carrying the value so far of the first row still open as ``partial``:
+    the piece cap is shared, so a batch can raise where each of its rows
+    alone would converge.
     """
-    rows = list(rows)
-    n = len(rows)
-    lo, hi, row = [], [], []
-    for r, breakpoints in enumerate(rows):
-        pts = sorted(set(float(x) for x in breakpoints))
-        for a, b in zip(pts, pts[1:]):
-            if b - a > 1e-15 * max(1.0, abs(b)):
-                lo.append(a)
-                hi.append(b)
-                row.append(r)
-    lo, hi, row = np.array(lo), np.array(hi), np.array(row, dtype=np.intp)
-    value, err, size = np.zeros(n), np.zeros(n), np.zeros(n)  # of each row's pieces already done
-    depth = 0
-    while lo.size:
-        sums = _rules(f, lo, hi, row)
-        high, piece_size = sums[0], sums[2]
-        delta = np.abs(high - sums[1])
-        open_err = np.bincount(row, delta, n)
-        accepted = err + open_err <= DEFAULT_REL_TOL * (size + np.bincount(row, piece_size, n))
-        if accepted.all():  # every row closes on all its open pieces
-            return value + np.bincount(row, high, n), err + open_err
-        keep = ~accepted[row] & (delta > DEFAULT_REL_TOL * piece_size)
-        done = ~keep
-        value += np.bincount(row[done], high[done], n)
-        err += np.bincount(row[done], delta[done], n)
-        size += np.bincount(row[done], piece_size[done], n)
-        lo, hi, row = lo[keep], hi[keep], row[keep]
-        if lo.size and (depth == MAX_DEPTH or 2 * lo.size > MAX_PIECES):
-            r = int(row.min())
-            first = int(np.argmax(row == r))
-            raise QuadratureError(
-                f"Gauss-Legendre refinement did not converge on {lo.size} pieces "
-                f"after {depth} bisections, first [{lo[first]}, {hi[first]}] in row {r}",
-                partial=float(value[r] + high[keep][row == r].sum()),
-            )
-        mid = 0.5 * (lo + hi)
-        lo, hi, row = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([row, row])
-        depth += 1
-    return value, err
+    value, err = _integrate(f, rows)
+    return np.atleast_1d(value), np.atleast_1d(err)
 
 
 def integrate_piecewise(f, breakpoints) -> tuple[float, float]:
@@ -204,5 +221,4 @@ def integrate_piecewise(f, breakpoints) -> tuple[float, float]:
     ``f`` maps a 1-d array of points to the array of its values.  This is
     ``integrate_stacked`` with one row, and raises as it does.
     """
-    value, err = integrate_stacked(lambda x, _row: f(x.ravel()).reshape(x.shape), [breakpoints])
-    return float(value[0]), float(err[0])
+    return _integrate(lambda x, _row: f(x.ravel()).reshape(x.shape), [breakpoints])

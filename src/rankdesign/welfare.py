@@ -16,7 +16,9 @@ quadrature splits at every kink the primitives put into the band.
 one array pass, and ``band_welfare`` adds applicant welfare: the effort
 cost of every band of every policy is one row of a single stacked
 quadrature call, each row accepted by its own error estimate.
-``two_level_sweep`` prices its cutoffs through ``band_welfare``.
+``price_policies`` prices a list of policies in one such batch call, or
+one at a time if the batch raises; ``two_level_sweep`` prices its cutoffs
+c > 0 through it and ``band_welfare``.
 """
 
 from __future__ import annotations
@@ -155,7 +157,10 @@ def band_welfare(population, levels: np.ndarray, cutpoints: np.ndarray, capacity
     ``band_effort_cost`` would integrate is one row of a single
     ``integrate_stacked`` call, with ``_effort_breakpoints``' pieces and
     ``_floor_effort``'s integrand; each row is accepted on its own, by the
-    scalar rule.  ``capacity`` is a number or one per policy.
+    scalar rule.  The quadrature's MAX_PIECES cap counts the open pieces of
+    the whole batch, so a batch can raise QuadratureError where each of its
+    policies alone converges; ``price_policies`` then prices them one at a
+    time.  ``capacity`` is a number or one per policy.
     """
     pop = population
     bands = solve_bands(pop, levels, cutpoints)
@@ -216,74 +221,71 @@ def welfare_report(schedule: EquilibriumSchedule) -> WelfareReport:
     )
 
 
-def _sweep_row(population, capacity: float, c) -> tuple[float, ...]:
-    """One ``two_level_sweep`` row on the scalar path."""
+def _report_row(population, policy) -> tuple[float, float, float]:
+    """Applicant welfare, societal and private utility of one policy on the scalar path."""
     from .equilibrium import solve
+
+    report = welfare_report(solve(population, policy))
+    return report.applicant_welfare, report.societal_utility, report.private_utility
+
+
+def sweep_row(population, capacity: float, c) -> tuple[float, ...]:
+    """One ``two_level_sweep`` row on the scalar path."""
     from .policy import two_level
 
     policy = two_level(c, capacity)
-    report = welfare_report(solve(population, policy))
-    return (float(c), policy.levels[-1], report.applicant_welfare, report.societal_utility, report.private_utility)
+    return (float(c), policy.levels[-1], *_report_row(population, policy))
 
 
-def _first_rejected(cs: list, capacity) -> int:
-    """Index of the first cutoff ``two_level`` rejects, len(cs) if none.
+def price_policies(policies: list, batch, scalar) -> list[tuple[float, ...]]:
+    """One row of Python floats per policy of a list of valid equal-K policies.
 
-    Numbers are checked as one array, by ``two_level``'s own tests; any
-    other cutoff or capacity by calling it.
+    ``batch(levels, cutpoints)`` prices them all in one call, from their
+    levels and cutpoints stacked as arrays, and returns one array per
+    column; ``scalar(policy)`` prices one policy and returns its row.  If
+    the batch raises, every policy is priced again by ``scalar``, so the
+    error raised is the first failing policy's own.
     """
-    from .policy import two_level
-
-    c = np.array(cs)
-    numbers = c.ndim == 1 and c.dtype.kind in "iuf" and isinstance(capacity, float)
-    if numbers and math.isfinite(capacity) and 0.0 < capacity < 1.0:
-        ok = (c >= 0.0) & (c < 1.0) & (c <= 1.0 - capacity + 1e-15)  # NaN fails every test
-        return len(cs) if ok.all() else int(np.argmin(ok))
-    for i, x in enumerate(cs):
-        try:
-            two_level(x, capacity)
-        except (RankDesignError, TypeError):
-            return i
-    return len(cs)
-
-
-def _sweep_rows(population, capacity: float, cs: list) -> list[tuple[float, ...]]:
-    """``two_level_sweep``'s rows for cutoffs that ``two_level`` accepts.
-
-    The cutoffs c > 0 are priced in one ``band_welfare`` call and c = 0 by
-    one scalar row.  If the batch raises, every row is priced again on the
-    scalar path, so the error raised is the first failing cutoff's own.
-    """
-    c = np.array(cs, dtype=float)
-    positive = c > 0.0
-    level = np.full_like(c, capacity)  # one level at c = 0
-    level[positive] = np.minimum(capacity / (1.0 - c[positive]), 1.0)
-    welfare = np.empty((3, len(c)))
+    if not policies:
+        return []
+    levels = np.array([policy.levels for policy in policies])
+    cutpoints = np.array([policy.cutpoints for policy in policies])
     try:
-        if not positive.all():
-            welfare[:, ~positive] = np.array(_sweep_row(population, capacity, 0.0)[2:])[:, None]
-        levels = np.stack((np.zeros(positive.sum()), level[positive]), axis=1)
-        welfare[:, positive] = band_welfare(population, levels, c[positive, None], capacity)
+        return list(zip(*(column.tolist() for column in batch(levels, cutpoints))))
     except RankDesignError:
-        return [_sweep_row(population, capacity, x) for x in cs]
-    return list(zip(c.tolist(), level.tolist(), *welfare.tolist()))
+        return [scalar(policy) for policy in policies]
 
 
 def two_level_sweep(population, capacity: float, cs) -> list[tuple[float, ...]]:
     """Welfare profile over two-level cutoffs; rows (c, level1, W, U_soc, U_pri) of Python floats.
 
-    ``cs`` is any iterable of cutoffs.  A row equals the scalar
-    ``welfare_report(solve(population, two_level(c, capacity)))`` to
-    rounding; the cutoffs c > 0 are priced in one batch.  Raises what a loop
-    over those scalar calls would raise first: ``two_level``'s DomainError
-    or CapacityError for a cutoff it rejects, otherwise the first failing
-    row's error.
+    ``cs`` is any iterable of cutoffs.  A row equals ``sweep_row`` to
+    rounding: the cutoffs c > 0 are priced in one ``band_welfare`` call
+    and c = 0, the one-level policy, once on the scalar path.  Raises what
+    a loop of ``sweep_row`` calls would raise first: ``two_level``'s error
+    for the first cutoff it rejects, unless a cutoff before it fails.
     """
     from .policy import two_level
 
-    cs = list(cs)
-    first = _first_rejected(cs, capacity)
-    rows = _sweep_rows(population, capacity, cs[:first])
-    if first < len(cs):
-        two_level(cs[first], capacity)  # raises two_level's own error for that cutoff
+    cs, policies, rejected = list(cs), [], None
+    try:
+        for c in cs:
+            policies.append(two_level(c, capacity))
+    except (RankDesignError, TypeError) as exc:  # raised below, once the cutoffs before it are priced
+        rejected = exc
+    entered = [policy for policy in policies if policy.cutpoints]
+    priced = iter(
+        price_policies(
+            entered,
+            lambda levels, cutpoints: band_welfare(population, levels, cutpoints, capacity),
+            lambda policy: _report_row(population, policy),
+        )
+    )
+    one_level = next((_report_row(population, policy) for policy in policies if not policy.cutpoints), None)
+    rows = [
+        (float(c), policy.levels[-1], *(next(priced) if policy.cutpoints else one_level))
+        for c, policy in zip(cs, policies)
+    ]
+    if rejected is not None:
+        raise rejected
     return rows

@@ -27,6 +27,7 @@ from rankdesign import (
 )
 from rankdesign import quadrature
 from rankdesign.quadrature import adaptive_simpson, integrate_piecewise
+from rankdesign.welfare import band_welfare
 
 
 def analytic_applicant_welfare(c, rho=0.2):
@@ -220,6 +221,20 @@ def test_sweep_raises_the_first_rows_quadrature_error(benchmark_population, monk
     assert two_level_sweep(benchmark_population, 0.2, cs[:1])[0][2] == pytest.approx(
         _scalar_sweep(benchmark_population, 0.2, cs[:1])[0][2], rel=1e-12
     )
+
+
+def test_sweep_prices_one_by_one_when_only_the_batch_hits_the_piece_cap(benchmark_population, monkeypatch):
+    # MAX_PIECES counts open pieces over all rows: with 2, each cutoff converges alone and the two together do not
+    monkeypatch.setattr(quadrature, "MAX_PIECES", 2)
+    cs = [0.05, 0.1]
+    policies = [two_level(c, 0.2) for c in cs]
+    levels = np.array([policy.levels for policy in policies])
+    cutpoints = np.array([policy.cutpoints for policy in policies])
+    with pytest.raises(QuadratureError, match="in row 0"):
+        band_welfare(benchmark_population, levels, cutpoints, 0.2)
+    for i in range(len(cs)):
+        band_welfare(benchmark_population, levels[i : i + 1], cutpoints[i : i + 1], 0.2)
+    assert two_level_sweep(benchmark_population, 0.2, cs) == _scalar_sweep(benchmark_population, 0.2, cs)
 
 
 def test_sweep_monotonicity(benchmark_population):
