@@ -15,13 +15,13 @@ at e0.  ``solve`` computes each band's floor and idle transfer g(e0) once and
 stores them on its ``BandSolution``; ``_band_effort`` and ``_band_score`` are
 the one band formula every other module reads, for a rank or an array of
 ranks; ``_floor_effort`` is its array formula, which also takes one floor
-per rank.  No grid is built.  ``solve_bands`` runs the same recursion for
-a batch of equal-K policies at once, as arrays of band constants.
+per rank; ``_read_ranks`` reads a schedule at an array of ranks with it.
+No grid is built.  ``solve_bands`` runs the same recursion for a batch of
+equal-K policies at once, as arrays of band constants.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,18 +163,6 @@ class BandArrays:
     idle: float
 
 
-def _boundary_efforts(pop: PopulationSpec, floor: np.ndarray, theta: np.ndarray, idle: float) -> np.ndarray:
-    """``_band_effort``'s scalar branch at rank theta of rows whose band has a floor: e0 where it idles."""
-    target = floor / pop.f.evaluate(theta)
-    entered = target > idle
-    effort = np.full_like(target, pop.e0)
-    try:
-        effort[entered] = pop.g.invert(target[entered])
-    except RangeError as exc:
-        raise ModelError(f"a score target outside the image of the effort transfer: {exc}") from exc
-    return effort
-
-
 def _switch_points(pop: PopulationSpec, floor: np.ndarray, lo: np.ndarray, hi: np.ndarray, idle: float) -> np.ndarray:
     """``_entered_band``'s switch points, NaN where absent.
 
@@ -208,7 +196,7 @@ def solve_bands(population: PopulationSpec, levels: np.ndarray, cutpoints: np.nd
     boundary = np.full(n, population.e0)  # band 0 idles at e0
     for k in range(1, k_levels):
         if k > 1:
-            boundary = _boundary_efforts(population, floor[:, k - 1], lo[:, k], idle)
+            boundary = _floor_effort(population, floor[:, k - 1], idle, lo[:, k])
         jump = levels[:, k] - levels[:, k - 1]
         threshold[:, k] = population.cost_inverse(population.p.evaluate(boundary) + jump)
         floor[:, k] = _transfer_at(population, threshold[:, k]) * population.f.evaluate(lo[:, k])
@@ -222,6 +210,18 @@ def effort_at(schedule: EquilibriumSchedule, theta: float) -> float:
 
 def score_at(schedule: EquilibriumSchedule, theta: float) -> float:
     return _band_score(schedule.population, schedule.band_of(theta), theta)
+
+
+def _read_ranks(schedule: EquilibriumSchedule, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Band index (``policy.band_of``'s rule), effort and score at an array of ranks in [0, 1]."""
+    pop = schedule.population
+    bands = np.searchsorted(schedule.policy.cutpoints, thetas, side="right")
+    efforts, scores = np.empty_like(thetas), np.empty_like(thetas)
+    for band in schedule.bands:
+        mask = bands == band.k
+        efforts[mask] = _band_effort(pop, band, thetas[mask])
+        scores[mask] = _band_score(pop, band, thetas[mask])
+    return bands, efforts, scores
 
 
 def threshold_indifference_residuals(schedule: EquilibriumSchedule) -> list[float]:
@@ -258,32 +258,21 @@ class RankCheckReport:
 
 
 def check_rank_preservation(schedule: EquilibriumSchedule, grid_size: int) -> RankCheckReport:
-    """Verify on a rank grid that score order reproduces the reward bands.
+    """Verify on a rank grid, plus the cutpoints, that score order reproduces the reward bands.
 
-    Two conditions: the policy reward at each grid rank matches the band the
-    schedule assigns, and the scores of every band strictly dominate the
-    scores of the band below (so ranking by score implies the same rewards).
+    The scores of every band must strictly dominate the scores of the band
+    below, so ranking by score assigns the same rewards; a band that fails
+    is reported at its lower bound with the margin min - max.
     """
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
-    policy = schedule.policy
-    thetas = [i / (grid_size - 1) for i in range(grid_size)]
-    thetas = sorted(set(thetas) | set(policy.cutpoints))
+    thetas = np.union1d(np.arange(grid_size) / (grid_size - 1), schedule.policy.cutpoints)
+    bands, _, scores = _read_ranks(schedule, thetas)
     violations: list[RankCheckViolation] = []
-    band_min: dict[int, float] = {}
-    band_max: dict[int, float] = {}
-    for theta in thetas:
-        band = schedule.band_of(theta)
-        expected = policy.levels[band.k]
-        actual = policy.levels[policy.band_of(theta)]
-        if actual != expected:
-            violations.append(RankCheckViolation(theta, "reward-mismatch", actual - expected))
-        s = _band_score(schedule.population, band, theta)
-        band_min[band.k] = min(band_min.get(band.k, math.inf), s)
-        band_max[band.k] = max(band_max.get(band.k, -math.inf), s)
-    for k in range(1, policy.k):
-        if k in band_min and (k - 1) in band_max:
-            margin = band_min[k] - band_max[k - 1]
+    for k in range(1, schedule.policy.k):
+        below, above = scores[bands == k - 1], scores[bands == k]
+        if len(below) and len(above):
+            margin = float(above.min() - below.max())
             if margin <= 0.0:
                 violations.append(RankCheckViolation(schedule.bands[k].lo, "score-overlap", margin))
     return RankCheckReport(len(thetas), tuple(violations))
@@ -327,44 +316,24 @@ def comparative_statics_check(
         raise PerturbationError(
             "perturbation invalidates policy: " + "; ".join(report.violations)
         )
-    base = solve(population, policy)
-    moved = solve(population, perturbed)
+    thetas = (np.arange(STATICS_GRID) + 0.5) / STATICS_GRID
+    bands, before, _ = _read_ranks(solve(population, policy), thetas)
+    d = _read_ranks(solve(population, perturbed), thetas)[1] - before
+    # per check, the largest move the wrong way: any move below band k, a fall in band k, a rise in k+1..j
+    moves = [np.abs(d[bands < k]), -d[bands == k], d[(bands > k) & (bands <= j)]]
+    worst = [float(np.max(m, initial=0.0)) for m in moves]
     tol_eq = 1e-12
-    worst = 0.0
-    below_ok = raised_ok = lowered_ok = True
-    for i in range(STATICS_GRID):
-        theta = (i + 0.5) / STATICS_GRID
-        band = base.band_of(theta).k
-        e_before = effort_at(base, theta)
-        e_after = effort_at(moved, theta)
-        d = e_after - e_before
-        if band < k:
-            if abs(d) > tol_eq:
-                below_ok = False
-                worst = max(worst, abs(d))
-        elif band == k:
-            if d < -tol_eq:
-                raised_ok = False
-                worst = max(worst, -d)
-        elif band <= j:
-            if d > tol_eq:
-                lowered_ok = False
-                worst = max(worst, d)
-    return ComparativeStaticsReport(below_ok, raised_ok, lowered_ok, worst)
+    flags = [w <= tol_eq for w in worst]
+    return ComparativeStaticsReport(*flags, max([w for w in worst if w > tol_eq], default=0.0))
 
 
 def sample_schedule(schedule: EquilibriumSchedule, grid: int) -> list[tuple[float, int, float, float]]:
     """Rows (theta, band, effort, score) on a uniform grid plus band boundaries."""
     if grid < 2:
         raise DomainError("grid must be at least 2")
-    thetas = {i / (grid - 1) for i in range(grid)}
-    thetas.update(schedule.policy.cutpoints)
-    pop = schedule.population
-    rows = []
-    for theta in sorted(thetas):
-        band = schedule.band_of(theta)
-        rows.append((theta, band.k, _band_effort(pop, band, theta), _band_score(pop, band, theta)))
-    return rows
+    thetas = np.union1d(np.arange(grid) / (grid - 1), schedule.policy.cutpoints)
+    bands, efforts, scores = _read_ranks(schedule, thetas)
+    return list(zip(thetas.tolist(), bands.tolist(), efforts.tolist(), scores.tolist()))
 
 
 def corrupted_schedule(schedule: EquilibriumSchedule, k: int, factor: float) -> EquilibriumSchedule:

@@ -83,11 +83,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # effort_at is unused here but stays importable: perfbench/tracing.py times it as oracle.effort_at
-from .equilibrium import EquilibriumSchedule, _band_effort, effort_at  # noqa: F401
+from .equilibrium import EquilibriumSchedule, _read_ranks, effort_at  # noqa: F401
 from .errors import DomainError, ModelError
 from .functions import PopulationSpec
 from .policy import RewardPolicy
 from .welfare import WelfareReport
+
+MAX_GRID_COLUMNS = 10**6  # the largest e_max / delta_e an instance accepts
 
 
 def _check_skills(skill: np.ndarray) -> None:
@@ -127,6 +129,8 @@ class DiscreteInstance:
             raise DomainError(f"effort cap must be finite and >= 0, got {self.e_max!r}")
         if self.e_max < self.population.e0:
             raise DomainError(f"effort cap {self.e_max!r} lies below the idle effort e0 = {self.population.e0!r}")
+        if self.e_max / self.delta_e > MAX_GRID_COLUMNS:
+            raise DomainError(f"e_max / delta_e = {self.e_max} / {self.delta_e} > {MAX_GRID_COLUMNS} grid columns")
         _check_skills(self.skill)
         if self.n == 0:
             raise DomainError("instance needs at least one agent")
@@ -153,7 +157,7 @@ class DiscreteInstance:
             ranks = (np.arange(n) + 0.5) / n
         else:
             ranks = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, n))
-        skill = np.array([population.f.evaluate(t) for t in ranks])
+        skill = population.f.evaluate(ranks)
         if e_max is None:
             e_max = default_effort_cap(population, policy, delta_e)
         efforts = np.full(n, float(population.e0))
@@ -168,8 +172,7 @@ class DiscreteInstance:
     ) -> "DiscreteInstance":
         """Instance seeded with the closed-form efforts at stratified ranks."""
         inst = DiscreteInstance.stratified(schedule.population, schedule.policy, n, delta_e, e_max)
-        pop = schedule.population
-        inst.efforts = np.array([_band_effort(pop, schedule.band_of(t), t) for t in inst.ranks])
+        inst.efforts = _read_ranks(schedule, inst.ranks)[1]
         return inst
 
     # -- scoring and reward assignment --------------------------------------

@@ -1,4 +1,5 @@
-"""The batch path of ``solve_bands``, ``band_utilities`` and ``band_welfare`` against scalar ``solve``.
+"""The batch path of ``solve_bands``, ``band_utilities`` and ``band_welfare`` against scalar ``solve``,
+and ``_read_ranks`` against the scalar reads of one schedule.
 
 Each row of a batch must reproduce ``solve``'s band constants,
 ``societal_utility``/``private_utility`` and ``welfare_report``'s applicant
@@ -22,14 +23,16 @@ from rankdesign import (
     RankDesignError,
     RewardPolicy,
     Role,
+    effort_at,
     private_utility,
+    score_at,
     societal_utility,
     solve,
     two_level,
     validate,
     welfare_report,
 )
-from rankdesign.equilibrium import solve_bands
+from rankdesign.equilibrium import _read_ranks, solve_bands
 from rankdesign.welfare import band_utilities, band_welfare
 
 REL = 1e-12
@@ -147,6 +150,28 @@ def test_batch_matches_scalar_solve(f, g, p, policies):
                 assert _close(bands.switch_point[i, k], band.switch_point)
         assert _close(societal[i], societal_utility(schedule))
         assert _close(private[i], private_utility(schedule))
+
+
+@settings(max_examples=_examples(60), deadline=None)
+@given(f=_skills(), g=_transfers(), p=_costs(), policies=_batches(), drawn=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_read_ranks_matches_scalar_reads(f, g, p, policies, drawn):
+    """Bands equal ``band_of`` exactly, efforts and scores ``effort_at`` and ``score_at`` to
+    rounding, at 0, 1, every cutpoint, switch point and skill kink, and at drawn ranks.  K runs
+    from 1 to 4 and g(e0) > 0, so bands switch to the idle branch inside."""
+    population = PopulationSpec(f, g, p)
+    for policy in policies:
+        try:
+            schedule = solve(population, policy)
+        except ModelError:
+            continue
+        switches = [band.switch_point for band in schedule.bands if band.switch_point is not None]
+        thetas = np.array([0.0, 1.0, *policy.cutpoints, *switches, *getattr(f, "kinks", ()), *drawn])
+        bands, efforts, scores = _read_ranks(schedule, thetas)
+        for theta, band, effort, score in zip(thetas.tolist(), bands.tolist(), efforts.tolist(), scores.tolist()):
+            assert band == schedule.band_of(theta).k
+            # where the band idles, at and past a switch point, the array gives e0 to rounding
+            assert math.isclose(effort, effort_at(schedule, theta), rel_tol=REL, abs_tol=1e-12)
+            assert _close(score, score_at(schedule, theta))
 
 
 def test_batch_raises_model_error_when_any_row_does():

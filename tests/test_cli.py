@@ -245,6 +245,16 @@ def test_verify_non_finite_option_exits_2(tmp_path, capsys, option):
     _assert_config_error(capsys, main(["--config", cfg, "verify", "--n", "20", *option]))
 
 
+def test_verify_oversized_effort_grid_exits_2(tmp_path, capsys):
+    """--delta-e 1e-9 up to a cap near 1 asks for about 1e9 grid columns: exit 2, not a memory blow-up."""
+    cfg = write_config(
+        tmp_path,
+        {"population": BENCHMARK_POPULATION, "policy": {"two_level": {"c": 0.8, "capacity": 0.2}}},
+    )
+    code = main(["--config", cfg, "verify", "--n", "3", "--delta-e", "1e-9"])
+    _assert_config_error(capsys, code)
+
+
 @pytest.mark.parametrize("command", ["eval", "verify"])
 def test_negative_skill_quantile_exits_2(tmp_path, capsys, command):
     """An affine skill of offset -0.5 has f(0) < 0, so scores g(e) * f(theta) fall below 0."""

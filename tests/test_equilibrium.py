@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from itertools import product
 
@@ -24,7 +25,7 @@ from rankdesign import (
     threshold_indifference_residuals,
     two_level,
 )
-from rankdesign.equilibrium import _band_effort, _band_score
+from rankdesign.equilibrium import STATICS_GRID, _band_effort, _band_score
 
 FOUR_LEVEL = RewardPolicy((0.0, 0.2, 0.5, 1.0), (0.4, 0.7, 0.9), 0.26)
 # g(e0) = 0.4 > 0: idle effort scores, and bands have switch points
@@ -267,3 +268,119 @@ def test_band_formula_takes_arrays(benchmark_population):
             scalar = [(_band_effort(population, band, t), _band_score(population, band, t)) for t in thetas.tolist()]
             np.testing.assert_allclose(efforts, [e for e, _ in scalar], rtol=1e-14, atol=1e-15)
             np.testing.assert_allclose(scores, [v for _, v in scalar], rtol=1e-14, atol=0.0)
+
+
+# -- scalar references: the per-rank loops that the array reads replaced ------
+
+def reference_rank_check(schedule, grid_size):
+    """(grid size, [(theta, kind, margin)]) of the rank check, one rank at a time."""
+    policy = schedule.policy
+    thetas = sorted({i / (grid_size - 1) for i in range(grid_size)} | set(policy.cutpoints))
+    band_min, band_max = {}, {}
+    for theta in thetas:
+        band = schedule.band_of(theta)
+        s = _band_score(schedule.population, band, theta)
+        band_min[band.k] = min(band_min.get(band.k, math.inf), s)
+        band_max[band.k] = max(band_max.get(band.k, -math.inf), s)
+    violations = []
+    for k in range(1, policy.k):
+        if k in band_min and (k - 1) in band_max:
+            margin = band_min[k] - band_max[k - 1]
+            if margin <= 0.0:
+                violations.append((schedule.bands[k].lo, "score-overlap", margin))
+    return len(thetas), violations
+
+
+def reference_comparative_statics(population, policy, perturbed, k, j):
+    """(below_ok, raised_ok, lowered_ok, max_violation), one rank at a time."""
+    base, moved = solve(population, policy), solve(population, perturbed)
+    worst = 0.0
+    below_ok = raised_ok = lowered_ok = True
+    for i in range(STATICS_GRID):
+        theta = (i + 0.5) / STATICS_GRID
+        band = base.band_of(theta).k
+        d = effort_at(moved, theta) - effort_at(base, theta)
+        if band < k:
+            if abs(d) > 1e-12:
+                below_ok = False
+                worst = max(worst, abs(d))
+        elif band == k:
+            if d < -1e-12:
+                raised_ok = False
+                worst = max(worst, -d)
+        elif band <= j:
+            if d > 1e-12:
+                lowered_ok = False
+                worst = max(worst, d)
+    return below_ok, raised_ok, lowered_ok, worst
+
+
+def reference_sample_schedule(schedule, grid):
+    """``sample_schedule``'s rows, one rank at a time."""
+    thetas = {i / (grid - 1) for i in range(grid)}
+    thetas.update(schedule.policy.cutpoints)
+    pop = schedule.population
+    rows = []
+    for theta in sorted(thetas):
+        band = schedule.band_of(theta)
+        rows.append((theta, band.k, _band_effort(pop, band, theta), _band_score(pop, band, theta)))
+    return rows
+
+
+THREE_LEVEL = RewardPolicy((0.0, 0.9, 1.0), (0.5, 0.75), 0.475)
+
+
+def _reference_schedules(benchmark_population):
+    """The rank-check and sampling cases above, with both corrupted negative controls."""
+    schedules = [solve(population, policy) for population, policy in product(
+        (benchmark_population, IDLE_SCORE_POPULATION), (FOUR_LEVEL, THREE_LEVEL, two_level(0.8, 0.2),
+                                                        two_level(0.2, 0.2), two_level(0.0, 0.2)))]
+    broken = [corrupted_schedule(solve(benchmark_population, THREE_LEVEL), k=2, factor=0.5),
+              corrupted_schedule(solve(benchmark_population, FOUR_LEVEL), k=2, factor=0.5)]
+    return schedules + broken
+
+
+def _near(a, b):
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_rank_check_matches_scalar_reference(benchmark_population):
+    seen_violation = False
+    for schedule in _reference_schedules(benchmark_population):
+        for grid_size in (2, 500, 2000):
+            report = check_rank_preservation(schedule, grid_size)
+            size, want = reference_rank_check(schedule, grid_size)
+            assert report.grid_size == size
+            assert [(v.theta, v.kind) for v in report.violations] == [(theta, kind) for theta, kind, _ in want]
+            assert all(_near(v.margin, margin) for v, (_, _, margin) in zip(report.violations, want))
+            seen_violation |= bool(want)
+    assert seen_violation  # the corrupted schedules fail the check
+
+
+@pytest.mark.parametrize("population", ["benchmark", "idle"])
+@pytest.mark.parametrize("k, j, delta", [(1, 3, 0.01), (1, 3, 0.0), (0, 2, 0.01), (1, 2, -0.01), (1, 2, -0.05)])
+def test_comparative_statics_matches_scalar_reference(benchmark_population, population, k, j, delta):
+    """A negative delta lowers band k and raises band j, so both of their checks fail."""
+    population = benchmark_population if population == "benchmark" else IDLE_SCORE_POPULATION
+    report = comparative_statics_check(population, FOUR_LEVEL, k, j, delta)
+    bounds = (0.0,) + FOUR_LEVEL.cutpoints + (1.0,)
+    levels = list(FOUR_LEVEL.levels)
+    levels[k] += delta
+    levels[j] -= delta * (bounds[k + 1] - bounds[k]) / (bounds[j + 1] - bounds[j])
+    perturbed = RewardPolicy(tuple(levels), FOUR_LEVEL.cutpoints, FOUR_LEVEL.capacity)
+    *flags, worst = reference_comparative_statics(population, FOUR_LEVEL, perturbed, k, j)
+    assert [report.unchanged_below_ok, report.raised_band_ok, report.lowered_bands_ok] == flags
+    assert _near(report.max_violation, worst)
+    assert report.ok == (delta >= 0.0)
+
+
+def test_sample_schedule_matches_scalar_reference(benchmark_population):
+    for schedule in _reference_schedules(benchmark_population):
+        for grid in (2, 101):
+            rows = sample_schedule(schedule, grid)
+            want = reference_sample_schedule(schedule, grid)
+            assert [(theta, band) for theta, band, _, _ in rows] == [(theta, band) for theta, band, _, _ in want]
+            for (_, _, effort, score), (_, _, e, s) in zip(rows, want):
+                assert _near(effort, e) and _near(score, s)
+            assert all(type(v) is float for row in rows for v in (row[0], row[2], row[3]))
+            assert all(type(row[1]) is int for row in rows)

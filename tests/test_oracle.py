@@ -62,6 +62,18 @@ def test_invalid_grid_or_score_rejected(benchmark_population):
         certify_equilibrium(inst, 0.0)
 
 
+def test_effort_grid_size_is_capped(benchmark_population):
+    """A grid step of 1e-9 up to a cap near 1 would ask for about 1e9 columns; the
+    instance is rejected when it is built, before any grid exists."""
+    with pytest.raises(DomainError, match=r"e_max / delta_e = .* / 1e-09 > 1000000 grid columns"):
+        DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 3, 1e-9)
+    inst = DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 3, 1e-3)
+    args = (inst.population, inst.policy, inst.ranks, inst.skill, inst.efforts, 1e-3)
+    assert DiscreteInstance(*args, 0.5e-3 * oracle.MAX_GRID_COLUMNS).e_max == 500.0
+    with pytest.raises(DomainError, match="grid columns"):
+        DiscreteInstance(*args, 2e-3 * oracle.MAX_GRID_COLUMNS)
+
+
 def test_monte_carlo_ranks_sorted(benchmark_population):
     inst = DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), 50, 1e-3, seed=3)
     assert np.all(np.diff(inst.ranks) >= 0)
