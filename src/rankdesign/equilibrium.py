@@ -31,6 +31,8 @@ from .functions import PopulationSpec
 from .policy import RewardPolicy, validate
 
 STATICS_GRID = 2000  # midpoint ranks at which comparative_statics_check compares efforts
+# the most ranks or agents one call allocates: rank grids, oracle agents, multi-skill samples
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -264,8 +266,8 @@ def check_rank_preservation(schedule: EquilibriumSchedule, grid_size: int) -> Ra
     below, so ranking by score assigns the same rewards; a band that fails
     is reported at its lower bound with the margin min - max.
     """
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
+    if not 2 <= grid_size <= MAX_SAMPLES:
+        raise DomainError(f"grid_size must lie in [2, {MAX_SAMPLES}], got {grid_size!r}")
     thetas = np.union1d(np.arange(grid_size) / (grid_size - 1), schedule.policy.cutpoints)
     bands, _, scores = _read_ranks(schedule, thetas)
     violations: list[RankCheckViolation] = []
@@ -329,8 +331,8 @@ def comparative_statics_check(
 
 def sample_schedule(schedule: EquilibriumSchedule, grid: int) -> list[tuple[float, int, float, float]]:
     """Rows (theta, band, effort, score) on a uniform grid plus band boundaries."""
-    if grid < 2:
-        raise DomainError("grid must be at least 2")
+    if not 2 <= grid <= MAX_SAMPLES:
+        raise DomainError(f"grid must lie in [2, {MAX_SAMPLES}], got {grid!r}")
     thetas = np.union1d(np.arange(grid) / (grid - 1), schedule.policy.cutpoints)
     bands, efforts, scores = _read_ranks(schedule, thetas)
     return list(zip(thetas.tolist(), bands.tolist(), efforts.tolist(), scores.tolist()))

@@ -14,13 +14,12 @@ cutoff there is a weight that makes it the optimum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssumptionError, DomainError, ModelError
-from .equilibrium import BandSolution, _band_effort, solve
+from .equilibrium import MAX_SAMPLES, BandSolution, _band_effort, solve
 from .functions import FunctionSpec, PopulationSpec, Power, Role
 from .oracle import DiscreteInstance, best_response_dynamics
 from .policy import RewardPolicy, two_level
@@ -58,20 +57,26 @@ class MultiSkillSpec:
         return len(self.quantiles)
 
 
-def pre_index(spec: MultiSkillSpec, ranks) -> tuple[float, int]:
-    """Combined pre-effort index max_i alpha_i f_i(rank_i), ties to lowest skill."""
-    if len(ranks) != spec.m:
-        raise DomainError(f"expected {spec.m} ranks, got {len(ranks)}")
-    best_value = -math.inf
-    best_skill = 0
-    for i, (w, f, r) in enumerate(zip(spec.weights, spec.quantiles, ranks)):
-        if not (0.0 <= r <= 1.0):
-            raise DomainError(f"rank {r!r} outside [0, 1]")
-        v = w * f.evaluate(r)
-        if v > best_value:
-            best_value = v
-            best_skill = i
-    return best_value, best_skill
+def _weighted_quantiles(spec: MultiSkillSpec, ranks: np.ndarray) -> np.ndarray:
+    """alpha_i f_i(rank_i) for each row of an (n, m) array of ranks in [0, 1], one array call per skill."""
+    if ranks.ndim != 2 or ranks.shape[1] != spec.m:
+        raise DomainError(f"expected {spec.m} ranks per row, got shape {ranks.shape}")
+    if not ((0.0 <= ranks) & (ranks <= 1.0)).all():
+        raise DomainError(f"ranks outside [0, 1]: {ranks!r}")
+    return np.stack([w * f.evaluate(col) for w, f, col in zip(spec.weights, spec.quantiles, ranks.T)], axis=1)
+
+
+def pre_index(spec: MultiSkillSpec, ranks) -> tuple[float, int] | tuple[np.ndarray, np.ndarray]:
+    """Combined pre-effort index max_i alpha_i f_i(rank_i), ties to the lowest skill.
+
+    ``ranks`` is one row of m ranks, giving (value, skill), or an (n, m)
+    array, giving an array of values and one of skill indices.
+    """
+    table = np.asarray(ranks, dtype=float)
+    weighted = _weighted_quantiles(spec, table[None] if table.ndim == 1 else table)
+    skill = weighted.argmax(axis=1)  # the first largest: the lowest skill on a tie
+    value = weighted[np.arange(len(weighted)), skill]
+    return (float(value[0]), int(skill[0])) if table.ndim == 1 else (value, skill)
 
 
 @dataclass(frozen=True)
@@ -103,19 +108,14 @@ def check_multidim_rank_preservation(
     skill); ``index_rule`` only selects the comparison index, so "min" acts
     as a deliberately wrong index for negative controls.
     """
-    if sample_size < 2:
-        raise DomainError("sample_size must be at least 2")
+    if not 2 <= sample_size <= MAX_SAMPLES:
+        raise DomainError(f"sample_size must lie in [2, {MAX_SAMPLES}], got {sample_size!r}")
     if index_rule not in ("max", "min"):
         raise DomainError("index_rule must be 'max' or 'min'")
     rng = np.random.default_rng(seed)
     ranks = rng.uniform(0.0, 1.0, size=(sample_size, spec.m))
-    true_index = np.array([pre_index(spec, row)[0] for row in ranks])
-    if index_rule == "max":
-        comparison = true_index
-    else:
-        comparison = np.array(
-            [min(w * f.evaluate(r) for w, f, r in zip(spec.weights, spec.quantiles, row)) for row in ranks]
-        )
+    true_index = pre_index(spec, ranks)[0]
+    comparison = true_index if index_rule == "max" else _weighted_quantiles(spec, ranks).min(axis=1)
     # agents ordered by true index so the oracle's index tie-break is assortative
     order = np.argsort(true_index, kind="stable")
     population = PopulationSpec(

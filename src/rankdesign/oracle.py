@@ -32,12 +32,15 @@ bars, and apply the index tie-break on exact ties.  This holds for any order
 of the levels, including decreasing and repeated ones.
 
 Best responses and certification read one table, ``_grid_table``: the effort
-grid, which holds e0 itself, with g and p on it.  The best-response dynamics
-are one flat loop over round-robin sweeps.  Their candidates are, per
-reward-step bar, the first grid column whose score is not below the bar, and
-on a tie the first above it: the cells certification prices, compared as the
-same products skill * g(e_k); so a run that converges ends at a profile
-certification accepts.
+grid, which holds e0 itself, with g and p on it.  The oracle reads f, g and p
+only through arrays, one call per table (the skills, the grid table,
+``scores``, ``costs`` and the dynamics' standing efforts), so every score the
+dynamics compare has the arithmetic of the standing scores.  The
+best-response dynamics are one flat loop over round-robin sweeps.  Their
+candidates are, per reward-step bar, the first grid column whose score is
+not below the bar, and on a tie the first above it: the cells certification
+prices, compared as the same products skill * g(e_k); so a run that
+converges ends at a profile certification accepts.
 
 The standing-pat screen reads the same table.  Take an agent of skill s at
 grid column c whose reward is known to be at least r, and suppose rewards
@@ -83,13 +86,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # effort_at is unused here but stays importable: perfbench/tracing.py times it as oracle.effort_at
-from .equilibrium import EquilibriumSchedule, _read_ranks, effort_at  # noqa: F401
+from .equilibrium import MAX_SAMPLES, EquilibriumSchedule, _read_ranks, effort_at  # noqa: F401
 from .errors import DomainError, ModelError
 from .functions import PopulationSpec
 from .policy import RewardPolicy
 from .welfare import WelfareReport
 
-MAX_GRID_COLUMNS = 10**6  # the largest e_max / delta_e an instance accepts
+MAX_GRID_COLUMNS = 10**6  # the largest e_max / delta_e an instance accepts; MAX_SAMPLES caps its agents
 
 
 def _check_skills(skill: np.ndarray) -> None:
@@ -151,8 +154,8 @@ class DiscreteInstance:
         seed: int | None = None,
     ) -> "DiscreteInstance":
         """Midpoint-stratified ranks (i + 0.5)/n; a seed switches to Monte Carlo ranks."""
-        if n < 1:
-            raise DomainError("need at least one agent")
+        if not 1 <= n <= MAX_SAMPLES:
+            raise DomainError(f"need 1 to {MAX_SAMPLES} agents, got {n!r}")
         if seed is None:
             ranks = (np.arange(n) + 0.5) / n
         else:
@@ -180,8 +183,7 @@ class DiscreteInstance:
     def scores(self) -> np.ndarray:
         skill = np.asarray(self.skill, dtype=float)
         _check_skills(skill)
-        g = self.population.g
-        scores = np.array([g.evaluate(e) for e in self.efforts]) * skill
+        scores = self.population.g.evaluate(np.asarray(self.efforts, dtype=float)) * skill
         if not np.isfinite(scores).all():
             raise DomainError(f"scores must be finite, got {scores!r}")
         return scores
@@ -207,8 +209,7 @@ class DiscreteInstance:
         return self._position_bands()[self.positions(scores)]
 
     def costs(self) -> np.ndarray:
-        p = self.population.p
-        return np.array([p.evaluate(e) for e in self.efforts])
+        return self.population.p.evaluate(np.asarray(self.efforts, dtype=float))
 
     def welfares(self) -> np.ndarray:
         return self.assigned_levels() - self.costs()
@@ -228,9 +229,7 @@ class DiscreteInstance:
         and certification price.  Raises ModelError unless g and p are finite
         and nondecreasing along the grid."""
         grid = self.effort_grid()
-        g, p = self.population.g, self.population.p
-        grid_g = np.array([g.evaluate(e) for e in grid])
-        grid_p = np.array([p.evaluate(e) for e in grid])
+        grid_g, grid_p = self.population.g.evaluate(grid), self.population.p.evaluate(grid)
         if not (
             np.isfinite(grid_g).all() and np.isfinite(grid_p).all()
             and (grid_g[1:] >= grid_g[:-1]).all() and (grid_p[1:] >= grid_p[:-1]).all()
@@ -453,10 +452,12 @@ def best_response_dynamics(
                 return reward
         return bottom
 
-    efforts = instance.efforts.tolist()
+    standing_efforts = np.asarray(instance.efforts, dtype=float)
+    efforts = standing_efforts.tolist()
     # (e, g(e), p(e)) of each agent's standing effort, which need not lie on the grid
-    # (from_schedule seeds closed-form efforts, and a caller may set any effort in p's domain)
-    held = [(e, pop.g.evaluate(e), pop.p.evaluate(e)) for e in efforts]
+    # (from_schedule seeds closed-form efforts, and a caller may set any effort in p's domain);
+    # g is read as scores() reads it, so standing pat scores the agent's standing score
+    held = list(zip(efforts, pop.g.evaluate(standing_efforts).tolist(), pop.p.evaluate(standing_efforts).tolist()))
     # 1 for each agent at e0, kept current as agents enter and leave e0
     at_rest = bytearray(e == e0 for e in efforts)
     # per bar of the idle row, each agent's limit

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from rankdesign import PopulationSpec, two_level_sweep
 from rankdesign.cli import main
+from rankdesign.equilibrium import MAX_SAMPLES
 
 BENCHMARK_POPULATION = {
     "f": {"family": "power", "scale": 2.0, "exponent": 1.0},
@@ -511,6 +512,25 @@ def test_malformed_skills_field_exits_2(tmp_path, capsys, field, value):
         },
     )
     _assert_config_error(capsys, main(["--config", cfg, "multidim"]))
+
+
+# 10^13 agents or ranks would take 80 TB for one array of them
+@pytest.mark.parametrize("argv, section", [
+    (["verify", "--n", "10000000000000"], {}),
+    (["--grid", "10000000000000", "equilibrium"], {}),
+    (["multidim"], {"multidim": {"skills": {**SKILLS_SECTION, "sample_size": 10**13}}}),
+], ids=["verify --n", "equilibrium --grid", "multidim sample_size"])
+def test_oversized_sample_exits_2(tmp_path, capsys, argv, section):
+    """An agent count or rank grid from the command line or the config is refused
+    before anything of its size is allocated."""
+    cfg = write_config(
+        tmp_path,
+        {"population": BENCHMARK_POPULATION, "policy": {"two_level": {"c": 0.8, "capacity": 0.2}}, **section},
+    )
+    code = main(["--config", cfg, *argv])
+    err = capsys.readouterr().err
+    assert code == 2 and "configuration error" in err and "Traceback" not in err
+    assert str(MAX_SAMPLES) in err  # the message names the cap
 
 
 @pytest.mark.parametrize("gamma_a, named", [('"x"', False), ("1e999", True), ("NaN", True)])

@@ -25,7 +25,7 @@ from rankdesign import (
     threshold_indifference_residuals,
     two_level,
 )
-from rankdesign.equilibrium import STATICS_GRID, _band_effort, _band_score
+from rankdesign.equilibrium import MAX_SAMPLES, STATICS_GRID, _band_effort, _band_score
 
 FOUR_LEVEL = RewardPolicy((0.0, 0.2, 0.5, 1.0), (0.4, 0.7, 0.9), 0.26)
 # g(e0) = 0.4 > 0: idle effort scores, and bands have switch points
@@ -125,6 +125,15 @@ def test_rank_preservation_clean(benchmark_population):
     assert report.ok
     report = check_rank_preservation(solve(benchmark_population, two_level(0.0, 0.2)), 100)
     assert report.ok
+
+
+@pytest.mark.parametrize("read", [check_rank_preservation, sample_schedule])
+def test_rank_grid_size_is_capped(benchmark_population, read):
+    """A rank grid of more than MAX_SAMPLES points is refused before it is allocated."""
+    schedule = solve(benchmark_population, FOUR_LEVEL)
+    for size in (1, MAX_SAMPLES + 1):
+        with pytest.raises(DomainError):
+            read(schedule, size)
 
 
 def test_rank_preservation_negative_control(benchmark_population):

@@ -358,3 +358,49 @@ def test_cost_inverse_takes_arrays():
             pop.cost_inverse(np.array([0.25, -1e-300, 1.0]))
     with pytest.raises(ModelError):  # beyond the image of a bounded cost
         pops[1].cost_inverse(np.array([0.25, 4.0]))
+
+
+# --- one dispatch rule: the edges of the array path -------------------------
+
+_EDGE_ARGS = {
+    "empty": np.array([]),
+    "0-d": np.array(0.5),
+    "one element": np.array([0.5]),
+    "NaN inside": np.array([0.5, math.nan]),
+    "below": np.array([0.5, -0.25]),
+    "above": np.array([0.5, 4.0]),
+}
+_POWER_COST = PopulationSpec(Power(2.0, 1.0), Power(1.0, 0.5), Power(1.0, 2.0))
+_PIECEWISE_COST = PopulationSpec(Power(1.0, 1.0), Power(1.0, 0.5), PIECEWISE)
+# (call, the error of each edge that raises); the other edges map value by value
+_EDGE_CALLS = {
+    "Power.evaluate": (Power(1.0, 2.0).evaluate, {"NaN inside": DomainError, "below": DomainError}),
+    "Power.invert": (Power(1.0, 2.0).invert, {"below": RangeError}),
+    "AffinePower.evaluate": (AffinePower(1.0, 2.0, 0.5).evaluate, {"NaN inside": DomainError, "below": DomainError}),
+    "AffinePower.invert": (AffinePower(1.0, 2.0, 0.5).invert, {"below": RangeError}),
+    "PiecewiseMonotone.evaluate": (
+        PIECEWISE.evaluate, {"NaN inside": DomainError, "below": DomainError, "above": DomainError}),
+    "PiecewiseMonotone.invert": (
+        PIECEWISE.invert, {"NaN inside": RangeError, "below": RangeError, "above": RangeError}),
+    "cost_inverse of a power": (_POWER_COST.cost_inverse, {"below": RangeError}),
+    # beyond the image of a bounded cost, NaN included, the cost cannot absorb the jump
+    "cost_inverse of a piecewise": (
+        _PIECEWISE_COST.cost_inverse, {"NaN inside": ModelError, "below": RangeError, "above": ModelError}),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(_EDGE_ARGS))
+@pytest.mark.parametrize("call", sorted(_EDGE_CALLS))
+def test_array_edges_keep_their_results_and_errors(call, edge):
+    """Empty, 0-d and one-element arrays, NaN inside an array, and arrays reaching
+    outside the domain or image: the array's shape comes back with the number path's
+    values, or the error the number path gives."""
+    fn, errors = _EDGE_CALLS[call]
+    x = _EDGE_ARGS[edge]
+    if edge in errors:
+        with pytest.raises(errors[edge]):
+            fn(x)
+        return
+    got = fn(x)
+    assert np.shape(got) == x.shape
+    assert np.ravel(got).tolist() == pytest.approx([fn(float(v)) for v in x.ravel()], rel=1e-15, nan_ok=True)

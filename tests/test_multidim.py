@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankdesign import (
     AffinePower,
     DomainError,
     ModelError,
     MultiSkillSpec,
+    PiecewiseMonotone,
     Power,
     Role,
     UnmeasurableSpec,
@@ -17,6 +21,7 @@ from rankdesign import (
     unmeasurable_conditional_mean,
     weighted_private_utility,
 )
+from rankdesign.equilibrium import MAX_SAMPLES
 
 IDENTITY = Power(1.0, 1.0)
 COST = Power(1.0, 2.0, role=Role.COST_FUNCTION)
@@ -51,6 +56,53 @@ def test_pre_index_monotone_in_each_rank():
         i = rng.integers(0, 2)
         b[i] = min(1.0, a[i] + rng.uniform(0, 1 - a[i] + 1e-12))
         assert pre_index(spec, b)[0] >= pre_index(spec, a)[0] - 1e-15
+
+
+def _reference_pre_index(spec, row):
+    """The row-by-row loop pre_index ran before it took arrays: the first strict
+    maximum, so ties go to the lowest skill; each quantile read as a one-element array."""
+    best_value, best_skill = -math.inf, 0
+    for i, (w, f, r) in enumerate(zip(spec.weights, spec.quantiles, row)):
+        v = w * float(f.evaluate(np.array([r]))[0])
+        if v > best_value:
+            best_value, best_skill = v, i
+    return best_value, best_skill
+
+
+_QUANTILES = (IDENTITY, Power(1.0, 1.0), Power(1.0, 0.5), Power(2.0, 3.0), AffinePower(0.5, 2.0, 0.1),
+              PiecewiseMonotone(((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))))
+# probability vectors that sum to 1 exactly, equal weights among them so that equal quantiles tie
+_WEIGHTS = {1: [(1.0,)], 2: [(0.5, 0.5), (0.25, 0.75)], 3: [(0.25, 0.25, 0.5), (0.5, 0.25, 0.25)]}
+
+
+@st.composite
+def _rank_tables(draw):
+    m = draw(st.integers(1, 3))
+    spec = MultiSkillSpec(quantiles=tuple(draw(st.sampled_from(_QUANTILES)) for _ in range(m)),
+                          weights=draw(st.sampled_from(_WEIGHTS[m])), transfer_slope=1.0, cost=COST)
+    # a few shared ranks make exact ties between skills and between rows
+    rank = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.lists(rank, min_size=m, max_size=m), min_size=1, max_size=20))
+    return spec, np.array(rows)
+
+
+@settings(deadline=None)
+@given(_rank_tables())
+def test_pre_index_array_matches_rows(case):
+    """The (n, m) form gives, row by row, the value and skill index of the one-row form
+    and of the row-by-row loop, exact ties included."""
+    spec, table = case
+    values, skills = pre_index(spec, table)
+    assert values.shape == skills.shape == (len(table),)
+    rows = [pre_index(spec, row) for row in table]
+    assert list(zip(values.tolist(), skills.tolist())) == rows == [_reference_pre_index(spec, row) for row in table]
+
+
+def test_pre_index_array_checks_its_domain():
+    spec = two_skill_spec()
+    for bad in ([[0.5, 0.5], [0.5, math.nan]], [[0.5, 1.5]], [[0.5, 0.5, 0.5]], [0.5], 0.5):
+        with pytest.raises(DomainError):
+            pre_index(spec, bad)
 
 
 def test_spec_validation():
@@ -88,6 +140,13 @@ def test_rank_preservation_negative_control():
         index_rule="min",
     )
     assert len(report.violations) >= 1
+
+
+def test_sample_size_is_capped():
+    """A sample of more than MAX_SAMPLES agents is refused before its ranks are drawn."""
+    for size in (1, MAX_SAMPLES + 1):
+        with pytest.raises(DomainError, match="sample_size"):
+            check_multidim_rank_preservation(two_skill_spec(), size, two_level(0.8, 0.2))
 
 
 def test_single_skill_reduces_to_base_model():

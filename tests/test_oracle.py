@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass, replace
 from bisect import bisect_left, bisect_right, insort
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -199,6 +200,41 @@ def test_tie_lemma_no_cross_band_ties(benchmark_population):
         assert len(np.unique(bands[mask])) == 1
 
 
+def test_agent_count_is_capped(benchmark_population):
+    """An instance of more than MAX_SAMPLES agents is refused before its ranks are allocated."""
+    with pytest.raises(DomainError, match="agents"):
+        DiscreteInstance.stratified(benchmark_population, two_level(0.8, 0.2), oracle.MAX_SAMPLES + 1, 1e-3)
+
+
+def _count_scalar_reads(monkeypatch) -> list[int]:
+    """Wrap the six evaluate and invert methods; the one-item list returned counts
+    their calls on anything but an array."""
+    count = [0]
+    for cls in (Power, AffinePower, PiecewiseMonotone):
+        for name in ("evaluate", "invert"):
+            def counted(self, x, *args, _method=getattr(cls, name), **kwargs):
+                if x.__class__ is not np.ndarray:
+                    count[0] += 1
+                return _method(self, x, *args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+    return count
+
+
+def test_scalar_reads_do_not_grow_with_agents_or_grid(benchmark_population, monkeypatch):
+    """Certification and a cold start read f, g and p through arrays: the scalar calls
+    they make (solve and the effort cap) are as many at every N and grid resolution."""
+    policy = two_level(0.8, 0.2)
+    count = _count_scalar_reads(monkeypatch)
+    seen = {}
+    for n in (50, 200):
+        for delta_e in (1e-2, 1e-3):
+            count[0] = 0
+            certify_equilibrium(DiscreteInstance.from_schedule(solve(benchmark_population, policy), n, delta_e), 5 / n)
+            best_response_dynamics(DiscreteInstance.stratified(benchmark_population, policy, n, delta_e), 4000)
+            seen[n, delta_e] = count[0]
+    assert len(set(seen.values())) == 1, seen
+
+
 # -- bit-identity against the scalar oracle --------------------------------
 #
 # The scalar oracle below is the reference for the pruned certification and
@@ -208,9 +244,18 @@ def test_tie_lemma_no_cross_band_ties(benchmark_population):
 # are, per bar, the first grid effort whose score is not below it and the
 # first above it, found by comparing the exact products skill * g(e) on the
 # grid (computed once per run): the cells certification prices; and standing
-# pat is priced wherever the agent stands.  Only the two public entry points
-# are renamed to ``reference_*``.  The fast path must
+# pat is priced wherever the agent stands.  It reads g and p as the oracle
+# does, through arrays (``_read`` for one effort): numpy's sqrt and square
+# differ in the last bit from Python's ``x**0.5`` and ``x**2.0``.  Only the
+# two public entry points are renamed to ``reference_*``.  The fast path must
 # reproduce it bit for bit: same trajectory, same certification.
+
+
+@lru_cache(maxsize=1 << 16)
+def _read(spec, e: float) -> float:
+    """spec at one effort, read through a one-element array; cached, as the
+    reference reads the same grid efforts in every sweep."""
+    return float(spec.evaluate(np.array([e]))[0])
 
 
 class _StandingScores:
@@ -304,7 +349,7 @@ def _best_response(
     for e in sorted(candidates):
         if not (0.0 <= e <= instance.e_max or e == current):
             continue
-        gain = standing.level_at(agent, g.evaluate(e) * skill) - p.evaluate(e)
+        gain = standing.level_at(agent, _read(g, e) * skill) - _read(p, e)
         if e == current:
             current_gain = gain
         if gain > best_gain:
@@ -337,7 +382,7 @@ def reference_best_response_dynamics(
     standing = _StandingScores(instance, scores)
     g = instance.population.g
     grid = instance.effort_grid()
-    grid_g = np.array([g.evaluate(e) for e in grid])
+    grid_g = g.evaluate(grid)
     for round_no in range(1, max_rounds + 1):
         moved = False
         movers = []
@@ -345,7 +390,7 @@ def reference_best_response_dynamics(
             new = _best_response(instance, standing, agent, entry_positions, improvement_eps, grid, grid_g)
             if new != instance.efforts[agent]:
                 old_score = float(scores[agent])
-                new_score = g.evaluate(new) * float(instance.skill[agent])
+                new_score = _read(g, new) * float(instance.skill[agent])
                 instance.efforts[agent] = new
                 scores[agent] = new_score
                 standing.update(agent, old_score, new_score)
@@ -367,8 +412,7 @@ def reference_certify_equilibrium(instance: DiscreteInstance, eps: float) -> Cer
     standing = _StandingScores(instance, scores)
     grid = instance.effort_grid()
     g, p = instance.population.g, instance.population.p
-    grid_g = np.array([g.evaluate(e) for e in grid])
-    grid_cost = np.array([p.evaluate(e) for e in grid])
+    grid_g, grid_cost = g.evaluate(grid), p.evaluate(grid)
     current_welfare = instance.assigned_levels(scores) - instance.costs()
     bands = instance.assigned_bands(scores)
     worst = -math.inf
@@ -1096,10 +1140,11 @@ def test_equal_gains_take_the_smallest_effort():
 
 @dataclass(frozen=True)
 class _DippingCost(Power):
-    """x^2, but 0.5 cheaper on [0.5, 0.6): the cost falls once along the grid."""
+    """x^2, but 0.5 cheaper on [0.5, 0.6): the cost falls once along the grid.
+    Takes a number or an array, as FunctionSpec.evaluate does."""
 
     def evaluate(self, x):
-        return super().evaluate(x) - (0.5 if 0.5 <= x < 0.6 else 0.0)
+        return super().evaluate(x) - np.where((0.5 <= x) & (x < 0.6), 0.5, 0.0)
 
 
 @pytest.mark.parametrize("entry_point", [lambda inst: certify_equilibrium(inst, 0.0), best_response_dynamics],
