@@ -16,9 +16,9 @@ import math
 import sys
 
 from . import design, groups as groups_mod, multidim as multidim_mod, oracle
-from .equilibrium import sample_schedule, solve
+from .equilibrium import MAX_SAMPLES, sample_schedule, solve
 from .errors import ConfigError, QuadratureError, RankDesignError
-from .functions import PopulationSpec
+from .functions import PopulationSpec, Role, function_from_json
 from .groups import GroupSpec
 from .policy import policy_from_json, two_level, validate
 from .welfare import sweep_row, welfare_report
@@ -41,26 +41,31 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
+def _required(config: dict, key: str, *, nonempty: bool = False):
+    """A top-level config field; absent (or, with nonempty, empty or false) is a config error."""
+    value = config.get(key)
+    if key not in config or (nonempty and not value):
+        raise ConfigError(f"config is missing the '{key}' field")
+    return value
+
+
+def _capacity(config: dict, command: str) -> float:
+    capacity = config.get("capacity")
+    if capacity is None:
+        raise ConfigError(f"{command} config needs a top-level 'capacity' field")
+    return _number(capacity, "capacity")
+
+
 def _population(config: dict) -> PopulationSpec:
-    if "population" not in config:
-        raise ConfigError("config is missing the 'population' field")
-    return PopulationSpec.from_json(config["population"])
+    return PopulationSpec.from_json(_required(config, "population"))
 
 
 def _policy(config: dict):
-    if "policy" not in config:
-        raise ConfigError("config is missing the 'policy' field")
-    policy = policy_from_json(config["policy"])
+    policy = policy_from_json(_required(config, "policy"))
     report = validate(policy)
     if not report.ok:
         raise ConfigError("invalid policy: " + "; ".join(report.violations))
     return policy
-
-
-def _groups(config: dict) -> GroupSpec:
-    if "groups" not in config:
-        raise ConfigError("config is missing the 'groups' field")
-    return GroupSpec.from_json(config["groups"])
 
 
 def _number(value, what: str) -> float:
@@ -90,10 +95,7 @@ def _of_kind(value, kind: type, what: str):
 
 
 def _sweep_cutoffs(config: dict) -> list[float]:
-    sweep = config.get("sweep")
-    if not sweep:
-        raise ConfigError("config is missing the 'sweep' field")
-    sweep = _of_kind(sweep, dict, "sweep")
+    sweep = _of_kind(_required(config, "sweep", nonempty=True), dict, "sweep")
     if sweep.get("parameter", "c") != "c":
         raise ConfigError("only sweeps over the two-level cutoff 'c' are supported")
     bounds = sweep["range"]
@@ -103,34 +105,46 @@ def _sweep_cutoffs(config: dict) -> list[float]:
     steps = _integer(sweep["steps"], "sweep steps")
     if steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
+    if steps > MAX_SAMPLES:
+        raise ConfigError(f"sweep steps must be at most {MAX_SAMPLES}, got {steps}")
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _emit(args, payload, rows=None, header=None) -> None:
-    """Write JSON payload or CSV rows to --output (default stdout)."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit(args, header, rows, payload=None) -> None:
+    """Write rows to --output (default stdout) as CSV, or as JSON: payload if given,
+    else one object per row, built only here."""
+    if args.format == "csv":
+        text = _csv(header, rows)
+    else:
+        if payload is None:
+            payload = [dict(zip(header, r)) for r in rows]
+        text = json.dumps(payload, indent=2) + "\n"
+    _write(args.output, text)
+
+
 def cmd_eval(args, config: dict) -> int:
     population = _population(config)
     policy = _policy(config)
-    schedule = solve(population, policy)
-    report = welfare_report(schedule)
-    payload = report.to_json()
-    rows = [[payload[k] for k in ("applicant_welfare", "societal_utility", "private_utility")]]
-    _emit(args, payload, rows, ["applicant_welfare", "societal_utility", "private_utility"])
+    payload = welfare_report(solve(population, policy)).to_json()
+    header = ["applicant_welfare", "societal_utility", "private_utility"]
+    _emit(args, header, [[payload[k] for k in header]], payload)
     return EXIT_OK
 
 
@@ -144,39 +158,25 @@ def _sweep_point(population: PopulationSpec, c: float, capacity: float):
 
 def cmd_sweep(args, config: dict) -> int:
     population = _population(config)
-    capacity = config.get("capacity")
-    if capacity is None:
-        raise ConfigError("sweep config needs a top-level 'capacity' field")
-    capacity = _number(capacity, "capacity")
+    capacity = _capacity(config, "sweep")
     rows = [_sweep_point(population, c, capacity) for c in _sweep_cutoffs(config)]
     if all(r[-1] for r in rows):
         raise ConfigError("every sweep point failed: " + rows[0][-1])
-    header = ["c", "level1", "applicant_welfare", "societal_utility", "private_utility", "error"]
-    payload = [dict(zip(header, r)) for r in rows]
-    args.format = "csv" if args.format is None else args.format
-    _emit(args, payload, rows, header)
+    _emit(args, ["c", "level1", "applicant_welfare", "societal_utility", "private_utility", "error"], rows)
     return EXIT_OK
 
 
 def cmd_equilibrium(args, config: dict) -> int:
     population = _population(config)
     policy = _policy(config)
-    schedule = solve(population, policy)
-    rows = sample_schedule(schedule, args.grid)
-    header = ["theta", "band", "effort", "score"]
-    payload = [dict(zip(header, r)) for r in rows]
-    args.format = "csv" if args.format is None else args.format
-    _emit(args, payload, rows, header)
+    _emit(args, ["theta", "band", "effort", "score"], sample_schedule(solve(population, policy), args.grid))
     return EXIT_OK
 
 
 def cmd_groups(args, config: dict) -> int:
     population = _population(config)
-    gspec = _groups(config)
-    capacity = config.get("capacity")
-    if capacity is None:
-        raise ConfigError("groups config needs a top-level 'capacity' field")
-    capacity = _number(capacity, "capacity")
+    gspec = GroupSpec.from_json(_required(config, "groups"))
+    capacity = _capacity(config, "groups")
     if "sweep" in config:
         cutoffs = _sweep_cutoffs(config)
     else:
@@ -187,14 +187,11 @@ def cmd_groups(args, config: dict) -> int:
         cutoffs = [_number(shorthand.get("c"), "two_level cutoff c")]
     if args.format == "json" and len(cutoffs) == 1:
         table = groups_mod.region_table(population, gspec, two_level(cutoffs[0], capacity))
-        _emit(args, table)
+        _emit(args, (), (), table)
         return EXIT_OK
     rows = groups_mod.audit_sweep(population, gspec, capacity, cutoffs)
     gaps = [f"gap_at_q{round(100 * q)}" for q in groups_mod.GAP_QUANTILES]
-    header = ["c", "tau_A", "tau_B", "access", *gaps]
-    payload = [dict(zip(header, r)) for r in rows]
-    args.format = "csv" if args.format is None else args.format
-    _emit(args, payload, rows, header)
+    _emit(args, ["c", "tau_A", "tau_B", "access", *gaps], rows)
     return EXIT_OK
 
 
@@ -206,42 +203,31 @@ def cmd_verify(args, config: dict) -> int:
     eps = _number(args.eps, "--eps") if args.eps is not None else 5.0 / args.n
     result = oracle.certify_equilibrium(instance, eps)
     payload = result.to_json()
-    payload["eps"] = eps
-    payload["n"] = args.n
-    payload["delta_e"] = instance.delta_e
-    payload["e_max"] = instance.e_max
-    _emit(args, payload, [[payload["certified"], payload["worst_gain"]]], ["certified", "worst_gain"])
+    payload.update(eps=eps, n=args.n, delta_e=instance.delta_e, e_max=instance.e_max)
+    header = ["certified", "worst_gain"]
+    _emit(args, header, [[payload[k] for k in header]], payload)
     return EXIT_OK if result.is_eps_equilibrium else EXIT_CERTIFICATION
 
 
 def cmd_optimize(args, config: dict) -> int:
+    """The best cutoff as JSON on stdout; --output, if given, gets the objective profile as CSV."""
     population = _population(config)
-    capacity = config.get("capacity")
-    if capacity is None:
-        raise ConfigError("optimize config needs a top-level 'capacity' field")
+    capacity = _capacity(config, "optimize")
     objective = {
         "applicant": design.Objective.APPLICANT_WELFARE,
         "societal": design.Objective.SOCIETAL_UTILITY,
         "private": design.Objective.PRIVATE_UTILITY,
     }[args.objective]
-    result = design.optimize_two_level(population, _number(capacity, "capacity"), objective)
+    result = design.optimize_two_level(population, capacity, objective)
     if args.output:
-        with open(args.output, "w") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["c", "value"])
-            writer.writerows(result.profile)
+        _write(args.output, _csv(["c", "value"], result.profile))
     best = {"c": result.c_star, "value": result.value, "objective": args.objective}
     sys.stdout.write(json.dumps(best, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_multidim(args, config: dict) -> int:
-    section = config.get("multidim")
-    if not section:
-        raise ConfigError("config is missing the 'multidim' field")
-    section = _of_kind(section, dict, "multidim section")
-    from .functions import function_from_json, Role
-
+    section = _of_kind(_required(config, "multidim", nonempty=True), dict, "multidim section")
     payload = {}
     if "budget" in section:
         spec = multidim_mod.UnmeasurableSpec(
@@ -262,6 +248,7 @@ def cmd_multidim(args, config: dict) -> int:
                 "unmeasurable_mean": multidim_mod.unmeasurable_conditional_mean(spec, c),
             }
         )
+    agents = ()
     if "skills" in section:
         sk = _of_kind(section["skills"], dict, "multidim skills")
         quantiles = _of_kind(sk["quantiles"], list, "multidim quantiles")
@@ -284,16 +271,11 @@ def cmd_multidim(args, config: dict) -> int:
             "rounds": report.rounds,
             "violations": len(report.violations),
         }
+        agents = report.rows
     if not payload:
         raise ConfigError("multidim section needs a 'budget' block or a 'skills' block")
-    if args.format == "csv":
-        rows = [
-            (agent, v_pre, band, int(flag))
-            for agent, v_pre, band, flag in (report.rows if "skills" in section else ())
-        ]
-        _emit(args, payload, rows, ["agent", "v_pre", "reward_band", "violation_flag"])
-    else:
-        _emit(args, payload)
+    rows = ((agent, v_pre, band, int(flag)) for agent, v_pre, band, flag in agents)
+    _emit(args, ["agent", "v_pre", "reward_band", "violation_flag"], rows, payload)
     return EXIT_OK
 
 
@@ -322,25 +304,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command name -> (handler, output format when --format is not given)
 _COMMANDS = {
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "equilibrium": cmd_equilibrium,
-    "groups": cmd_groups,
-    "verify": cmd_verify,
-    "optimize": cmd_optimize,
-    "multidim": cmd_multidim,
+    "eval": (cmd_eval, "json"),
+    "sweep": (cmd_sweep, "csv"),
+    "equilibrium": (cmd_equilibrium, "csv"),
+    "groups": (cmd_groups, "csv"),
+    "verify": (cmd_verify, "json"),
+    "optimize": (cmd_optimize, "json"),
+    "multidim": (cmd_multidim, "json"),
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None and args.command in ("eval", "verify", "optimize", "multidim"):
-        args.format = "json"
+    command, default_format = _COMMANDS[args.command]
+    args.format = args.format or default_format
     try:
         config = _load_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        return command(args, config)
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -55,27 +55,40 @@ class FunctionSpec:
 
 
 # One dispatch rule: an argument whose exact class is np.ndarray is an array
-# (of any shape, empty and 0-d included), checked value by value; anything
-# else is a number and keeps its plain comparisons, which cost it less than
-# an array check.  NaN is outside.  One pass (seed 1) of the benchmark's
-# design workload makes 17,327 scalar evaluate and invert calls (mostly the
-# piecewise population's per-cutoff solves and quadrature breakpoints, the
-# group audits, the multi-skill cutoffs and the CLI sweep) against 4,234
-# array calls.  Its oracle workload reads f, g and p through arrays: 63 array
-# calls, and 53 scalar ones from solve, the effort caps and spec construction.
+# (of any shape, empty and 0-d included), checked value by value; a subclass
+# (a masked array, np.matrix) is refused, since mapping it as a plain array
+# would drop its mask; anything else is a number and keeps its plain
+# comparisons, which cost it less than an array check.  A Python float, the
+# common case, is told by one class test and pays for no subclass test.  NaN
+# is outside.  One pass (seed 1) of the benchmark's design workload makes
+# 17,327 scalar evaluate and invert calls (mostly the piecewise population's
+# per-cutoff solves and quadrature breakpoints, the group audits, the
+# multi-skill cutoffs and the CLI sweep) against 4,234 array calls.  Its
+# oracle workload reads f, g and p through arrays: 63 array calls, and 53
+# scalar ones from solve, the effort caps and spec construction.
 _ndarray = np.ndarray
 
 
 def _inside(v, lo: float, hi: float) -> bool:
-    if v.__class__ is _ndarray:
-        return bool(((lo <= v) & (v <= hi)).all())
+    if v.__class__ is not float:
+        if v.__class__ is _ndarray:
+            return bool(((lo <= v) & (v <= hi)).all())
+        if isinstance(v, _ndarray):
+            raise _subclass_error(v)
     return lo <= v <= hi
 
 
 def _below(v, bound: float) -> bool:
-    if v.__class__ is _ndarray:
-        return bool((v < bound).any())
+    if v.__class__ is not float:
+        if v.__class__ is _ndarray:
+            return bool((v < bound).any())
+        if isinstance(v, _ndarray):
+            raise _subclass_error(v)
     return v < bound
+
+
+def _subclass_error(v) -> DomainError:
+    return DomainError(f"{v.__class__.__name__} is a subclass of numpy.ndarray; pass a plain ndarray or a number")
 
 
 def _require_finite(name: str, *values: float) -> None:

@@ -29,6 +29,7 @@ from .quadrature import adaptive_simpson, geometric_breakpoints, integrate_piece
 # because perfbench/tracing.py wraps it here.
 
 MAX_ROUNDS = 2000  # best-response sweeps the rank check runs before it reports no convergence
+BETA_STEP = 1e-5  # the cutoff step of beta_for_interior_optimum's central differences
 
 
 @dataclass(frozen=True)
@@ -192,13 +193,14 @@ def unmeasurable_conditional_mean(spec: UnmeasurableSpec, c: float) -> float:
     return _unmeasurable_mean(spec, _admitted_band(spec, c))
 
 
-def beta_for_interior_optimum(spec: UnmeasurableSpec, c: float, h: float = 1e-5) -> float:
+def beta_for_interior_optimum(spec: UnmeasurableSpec, c: float) -> float:
     """Weight on the ranked skill that makes cutoff c the interior optimum.
 
     beta = -dU / (dM - dU) with dM, dU the central-difference derivatives of
     the two conditional means in c; their signs (dM > 0, dU < 0) are checked
     and an AssumptionError reports the measured values when they fail.
     """
+    h = BETA_STEP
     below, above = _admitted_band(spec, c - h), _admitted_band(spec, c + h)
     d_m = (above.floor - below.floor) / (2 * h)
     d_u = (_unmeasurable_mean(spec, above) - _unmeasurable_mean(spec, below)) / (2 * h)

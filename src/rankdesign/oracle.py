@@ -167,14 +167,9 @@ class DiscreteInstance:
         return DiscreteInstance(population, policy, ranks, skill, efforts, delta_e, e_max)
 
     @staticmethod
-    def from_schedule(
-        schedule: EquilibriumSchedule,
-        n: int,
-        delta_e: float,
-        e_max: float | None = None,
-    ) -> "DiscreteInstance":
+    def from_schedule(schedule: EquilibriumSchedule, n: int, delta_e: float) -> "DiscreteInstance":
         """Instance seeded with the closed-form efforts at stratified ranks."""
-        inst = DiscreteInstance.stratified(schedule.population, schedule.policy, n, delta_e, e_max)
+        inst = DiscreteInstance.stratified(schedule.population, schedule.policy, n, delta_e)
         inst.efforts = _read_ranks(schedule, inst.ranks)[1]
         return inst
 

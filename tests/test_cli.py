@@ -444,6 +444,19 @@ def test_malformed_sweep_exits_2(tmp_path, capsys, sweep):
     _assert_config_error(capsys, main(["--config", cfg, "sweep"]))
 
 
+@pytest.mark.parametrize("command", ["sweep", "groups"])
+def test_sweep_steps_above_the_sample_cap_exit_2(tmp_path, capsys, monkeypatch, command):
+    """The step count is checked against the cap before any cutoff is built."""
+    from rankdesign import cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "MAX_SAMPLES", 10)
+    for steps, code in ((11, 2), (1e13, 2), (10, 0)):
+        cfg = write_config(tmp_path, {**GROUPS_CONFIG, "sweep": {"range": [0.1, 0.5], "steps": steps}})
+        assert main(["--config", cfg, command]) == code
+        err = capsys.readouterr().err
+        assert ("sweep steps must be at most 10" in err) == (code == 2)
+
+
 def test_sweep_accepts_integral_float_steps(tmp_path, capsys):
     cfg = write_config(tmp_path, _sweep_config(0.1, 0.5, 3.0))
     code, out = run(capsys, ["--config", cfg, "sweep"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -404,3 +405,30 @@ def test_array_edges_keep_their_results_and_errors(call, edge):
     got = fn(x)
     assert np.shape(got) == x.shape
     assert np.ravel(got).tolist() == pytest.approx([fn(float(v)) for v in x.ravel()], rel=1e-15, nan_ok=True)
+
+
+class _Tagged(np.ndarray):
+    pass
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", PendingDeprecationWarning)  # np.matrix is on its way out
+    _MATRIX = np.matrix([[0.5, 0.25]])
+
+_SUBCLASS_ARGS = {
+    "masked": np.ma.array([0.5, 0.25], mask=[False, True]),
+    "masked, one element": np.ma.array([0.5]),
+    "matrix": _MATRIX,
+    "plain subclass": np.array([0.5, 0.25]).view(_Tagged),
+}
+
+
+@pytest.mark.parametrize("arg", sorted(_SUBCLASS_ARGS))
+@pytest.mark.parametrize("call", sorted(_EDGE_CALLS))
+def test_ndarray_subclasses_are_refused(call, arg):
+    """A subclass of ndarray is neither mapped as a plain array, which would drop
+    a mask, nor compared as a number: it raises DomainError naming its class."""
+    fn, _ = _EDGE_CALLS[call]
+    x = _SUBCLASS_ARGS[arg]
+    with pytest.raises(DomainError, match=type(x).__name__):
+        fn(x)
