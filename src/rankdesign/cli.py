@@ -21,7 +21,7 @@ from .errors import ConfigError, QuadratureError, RankDesignError
 from .functions import PopulationSpec, Role, function_from_json
 from .groups import GroupSpec
 from .policy import policy_from_json, two_level, validate
-from .welfare import sweep_row, welfare_report
+from .welfare import two_level_sweep, welfare_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,11 +41,12 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _required(config: dict, key: str, *, nonempty: bool = False):
-    """A top-level config field; absent (or, with nonempty, empty or false) is a config error."""
-    value = config.get(key)
-    if key not in config or (nonempty and not value):
-        raise ConfigError(f"config is missing the '{key}' field")
+def _required(block: dict, key: str, *, nonempty: bool = False, what: str = "config"):
+    """A field of the config or of its block ``what``; absent (or, with nonempty, empty or
+    false) is a config error that names the block and the field."""
+    value = block.get(key)
+    if key not in block or (nonempty and not value):
+        raise ConfigError(f"{what} is missing the '{key}' field")
     return value
 
 
@@ -98,11 +99,11 @@ def _sweep_cutoffs(config: dict) -> list[float]:
     sweep = _of_kind(_required(config, "sweep", nonempty=True), dict, "sweep")
     if sweep.get("parameter", "c") != "c":
         raise ConfigError("only sweeps over the two-level cutoff 'c' are supported")
-    bounds = sweep["range"]
+    bounds = _required(sweep, "range", what="sweep")
     if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
         raise ConfigError(f"sweep range must be [lo, hi], got {bounds!r}")
     lo, hi = (_number(b, "sweep range bound") for b in bounds)
-    steps = _integer(sweep["steps"], "sweep steps")
+    steps = _integer(_required(sweep, "steps", what="sweep"), "sweep steps")
     if steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
     if steps > MAX_SAMPLES:
@@ -127,16 +128,18 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _render(fmt: str, header, rows, payload=None) -> str:
+    """Rows as CSV, or as JSON: payload if given, else one object per row, built only here."""
+    if fmt == "csv":
+        return _csv(header, rows)
+    if payload is None:
+        payload = [dict(zip(header, r)) for r in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _emit(args, header, rows, payload=None) -> None:
-    """Write rows to --output (default stdout) as CSV, or as JSON: payload if given,
-    else one object per row, built only here."""
-    if args.format == "csv":
-        text = _csv(header, rows)
-    else:
-        if payload is None:
-            payload = [dict(zip(header, r)) for r in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-    _write(args.output, text)
+    """Write rows to --output (default stdout) in the chosen format."""
+    _write(args.output, _render(args.format, header, rows, payload))
 
 
 def cmd_eval(args, config: dict) -> int:
@@ -148,18 +151,34 @@ def cmd_eval(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _sweep_point(population: PopulationSpec, c: float, capacity: float):
-    """One sweep row on the scalar path, or the name of the error that point raised."""
+def _sweep_point(population: PopulationSpec, capacity: float, c: float):
+    """One sweep row priced alone, or its cutoff and the name of the error that point raised."""
     try:
-        return (*sweep_row(population, capacity, c), "")
+        return (*two_level_sweep(population, capacity, [c])[0], "")
     except RankDesignError as exc:
         return (c, "", "", "", "", type(exc).__name__)
 
 
+def _accepts(c: float, capacity: float) -> bool:
+    try:
+        two_level(c, capacity)
+    except RankDesignError:
+        return False
+    return True
+
+
 def cmd_sweep(args, config: dict) -> int:
+    """One row per cutoff.  The cutoffs ``two_level`` accepts are priced in one batch; the others,
+    and all of them if the batch raises, are priced alone, so each failing point keeps its own error."""
     population = _population(config)
     capacity = _capacity(config, "sweep")
-    rows = [_sweep_point(population, c, capacity) for c in _sweep_cutoffs(config)]
+    cutoffs = _sweep_cutoffs(config)
+    accepted = [c for c in cutoffs if _accepts(c, capacity)]
+    try:
+        priced = dict(zip(accepted, ((*row, "") for row in two_level_sweep(population, capacity, accepted))))
+    except RankDesignError:
+        priced = {}
+    rows = [priced.get(c) or _sweep_point(population, capacity, c) for c in cutoffs]
     if all(r[-1] for r in rows):
         raise ConfigError("every sweep point failed: " + rows[0][-1])
     _emit(args, ["c", "level1", "applicant_welfare", "societal_utility", "private_utility", "error"], rows)
@@ -204,13 +223,13 @@ def cmd_verify(args, config: dict) -> int:
     result = oracle.certify_equilibrium(instance, eps)
     payload = result.to_json()
     payload.update(eps=eps, n=args.n, delta_e=instance.delta_e, e_max=instance.e_max)
-    header = ["certified", "worst_gain"]
-    _emit(args, header, [[payload[k] for k in header]], payload)
+    # CSV writes the flag as JSON does, true or false
+    _emit(args, ["certified", "worst_gain"], [[json.dumps(payload["certified"]), payload["worst_gain"]]], payload)
     return EXIT_OK if result.is_eps_equilibrium else EXIT_CERTIFICATION
 
 
 def cmd_optimize(args, config: dict) -> int:
-    """The best cutoff as JSON on stdout; --output, if given, gets the objective profile as CSV."""
+    """The best cutoff on stdout, as JSON or one CSV row; --output, if given, gets the objective profile as CSV."""
     population = _population(config)
     capacity = _capacity(config, "optimize")
     objective = {
@@ -222,7 +241,7 @@ def cmd_optimize(args, config: dict) -> int:
     if args.output:
         _write(args.output, _csv(["c", "value"], result.profile))
     best = {"c": result.c_star, "value": result.value, "objective": args.objective}
-    sys.stdout.write(json.dumps(best, indent=2) + "\n")
+    _write(None, _render(args.format, list(best), [list(best.values())], best))
     return EXIT_OK
 
 
@@ -230,14 +249,15 @@ def cmd_multidim(args, config: dict) -> int:
     section = _of_kind(_required(config, "multidim", nonempty=True), dict, "multidim section")
     payload = {}
     if "budget" in section:
+        field = {key: _required(section, key, what="multidim") for key in ("f", "g", "p", "budget", "capacity", "c")}
         spec = multidim_mod.UnmeasurableSpec(
-            f=function_from_json(section["f"], Role.SKILL_QUANTILE),
-            g=function_from_json(section["g"], Role.EFFORT_TRANSFER),
-            p=function_from_json(section["p"], Role.COST_FUNCTION),
-            budget=_number(section["budget"], "multidim budget"),
-            capacity=_number(section["capacity"], "multidim capacity"),
+            f=function_from_json(field["f"], Role.SKILL_QUANTILE),
+            g=function_from_json(field["g"], Role.EFFORT_TRANSFER),
+            p=function_from_json(field["p"], Role.COST_FUNCTION),
+            budget=_number(field["budget"], "multidim budget"),
+            capacity=_number(field["capacity"], "multidim capacity"),
         )
-        c = _number(section["c"], "multidim cutoff c")
+        c = _number(field["c"], "multidim cutoff c")
         beta = multidim_mod.beta_for_interior_optimum(spec, c)
         payload.update(
             {
@@ -251,13 +271,13 @@ def cmd_multidim(args, config: dict) -> int:
     agents = ()
     if "skills" in section:
         sk = _of_kind(section["skills"], dict, "multidim skills")
-        quantiles = _of_kind(sk["quantiles"], list, "multidim quantiles")
-        weights = _of_kind(sk["weights"], list, "multidim weights")
+        quantiles = _of_kind(_required(sk, "quantiles", what="multidim skills"), list, "multidim quantiles")
+        weights = _of_kind(_required(sk, "weights", what="multidim skills"), list, "multidim weights")
         spec = multidim_mod.MultiSkillSpec(
             quantiles=tuple(function_from_json(q, Role.SKILL_QUANTILE) for q in quantiles),
             weights=tuple(_number(w, "multidim weight") for w in weights),
             transfer_slope=_number(sk.get("transfer_slope", 1.0), "multidim transfer_slope"),
-            cost=function_from_json(sk["cost"], Role.COST_FUNCTION),
+            cost=function_from_json(_required(sk, "cost", what="multidim skills"), Role.COST_FUNCTION),
         )
         report = multidim_mod.check_multidim_rank_preservation(
             spec,

@@ -6,8 +6,8 @@ method is used.  The three-level search looks for step policies with an
 intermediate admission tier that beat non-randomized admissions on private
 utility, which requires a sufficiently heavy-tailed skill distribution.
 Both price many policies in one batch call and evaluate the winner again
-with scalar ``solve``, so they return what one scalar evaluation per policy
-would: the search all its candidates in one ``band_utilities`` call, the
+with ``solve``, so they return what one evaluation per policy would: the
+search all its candidates in one ``band_utilities`` call, the
 optimizer its grid cutoffs c > 0 in one ``two_level_sweep`` (one
 ``band_welfare`` call) for applicant welfare or one ``band_utilities``
 call for the closed-form objectives.
@@ -87,7 +87,6 @@ def _grid_values(population: PopulationSpec, capacity: float, objective: Objecti
     rows = price_policies(
         [two_level(c, capacity) for c in cs],
         lambda levels, cutpoints: band_utilities(population, levels, cutpoints)[column : column + 1],
-        lambda policy: (_EVALUATORS[objective](solve(population, policy)),),
     )
     return [value for (value,) in rows]
 
@@ -102,9 +101,9 @@ def optimize_two_level(
     cutoff to within 1e-6.  The grid's cutoffs c > 0 are priced in one
     batch, exact to rounding: applicant welfare by ``two_level_sweep``, the
     other two objectives by ``band_utilities``.  The best grid point is
-    priced again with scalar ``solve``, and c = 0 and the golden-section
-    search take one scalar ``solve`` per cutoff, so the result is what one
-    scalar evaluation per cutoff gives.
+    priced again with ``solve``, and c = 0 and the golden-section search
+    take one ``solve`` per cutoff, so the result is what one evaluation per
+    cutoff gives.
     """
     if not (0.0 < capacity < 1.0):
         raise DomainError(f"capacity {capacity!r} outside (0, 1)")
@@ -253,7 +252,7 @@ def find_three_level_improvement(
     then one seeded draw per remaining unit, which consumes its unit
     whether feasible or not.  The feasible candidates that pass
     ``validate``'s checks are priced in one ``band_utilities`` call; the
-    first maximum is re-evaluated with scalar ``solve`` and
+    first maximum is re-evaluated with ``solve`` and
     ``private_utility``, which give the returned value.  Returns that policy
     if it improves private utility by more than 1e-6, else None.
     """

@@ -11,18 +11,24 @@ satisfies
 and band k is entered at the score floor g(threshold_k) * f(c_k).  Within the
 band the score is max(floor, g(e0) * f(theta)) and the effort
 max(g_inverse(floor / f(theta)), e0): above its switch point the band idles
-at e0.  ``solve`` computes each band's floor and idle transfer g(e0) once and
-stores them on its ``BandSolution``; ``_band_effort`` and ``_band_score`` are
-the one band formula every other module reads, for a rank or an array of
-ranks; ``_floor_effort`` is its array formula, which also takes one floor
-per rank; ``_read_ranks`` reads a schedule at an array of ranks with it.
-No grid is built.  ``solve_bands`` runs the same recursion for a batch of
-equal-K policies at once, as arrays of band constants.
+at e0.
+
+``solve_bands`` is the one band recursion: it solves a batch of equal-K
+policies at once, as arrays of band constants (``BandArrays``), and
+``solve`` is one row of it, kept on its schedule, which also gives the
+constants as ``BandSolution``s.
+``_floor_effort`` is the array formula of a band's effort, which also
+takes one floor per rank; ``_band_effort`` and ``_band_score`` read one
+band at a rank or an array of ranks, a number on Python float arithmetic
+so that ``effort_at`` gives the same bits wherever it is read; and
+``_read_ranks`` reads a schedule at an array of ranks.  No grid is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,99 +63,6 @@ class BandSolution:
 
 
 @dataclass(frozen=True)
-class EquilibriumSchedule:
-    population: PopulationSpec
-    policy: RewardPolicy
-    bands: tuple[BandSolution, ...]
-
-    def band_of(self, theta: float) -> BandSolution:
-        return self.bands[self.policy.band_of(theta)]
-
-
-def _transfer_at(pop: PopulationSpec, effort: float) -> float:
-    try:
-        return pop.g.evaluate(effort)
-    except DomainError as exc:
-        raise ModelError(
-            f"threshold effort {effort!r} outside the transfer domain; "
-            "the cost and transfer domains are inconsistent"
-        ) from exc
-
-
-def _entered_band(pop: PopulationSpec, k: int, lo: float, hi: float, threshold: float, idle: float) -> BandSolution:
-    """Band k >= 1 on [lo, hi) entered at the threshold effort, with its floor and switch point."""
-    floor = _transfer_at(pop, threshold) * pop.f.evaluate(lo)
-    switch = None
-    if idle > 0.0:
-        try:
-            theta = pop.f.invert(floor / idle)
-            switch = theta if lo < theta < hi else None
-        except RangeError:
-            pass
-    return BandSolution(k, lo, hi, threshold, switch, floor, idle)
-
-
-def _band_effort(pop: PopulationSpec, band: BandSolution, theta):
-    """Effort in ``band`` at rank theta, a number or an array of ranks.
-
-    A number stays on Python float arithmetic, so ``effort_at`` gives the
-    same bits wherever it is read.  An array takes ``_floor_effort``'s
-    formula instead.
-    """
-    array = theta.__class__ is np.ndarray
-    if band.floor is None:
-        return np.full_like(theta, pop.e0) if array else pop.e0
-    if array:
-        return _floor_effort(pop, band.floor, band.idle, theta)
-    target = band.floor / pop.f.evaluate(theta)
-    try:
-        return pop.e0 if target <= band.idle else pop.g.invert(target)
-    except RangeError as exc:
-        raise ModelError(f"score target {target!r} outside the image of the effort transfer") from exc
-
-
-def _floor_effort(pop: PopulationSpec, floor, idle: float, theta: np.ndarray) -> np.ndarray:
-    """Effort at an array of ranks in a band entered at score ``floor``.
-
-    The score target is clamped at the idle transfer, g_inverse(max(floor
-    / f(theta), idle)), which is e0 to rounding where the band idles.
-    ``floor`` is a number or an array that broadcasts against theta.
-    """
-    target = floor / pop.f.evaluate(theta)
-    try:
-        return pop.g.invert(np.maximum(target, idle))
-    except RangeError as exc:
-        raise ModelError(f"score target {target!r} outside the image of the effort transfer") from exc
-
-
-def _band_score(pop: PopulationSpec, band: BandSolution, theta):
-    """Score in ``band`` at rank theta, a number or an array of ranks."""
-    idle_score = band.idle * pop.f.evaluate(theta)
-    if band.floor is None:
-        return idle_score
-    if theta.__class__ is np.ndarray:
-        return np.maximum(band.floor, idle_score)
-    return max(band.floor, idle_score)
-
-
-def solve(population: PopulationSpec, policy: RewardPolicy) -> EquilibriumSchedule:
-    """Compute the unique equilibrium schedule for a valid policy."""
-    report = validate(policy)
-    if not report.ok:
-        raise DomainError("invalid policy: " + "; ".join(report.violations))
-    bounds = (0.0,) + policy.cutpoints + (1.0,)
-    idle = population.g.evaluate(population.e0)
-    bands: list[BandSolution] = [BandSolution(0, 0.0, bounds[1], None, None, None, idle)]
-    for k in range(1, policy.k):
-        lo, hi = bounds[k], bounds[k + 1]
-        boundary_effort = _band_effort(population, bands[k - 1], lo)
-        jump = policy.levels[k] - policy.levels[k - 1]
-        threshold = population.cost_inverse(population.p.evaluate(boundary_effort) + jump)
-        bands.append(_entered_band(population, k, lo, hi, threshold, idle))
-    return EquilibriumSchedule(population, policy, tuple(bands))
-
-
-@dataclass(frozen=True)
 class BandArrays:
     """``BandSolution``'s constants for a batch of equal-K policies.
 
@@ -165,45 +78,138 @@ class BandArrays:
     idle: float
 
 
-def _switch_points(pop: PopulationSpec, floor: np.ndarray, lo: np.ndarray, hi: np.ndarray, idle: float) -> np.ndarray:
-    """``_entered_band``'s switch points, NaN where absent.
+@dataclass(frozen=True, eq=False)
+class EquilibriumSchedule:
+    """A policy's equilibrium: its bands as the one row of ``solve_bands`` they were solved in.
 
-    f increases, so f_inverse(floor / idle) lies in (lo, hi) only where
-    floor / idle lies in (f(lo), f(hi)); only those rows are inverted.
+    The welfare pricer reads ``arrays``; ``bands`` holds the same constants
+    as ``BandSolution``s, built on first use, for the number reads of
+    ``effort_at`` and ``score_at``.
     """
-    switch = np.full_like(floor, np.nan)
+
+    population: PopulationSpec
+    policy: RewardPolicy
+    arrays: BandArrays
+
+    @cached_property
+    def bands(self) -> tuple[BandSolution, ...]:
+        a = self.arrays
+        columns = zip(*(column[0].tolist() for column in (a.lo, a.hi, a.threshold_effort, a.switch_point, a.floor)))
+        return tuple(
+            BandSolution(k, lo, hi, *(None if math.isnan(v) else v for v in (threshold, switch, floor)), a.idle)
+            for k, (lo, hi, threshold, switch, floor) in enumerate(columns)
+        )
+
+    def band_of(self, theta: float) -> BandSolution:
+        return self.bands[self.policy.band_of(theta)]
+
+
+def _band_effort(pop: PopulationSpec, band: BandSolution, theta):
+    """Effort in ``band`` at rank theta, a number or an array of ranks.
+
+    A number stays on Python float arithmetic, so ``effort_at`` gives the
+    same bits wherever it is read.  An array takes ``_floor_effort``'s
+    formula instead.
+    """
+    array = theta.__class__ is np.ndarray
+    if band.floor is None:
+        return np.full_like(theta, pop.e0) if array else pop.e0
+    if array:
+        return _floor_effort(pop, band.floor, band.idle, pop.f.evaluate(theta))
+    target = band.floor / pop.f.evaluate(theta)
+    try:
+        return pop.e0 if target <= band.idle else pop.g.invert(target)
+    except RangeError as exc:
+        raise ModelError(f"score target {target!r} outside the image of the effort transfer") from exc
+
+
+def _floor_effort(pop: PopulationSpec, floor, idle: float, skill: np.ndarray) -> np.ndarray:
+    """Effort in a band entered at score ``floor``, at the ranks where f takes the values ``skill``.
+
+    The score target is clamped at the idle transfer, g_inverse(max(floor
+    / f(theta), idle)), which is e0 to rounding where the band idles.
+    ``floor`` is a number or an array that broadcasts against ``skill``.
+    """
+    target = np.maximum(floor / skill, idle)
+    try:
+        return pop.g.invert(target)
+    except RangeError as exc:
+        raise ModelError(f"score target {_rejected(pop.g.invert, target)!r} "
+                         "outside the image of the effort transfer") from exc
+
+
+def _rejected(read, values: np.ndarray):
+    """The first of ``values`` that ``read`` rejects as a number, to name it in an error message."""
+    for value in values.ravel().tolist():
+        try:
+            read(value)
+        except (DomainError, RangeError):
+            return value
+    return values
+
+
+def _band_score(pop: PopulationSpec, band: BandSolution, theta):
+    """Score in ``band`` at rank theta, a number or an array of ranks."""
+    idle_score = band.idle * pop.f.evaluate(theta)
+    if band.floor is None:
+        return idle_score
+    if theta.__class__ is np.ndarray:
+        return np.maximum(band.floor, idle_score)
+    return max(band.floor, idle_score)
+
+
+def _enter(pop: PopulationSpec, threshold: np.ndarray, ends: np.ndarray, skill: np.ndarray, idle: float,
+           floor: np.ndarray, switch: np.ndarray) -> None:
+    """Fill ``floor`` and ``switch`` (left NaN where absent) for bands entered at the threshold efforts.
+
+    ``ends`` holds each band's (lo, hi) and ``skill`` f at them.  f
+    increases, so the switch point f_inverse(floor / idle) lies in (lo, hi)
+    only where floor / idle lies in (f(lo), f(hi)); only those rows are
+    inverted.
+    """
+    try:
+        floor[:] = pop.g.evaluate(threshold) * skill[:, 0]
+    except DomainError as exc:
+        raise ModelError(f"threshold effort {_rejected(pop.g.evaluate, threshold)!r} outside the transfer domain; "
+                         "the cost and transfer domains are inconsistent") from exc
     if idle > 0.0:
         y = floor / idle
-        inside = (pop.f.evaluate(lo) < y) & (y < pop.f.evaluate(hi))
+        inside = (skill[:, 0] < y) & (y < skill[:, 1])
         theta = pop.f.invert(y[inside])
-        switch[inside] = np.where((lo[inside] < theta) & (theta < hi[inside]), theta, np.nan)
-    return switch
+        switch[inside] = np.where((ends[inside, 0] < theta) & (theta < ends[inside, 1]), theta, np.nan)
 
 
 def solve_bands(population: PopulationSpec, levels: np.ndarray, cutpoints: np.ndarray) -> BandArrays:
-    """``solve``'s band recursion for a batch of valid policies with equal K.
+    """The band recursion for a batch of valid policies with equal K.
 
     ``levels`` is (n, K) and ``cutpoints`` (n, K-1), one policy per row; the
-    caller validates them.  A row agrees with ``solve`` to rounding (numpy's
-    pow against libm's).  If ``solve`` raises ModelError on any row, so does
-    the batch.
+    caller validates them.  f is read once, at every band end of the batch,
+    and the cost of band 0's idle effort once.  Raises ModelError if any
+    row's cost or transfer cannot absorb its reward jumps.
     """
     n, k_levels = levels.shape
-    bounds = np.hstack((np.zeros((n, 1)), cutpoints, np.ones((n, 1))))
-    lo, hi = bounds[:, :-1], bounds[:, 1:]
-    threshold = np.full((n, k_levels), np.nan)
-    floor = np.full((n, k_levels), np.nan)
-    switch = np.full((n, k_levels), np.nan)
+    bounds = np.empty((n, k_levels + 1))
+    bounds[:, 0], bounds[:, 1:-1], bounds[:, -1] = 0.0, cutpoints, 1.0
+    skill = population.f.evaluate(bounds)
+    threshold, floor, switch = np.full((3, n, k_levels), np.nan)
     idle = population.g.evaluate(population.e0)
-    boundary = np.full(n, population.e0)  # band 0 idles at e0
+    jumps = levels[:, 1:] - levels[:, :-1]
+    cost = population.p.evaluate(population.e0)  # of the boundary effort below band 1: band 0 idles at e0
     for k in range(1, k_levels):
         if k > 1:
-            boundary = _floor_effort(population, floor[:, k - 1], idle, lo[:, k])
-        jump = levels[:, k] - levels[:, k - 1]
-        threshold[:, k] = population.cost_inverse(population.p.evaluate(boundary) + jump)
-        floor[:, k] = _transfer_at(population, threshold[:, k]) * population.f.evaluate(lo[:, k])
-        switch[:, k] = _switch_points(population, floor[:, k], lo[:, k], hi[:, k], idle)
-    return BandArrays(lo, hi, threshold, switch, floor, idle)
+            cost = population.p.evaluate(_floor_effort(population, floor[:, k - 1], idle, skill[:, k]))
+        threshold[:, k] = population.cost_inverse(cost + jumps[:, k - 1])
+        _enter(population, threshold[:, k], bounds[:, k : k + 2], skill[:, k : k + 2], idle, floor[:, k], switch[:, k])
+    return BandArrays(bounds[:, :-1], bounds[:, 1:], threshold, switch, floor, idle)
+
+
+def solve(population: PopulationSpec, policy: RewardPolicy) -> EquilibriumSchedule:
+    """Compute the unique equilibrium schedule for a valid policy: one row of ``solve_bands``."""
+    report = validate(policy)
+    if not report.ok:
+        raise DomainError("invalid policy: " + "; ".join(report.violations))
+    arrays = solve_bands(population, np.array([policy.levels]), np.array([policy.cutpoints]))
+    return EquilibriumSchedule(population, policy, arrays)
 
 
 def effort_at(schedule: EquilibriumSchedule, theta: float) -> float:
@@ -345,7 +351,10 @@ def corrupted_schedule(schedule: EquilibriumSchedule, k: int, factor: float) -> 
     """
     if not (1 <= k < schedule.policy.k):
         raise DomainError("only bands k >= 1 carry a threshold effort")
-    bands = list(schedule.bands)
-    b = bands[k]
-    bands[k] = _entered_band(schedule.population, k, b.lo, b.hi, b.threshold_effort * factor, b.idle)
-    return EquilibriumSchedule(schedule.population, schedule.policy, tuple(bands))
+    pop, a = schedule.population, schedule.arrays
+    threshold, floor, switch = (column.copy() for column in (a.threshold_effort, a.floor, a.switch_point))
+    threshold[0, k] *= factor
+    switch[0, k] = np.nan
+    ends = np.stack((a.lo[:, k], a.hi[:, k]), axis=1)
+    _enter(pop, threshold[:, k], ends, pop.f.evaluate(ends), a.idle, floor[:, k], switch[:, k])
+    return EquilibriumSchedule(pop, schedule.policy, BandArrays(a.lo, a.hi, threshold, switch, floor, a.idle))

@@ -61,18 +61,18 @@ class FunctionSpec:
 # comparisons, which cost it less than an array check.  A Python float, the
 # common case, is told by one class test and pays for no subclass test.  NaN
 # is outside.  One pass (seed 1) of the benchmark's design workload makes
-# 17,327 scalar evaluate and invert calls (mostly the piecewise population's
-# per-cutoff solves and quadrature breakpoints, the group audits, the
-# multi-skill cutoffs and the CLI sweep) against 4,234 array calls.  Its
-# oracle workload reads f, g and p through arrays: 63 array calls, and 53
-# scalar ones from solve, the effort caps and spec construction.
+# 4,910 number evaluate and invert calls (the group audits' single-rank and
+# mixed-quantile reads, and each solve's two reads at e0) against 4,386 array
+# calls.  Its oracle workload makes 91 array calls, and 17 number calls
+# from the effort caps and spec construction.
 _ndarray = np.ndarray
 
 
 def _inside(v, lo: float, hi: float) -> bool:
     if v.__class__ is not float:
         if v.__class__ is _ndarray:
-            return bool(((lo <= v) & (v <= hi)).all())
+            inside = lo <= v if hi == math.inf else (lo <= v) & (v <= hi)  # count_nonzero: the cheapest reduction
+            return np.count_nonzero(inside) == v.size
         if isinstance(v, _ndarray):
             raise _subclass_error(v)
     return lo <= v <= hi
@@ -81,7 +81,7 @@ def _inside(v, lo: float, hi: float) -> bool:
 def _below(v, bound: float) -> bool:
     if v.__class__ is not float:
         if v.__class__ is _ndarray:
-            return bool((v < bound).any())
+            return np.count_nonzero(v < bound) > 0
         if isinstance(v, _ndarray):
             raise _subclass_error(v)
     return v < bound

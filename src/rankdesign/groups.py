@@ -18,9 +18,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .equilibrium import EquilibriumSchedule, effort_at, solve
 from .errors import DomainError, RegionError
-from .functions import FunctionSpec, PiecewiseMonotone, PopulationSpec, Power
+from .functions import FunctionSpec, PiecewiseMonotone, PopulationSpec, Power, _subclass_error
 from .policy import RewardPolicy, reward_at, two_level
 
 GROUP_SHARE = 0.5  # equal halves; GroupSpec accepts no other share
@@ -79,7 +81,8 @@ class _MixedQuantile(FunctionSpec):
     group unclamped, x = gamma * f((q - base) / w_group), base being the
     share of a group wholly below the segment; with both, H is linear for ``PiecewiseMonotone``
     and C * f_inverse(x) for ``Power`` f, so x = f(q / C); any other f
-    bisects the segment.  Scalars only.
+    bisects the segment.  ``evaluate`` and ``invert`` take a number or an
+    array, which is read value by value, so both give the same bits.
     """
 
     skill: FunctionSpec
@@ -119,11 +122,15 @@ class _MixedQuantile(FunctionSpec):
         # x0 < x < x1 puts x / gamma in f's image: rounding is monotone
         return min(1.0, max(0.0, self.skill.invert(x / gamma)))
 
-    def invert(self, x: float) -> float:
+    def invert(self, x):
+        if isinstance(x, np.ndarray):
+            return _each(self.invert, x)
         return sum(part[0] * self._rank(x, part) for part in self._parts)
 
-    def evaluate(self, q: float) -> float:
+    def evaluate(self, q):
         self._check_domain(q)
+        if isinstance(q, np.ndarray):
+            return _each(self.evaluate, q)
         xs, hs = self._xs, self._hs
         i = bisect_left(hs, q)
         if hs[i] == q:  # a breakpoint or q = 0; on a flat stretch its lowest x
@@ -147,6 +154,13 @@ class _MixedQuantile(FunctionSpec):
                     hi = mid
             return hi
         return min(max(x, lo), hi)
+
+
+def _each(read, values: np.ndarray) -> np.ndarray:
+    """``read`` at every value of a plain ndarray, in its shape."""
+    if values.__class__ is not np.ndarray:
+        raise _subclass_error(values)
+    return np.array([read(v) for v in values.ravel().tolist()], dtype=float).reshape(values.shape)
 
 
 def f_mix_inverse(population: PopulationSpec, groups: GroupSpec, x: float) -> float:

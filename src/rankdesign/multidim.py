@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DomainError, ModelError
-from .equilibrium import MAX_SAMPLES, BandSolution, _band_effort, solve
+from .equilibrium import MAX_SAMPLES, BandArrays, _floor_effort, solve_bands
 from .functions import FunctionSpec, PopulationSpec, Power, Role
 from .oracle import DiscreteInstance, best_response_dynamics
 from .policy import RewardPolicy, two_level
-from .quadrature import adaptive_simpson, geometric_breakpoints, integrate_piecewise  # noqa: F401
+from .quadrature import adaptive_simpson, geometric_breakpoints, integrate_piecewise, integrate_stacked  # noqa: F401
 
-# adaptive_simpson is not used here; it stays importable from this module
-# because perfbench/tracing.py wraps it here.
+# adaptive_simpson and integrate_piecewise are not used here; they stay
+# importable from this module because perfbench/tracing.py wraps them here.
 
 MAX_ROUNDS = 2000  # best-response sweeps the rank check runs before it reports no convergence
 BETA_STEP = 1e-5  # the cutoff step of beta_for_interior_optimum's central differences
@@ -160,50 +160,55 @@ class UnmeasurableSpec:
         object.__setattr__(self, "_population", PopulationSpec(f=self.f, g=self.g, p=self.p, e0=0.0))
 
 
-def _admitted_band(spec: UnmeasurableSpec, c: float) -> BandSolution:
-    """Band 1 of the equilibrium under ``two_level(c, capacity)``.
+def _admitted_bands(spec: UnmeasurableSpec, *cs: float) -> BandArrays:
+    """The bands under ``two_level(c, capacity)``, one row per cutoff.  Every applicant admitted
+    at c, in band 1, scores its floor g(threshold effort) * f(c), the measurable conditional mean."""
+    for c in cs:
+        if not (0.0 < c < 1.0 - spec.capacity):
+            raise DomainError(f"cutoff {c!r} outside (0, 1 - capacity)")
+    policies = [two_level(c, spec.capacity) for c in cs]
+    levels = np.array([policy.levels for policy in policies])
+    return solve_bands(spec._population, levels, np.array([policy.cutpoints for policy in policies]))
 
-    Every admitted applicant scores its floor g(threshold effort) * f(c),
-    the measurable conditional mean.
-    """
-    if not (0.0 < c < 1.0 - spec.capacity):
-        raise DomainError(f"cutoff {c!r} outside (0, 1 - capacity)")
-    return solve(spec._population, two_level(c, spec.capacity)).bands[1]
 
+def _unmeasurable_means(spec: UnmeasurableSpec, bands: BandArrays) -> np.ndarray:
+    """E[score of the unranked skill | admitted] of each row, its leftover transfers integrated in one stacked call."""
+    pop = spec._population
+    cs, thresholds, floor = bands.lo[:, 1], bands.threshold_effort[:, 1], bands.floor[:, 1]
+    for c, threshold in zip(cs.tolist(), thresholds.tolist()):
+        if spec.budget < threshold:
+            raise ModelError(f"budget {spec.budget!r} below the threshold effort {threshold!r} at c={c!r}")
 
-def _unmeasurable_mean(spec: UnmeasurableSpec, band: BandSolution) -> float:
-    c = band.lo
-    if spec.budget < band.threshold_effort:
-        raise ModelError(f"budget {spec.budget!r} below the threshold effort {band.threshold_effort!r} at c={c!r}")
+    def leftover_transfer(theta: np.ndarray, row: np.ndarray) -> np.ndarray:
+        return spec.g.evaluate(spec.budget - _floor_effort(pop, floor[row], bands.idle, pop.f.evaluate(theta)))
 
-    def leftover_transfer(theta: np.ndarray) -> np.ndarray:
-        return spec.g.evaluate(spec.budget - _band_effort(spec._population, band, theta))
-
-    integral, _ = integrate_piecewise(leftover_transfer, [c, *geometric_breakpoints(c, 1.0), 1.0])
-    return spec.f.integral(0.0, 1.0) * integral / (1.0 - c)
+    integrals, _ = integrate_stacked(leftover_transfer, [[c, *geometric_breakpoints(c, 1.0), 1.0] for c in cs.tolist()])
+    return spec.f.integral(0.0, 1.0) * integrals / (1.0 - cs)
 
 
 def measurable_conditional_mean(spec: UnmeasurableSpec, c: float) -> float:
     """E[score of the ranked skill | admitted] = g(threshold effort) * f(c)."""
-    return _admitted_band(spec, c).floor
+    return float(_admitted_bands(spec, c).floor[0, 1])
 
 
 def unmeasurable_conditional_mean(spec: UnmeasurableSpec, c: float) -> float:
     """E[score of the unranked skill | admitted] under the budget split."""
-    return _unmeasurable_mean(spec, _admitted_band(spec, c))
+    return float(_unmeasurable_means(spec, _admitted_bands(spec, c))[0])
 
 
 def beta_for_interior_optimum(spec: UnmeasurableSpec, c: float) -> float:
     """Weight on the ranked skill that makes cutoff c the interior optimum.
 
     beta = -dU / (dM - dU) with dM, dU the central-difference derivatives of
-    the two conditional means in c; their signs (dM > 0, dU < 0) are checked
-    and an AssumptionError reports the measured values when they fail.
+    the two conditional means in c, read from one two-row batch at c + h
+    and c - h; their signs (dM > 0, dU < 0) are checked and an
+    AssumptionError reports the measured values when they fail.
     """
     h = BETA_STEP
-    below, above = _admitted_band(spec, c - h), _admitted_band(spec, c + h)
-    d_m = (above.floor - below.floor) / (2 * h)
-    d_u = (_unmeasurable_mean(spec, above) - _unmeasurable_mean(spec, below)) / (2 * h)
+    bands = _admitted_bands(spec, c + h, c - h)
+    d_m = float(bands.floor[0, 1] - bands.floor[1, 1]) / (2 * h)
+    above, below = _unmeasurable_means(spec, bands).tolist()
+    d_u = (above - below) / (2 * h)
     if not (d_m > 0.0 and d_u < 0.0):
         raise AssumptionError(
             f"derivative signs violated: d(measurable)/dc = {d_m!r}, d(unmeasurable)/dc = {d_u!r}"
@@ -215,5 +220,5 @@ def weighted_private_utility(spec: UnmeasurableSpec, c: float, beta: float) -> f
     """beta * E[v_measurable | admitted] + (1 - beta) * E[v_unmeasurable | admitted]."""
     if not (0.0 <= beta <= 1.0):
         raise DomainError("beta must lie in [0, 1]")
-    band = _admitted_band(spec, c)
-    return beta * band.floor + (1.0 - beta) * _unmeasurable_mean(spec, band)
+    bands = _admitted_bands(spec, c)
+    return beta * float(bands.floor[0, 1]) + (1.0 - beta) * float(_unmeasurable_means(spec, bands)[0])

@@ -11,9 +11,9 @@ rows at once, each one integral over its own breakpoints, and evaluates a
 row in one call of the integrand; the difference of the two rules is the
 error estimate, in the spirit of QUADPACK's Gauss-Kronrod pairs (Piessens
 et al., 1983).  Each row is accepted or refined by its own estimate.
-``integrate_piecewise`` is its one-row case.  ``adaptive_simpson`` is the
-scalar recursive Simpson rule, kept as an independent reference for the
-tests.
+``integrate_piecewise`` is its one-row case, returning floats; there is
+no separate one-row arithmetic.  ``adaptive_simpson`` is the scalar
+recursive Simpson rule, kept as an independent reference for the tests.
 """
 
 from __future__ import annotations
@@ -135,62 +135,6 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = DEFAULT_REL_TOL) ->
     return _adaptive(f, a, m, b, fa, fm, fb, whole, eps, 0)
 
 
-def _by_row(row: np.ndarray, x: np.ndarray, n: int):
-    """Sum of x over each of n rows' pieces, added in piece order; a float when n is 1.
-
-    Both branches add as 0.0 + x[0] + x[1] + ..., so a row's sum is the
-    same bits alone as among other rows.
-    """
-    if n != 1:
-        return np.bincount(row, x, n)
-    return float(np.add.accumulate(x)[-1]) if x.size else 0.0
-
-
-def _integrate(f, rows) -> tuple:
-    """``integrate_stacked``'s loop; (value, error estimate) as floats when there is one row."""
-    rows = list(rows)
-    n = len(rows)
-    lo, hi, row = [], [], []
-    for r, breakpoints in enumerate(rows):
-        pts = sorted(set(float(x) for x in breakpoints))
-        for a, b in zip(pts, pts[1:]):
-            if b - a > 1e-15 * max(1.0, abs(b)):
-                lo.append(a)
-                hi.append(b)
-                row.append(r)
-    lo, hi, row = np.array(lo), np.array(hi), np.array(row, dtype=np.intp)
-    value = err = size = 0.0 if n == 1 else np.zeros(n)  # of each row's pieces already done
-    depth = 0
-    while lo.size:
-        sums = _rules(f, lo, hi, row)
-        high, piece_size = sums[0], sums[2]
-        delta = np.abs(high - sums[1])
-        open_err = _by_row(row, delta, n)
-        accepted = err + open_err <= DEFAULT_REL_TOL * (size + _by_row(row, piece_size, n))
-        if accepted if n == 1 else accepted.all():  # every row closes on all its open pieces
-            return value + _by_row(row, high, n), err + open_err
-        keep = delta > DEFAULT_REL_TOL * piece_size
-        if n != 1:
-            keep &= ~accepted[row]  # an accepted row closes on all its pieces
-        done = ~keep
-        value = value + _by_row(row[done], high[done], n)
-        err = err + _by_row(row[done], delta[done], n)
-        size = size + _by_row(row[done], piece_size[done], n)
-        lo, hi, row = lo[keep], hi[keep], row[keep]
-        if lo.size and (depth == MAX_DEPTH or 2 * lo.size > MAX_PIECES):
-            r = int(row.min())
-            first = int(np.argmax(row == r))
-            raise QuadratureError(
-                f"Gauss-Legendre refinement did not converge on {lo.size} pieces "
-                f"after {depth} bisections, first [{lo[first]}, {hi[first]}] in row {r}",
-                partial=float((value if n == 1 else value[r]) + high[keep][row == r].sum()),
-            )
-        mid = 0.5 * (lo + hi)
-        lo, hi, row = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([row, row])
-        depth += 1
-    return value, err
-
-
 def integrate_stacked(f, rows) -> tuple[np.ndarray, np.ndarray]:
     """Integrate many piecewise integrands at once; returns (values, error estimates), one per row.
 
@@ -211,8 +155,46 @@ def integrate_stacked(f, rows) -> tuple[np.ndarray, np.ndarray]:
     the piece cap is shared, so a batch can raise where each of its rows
     alone would converge.
     """
-    value, err = _integrate(f, rows)
-    return np.atleast_1d(value), np.atleast_1d(err)
+    rows = list(rows)
+    n = len(rows)
+    lo, hi, row = [], [], []
+    for r, breakpoints in enumerate(rows):
+        pts = sorted(set(float(x) for x in breakpoints))
+        for a, b in zip(pts, pts[1:]):
+            if b - a > 1e-15 * max(1.0, abs(b)):
+                lo.append(a)
+                hi.append(b)
+                row.append(r)
+    lo, hi, row = np.array(lo), np.array(hi), np.array(row, dtype=np.intp)
+    # of each row's pieces already done; np.bincount adds a row's pieces in order, 0.0 + x[0] + x[1] + ...
+    value, err, size = np.zeros(n), np.zeros(n), np.zeros(n)
+    depth = 0
+    while lo.size:
+        sums = _rules(f, lo, hi, row)
+        high, piece_size = sums[0], sums[2]
+        delta = np.abs(high - sums[1])
+        open_err = np.bincount(row, delta, n)
+        accepted = err + open_err <= DEFAULT_REL_TOL * (size + np.bincount(row, piece_size, n))
+        if accepted.all():  # every row closes on all its open pieces
+            return value + np.bincount(row, high, n), err + open_err
+        keep = (delta > DEFAULT_REL_TOL * piece_size) & ~accepted[row]  # an accepted row closes on all its pieces
+        done = ~keep
+        value = value + np.bincount(row[done], high[done], n)
+        err = err + np.bincount(row[done], delta[done], n)
+        size = size + np.bincount(row[done], piece_size[done], n)
+        lo, hi, row = lo[keep], hi[keep], row[keep]
+        if lo.size and (depth == MAX_DEPTH or 2 * lo.size > MAX_PIECES):
+            r = int(row.min())
+            first = int(np.argmax(row == r))
+            raise QuadratureError(
+                f"Gauss-Legendre refinement did not converge on {lo.size} pieces "
+                f"after {depth} bisections, first [{lo[first]}, {hi[first]}] in row {r}",
+                partial=float(value[r] + high[keep][row == r].sum()),
+            )
+        mid = 0.5 * (lo + hi)
+        lo, hi, row = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([row, row])
+        depth += 1
+    return value, err
 
 
 def integrate_piecewise(f, breakpoints) -> tuple[float, float]:
@@ -221,4 +203,5 @@ def integrate_piecewise(f, breakpoints) -> tuple[float, float]:
     ``f`` maps a 1-d array of points to the array of its values.  This is
     ``integrate_stacked`` with one row, and raises as it does.
     """
-    return _integrate(lambda x, _row: f(x.ravel()).reshape(x.shape), [breakpoints])
+    value, err = integrate_stacked(lambda x, _row: f(x.ravel()).reshape(x.shape), [breakpoints])
+    return float(value[0]), float(err[0])

@@ -1,11 +1,11 @@
-"""The batch path of ``solve_bands``, ``band_utilities`` and ``band_welfare`` against scalar ``solve``,
-and ``_read_ranks`` against the scalar reads of one schedule.
+"""The batch path of ``solve_bands``, ``band_utilities`` and ``band_welfare`` against the scalar
+reference in ``scalar_reference``, and ``_read_ranks`` against the scalar reads of one schedule.
 
-Each row of a batch must reproduce ``solve``'s band constants,
-``societal_utility``/``private_utility`` and ``welfare_report``'s applicant
-welfare to rounding: the two paths differ only where numpy's pow and
-libm's round differently.  The transfer has g(e0) > 0, so bands can switch
-to the idle branch inside.
+Each row of a batch must reproduce the scalar recursion's band constants and
+the scalar band integrals to rounding: the two paths differ only where
+numpy's pow and libm's round differently.  ``solve`` and ``welfare_report``
+are one row of the batch path.  The transfer has g(e0) > 0, so bands can
+switch to the idle branch inside.
 """
 
 import math
@@ -34,6 +34,8 @@ from rankdesign import (
 )
 from rankdesign.equilibrium import _read_ranks, solve_bands
 from rankdesign.welfare import band_utilities, band_welfare
+
+import scalar_reference as reference
 
 REL = 1e-12
 
@@ -129,15 +131,24 @@ def test_batch_matches_scalar_solve(f, g, p, policies):
     population = PopulationSpec(f, g, p)
     levels, cutpoints = _arrays(policies)
     try:
-        schedules = [solve(population, policy) for policy in policies]
+        scalar = [reference.solve_bands(population, policy) for policy in policies]
     except ModelError:
         with pytest.raises(ModelError):
             band_utilities(population, levels, cutpoints)
+        with pytest.raises(ModelError):
+            for policy in policies:
+                solve(population, policy)
         return
     bands = solve_bands(population, levels, cutpoints)
     societal, private = band_utilities(population, levels, cutpoints)
-    for i, schedule in enumerate(schedules):
-        for k, band in enumerate(schedule.bands):
+    for i, (policy, want) in enumerate(zip(policies, scalar)):
+        schedule = solve(population, policy)
+        assert schedule.bands == tuple(
+            type(band)(k, bands.lo[i, k], bands.hi[i, k], *(None if math.isnan(v) else v for v in (
+                bands.threshold_effort[i, k], bands.switch_point[i, k], bands.floor[i, k])), bands.idle)
+            for k, band in enumerate(schedule.bands)
+        )
+        for k, band in enumerate(want):
             assert (bands.lo[i, k], bands.hi[i, k], bands.idle) == (band.lo, band.hi, band.idle)
             if k == 0:
                 assert math.isnan(bands.threshold_effort[i, 0]) and math.isnan(bands.floor[i, 0])
@@ -148,8 +159,10 @@ def test_batch_matches_scalar_solve(f, g, p, policies):
                 assert math.isnan(bands.switch_point[i, k])
             else:
                 assert _close(bands.switch_point[i, k], band.switch_point)
-        assert _close(societal[i], societal_utility(schedule))
-        assert _close(private[i], private_utility(schedule))
+        scores = [reference.band_score_integral(population, band) for band in want]
+        assert _close(societal[i], sum(scores))
+        assert _close(private[i], sum(level * s for level, s in zip(policy.levels, scores) if level != 0.0))
+        assert (societal_utility(schedule), private_utility(schedule)) == (societal[i], private[i])
 
 
 @settings(max_examples=_examples(60), deadline=None)
@@ -191,7 +204,8 @@ def test_batch_raises_model_error_when_any_row_does():
         with pytest.raises(ModelError):
             band_utilities(population, levels, cutpoints)
         first, _ = band_utilities(population, levels[:1], cutpoints[:1])
-        assert _close(first[0], societal_utility(solve(population, policies[0])))
+        want = reference.welfare(population, policies[0], reference.solve_bands(population, policies[0]))
+        assert _close(first[0], want[1])
 
 
 @st.composite
@@ -217,15 +231,22 @@ def test_batch_welfare_matches_scalar(f, g, p, policies):
     levels, cutpoints = _arrays(policies)
     capacity = np.array([policy.capacity for policy in policies])
     try:
-        reports = [welfare_report(solve(population, policy)) for policy in policies]
+        scalar = [
+            reference.welfare(population, policy, reference.solve_bands(population, policy)) for policy in policies
+        ]
     except RankDesignError:
         with pytest.raises(RankDesignError):
             band_welfare(population, levels, cutpoints, capacity)
         return
-    batch = band_welfare(population, levels, cutpoints, capacity)
-    for i, report in enumerate(reports):
-        want = (report.applicant_welfare, report.societal_utility, report.private_utility)
-        assert all(_close(got[i], value) for got, value in zip(batch, want))
-        # a row does not depend on the rows it is stacked with
-        alone = band_welfare(population, levels[i : i + 1], cutpoints[i : i + 1], capacity[i])
-        assert all(math.isclose(got[i], one[0], rel_tol=1e-15, abs_tol=1e-300) for got, one in zip(batch, alone))
+    applicant, societal, private, costs, errors = band_welfare(population, levels, cutpoints, capacity)
+    for i, (policy, want) in enumerate(zip(policies, scalar)):
+        assert all(_close(got, value) for got, value in zip((applicant[i], societal[i], private[i]), want[:3]))
+        assert all(_close(got, value) for got, value in zip(costs[i].tolist(), want[3]))
+        assert errors[i].sum() <= 1e-8 * max(costs[i].sum(), 1e-300) or errors[i].sum() < 1e-14
+        # welfare_report is the same row priced alone; a row does not depend on the rows it is stacked with
+        report = welfare_report(solve(population, policy))
+        assert (report.applicant_welfare, report.societal_utility, report.private_utility) == pytest.approx(
+            (applicant[i], societal[i], private[i]), rel=1e-15, abs=1e-300
+        )
+        assert report.per_band_effort_cost == pytest.approx(tuple(costs[i].tolist()), rel=1e-15, abs=1e-300)
+        assert report.quadrature_error_estimate == pytest.approx(sum(errors[i].tolist()), rel=1e-12, abs=1e-300)

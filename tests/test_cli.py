@@ -115,7 +115,7 @@ def test_sweep_flags_infeasible_points(tmp_path, capsys):
 
 
 def test_sweep_rows_match_two_level_sweep(tmp_path, capsys):
-    # the CLI prices each point on the scalar path, two_level_sweep its feasible points in one batch
+    # the CLI prices its feasible points in one two_level_sweep batch
     cfg = write_config(tmp_path, _sweep_config(0.01, 0.9, 12))
     code, out = run(capsys, ["--config", cfg, "sweep"])
     assert code == 0
@@ -263,6 +263,80 @@ def test_negative_skill_quantile_exits_2(tmp_path, capsys, command):
                   "f": {"family": "affine_power", "scale": 2.0, "exponent": 1.0, "offset": -0.5}}
     cfg = write_config(tmp_path, {"population": population, "policy": {"two_level": {"c": 0.3, "capacity": 0.2}}})
     _assert_config_error(capsys, main(["--config", cfg, command, *(["--n", "20"] if command == "verify" else [])]))
+
+
+# the transfer ends at effort 0.8, below the admitted band's threshold effort from c = 2/3 on
+SHORT_TRANSFER = {
+    **BENCHMARK_POPULATION,
+    "g": {"family": "piecewise_monotone", "knots": [[0.0, 0.1], [0.4, 0.4], [0.8, 0.6]]},
+}
+
+
+def test_sweep_prices_each_point_alone_when_the_batch_raises(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**_sweep_config(0.3, 0.8, 6), "population": SHORT_TRANSFER})
+    code, out = run(capsys, ["--config", cfg, "sweep"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["error"] for r in rows] == ["", "", "", "", "ModelError", "ModelError"]
+    assert [r["applicant_welfare"] for r in rows[4:]] == ["", ""]
+    feasible = [float(r["c"]) for r in rows[:4]]
+    batch = two_level_sweep(PopulationSpec.from_json(SHORT_TRANSFER), 0.2, feasible)
+    for row, want in zip(rows, batch):
+        got = [float(row[k]) for k in ("c", "level1", "applicant_welfare", "societal_utility", "private_utility")]
+        assert got == list(want)
+
+
+def test_threshold_outside_the_transfer_domain_names_the_effort(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"population": SHORT_TRANSFER, "policy": {"two_level": {"c": 0.8, "capacity": 0.2}}})
+    assert main(["--config", cfg, "eval"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: threshold effort 1.0 outside the transfer domain; "
+        "the cost and transfer domains are inconsistent\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "config, command, message",
+    [
+        ({"sweep": {"steps": 3}}, "sweep", "sweep is missing the 'range' field"),
+        ({"sweep": {"range": [0.1, 0.5]}}, "sweep", "sweep is missing the 'steps' field"),
+        ({"multidim": {"g": {}, "p": {}, "budget": 2.0, "capacity": 0.2, "c": 0.4}}, "multidim",
+         "multidim is missing the 'f' field"),
+        ({"multidim": {"f": {}, "g": {}, "p": {}, "budget": 2.0, "capacity": 0.2}}, "multidim",
+         "multidim is missing the 'c' field"),
+        ({"multidim": {"skills": {"quantiles": [], "weights": []}}}, "multidim",
+         "multidim skills is missing the 'cost' field"),
+    ],
+    ids=["sweep range", "sweep steps", "budget f", "budget c", "skills cost"],
+)
+def test_missing_block_field_names_the_block_and_the_field(tmp_path, capsys, config, command, message):
+    cfg = write_config(tmp_path, {"population": BENCHMARK_POPULATION, "capacity": 0.2, **config})
+    assert main(["--config", cfg, command]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_optimize_writes_csv_when_asked(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"population": BENCHMARK_POPULATION, "capacity": 0.2})
+    profile_path = tmp_path / "profile.csv"
+    argv = ["--config", cfg, "--output", str(profile_path), "optimize", "--objective", "private"]
+    code, out = run(capsys, ["--format", "csv", *argv])
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    _, json_out = run(capsys, argv)
+    assert row == {k: str(v) for k, v in json.loads(json_out).items()}
+    assert list(row) == ["c", "value", "objective"]
+    assert next(csv.reader(profile_path.open())) == ["c", "value"]
+
+
+def test_verify_csv_writes_the_flag_as_json_does(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {"population": BENCHMARK_POPULATION, "policy": {"two_level": {"c": 0.8, "capacity": 0.2}}},
+    )
+    for eps, flag in (([], "true"), (["--eps", "-1"], "false")):
+        code, out = run(capsys, ["--config", cfg, "--format", "csv", "verify", "--n", "40", *eps])
+        assert code == (0 if flag == "true" else 4)
+        assert out.splitlines()[1].split(",")[0] == flag
 
 
 def test_optimize_private(tmp_path, capsys):

@@ -10,6 +10,7 @@ from rankdesign import (
     DomainError,
     GroupSpec,
     PiecewiseMonotone,
+    PopulationSpec,
     Power,
     RegionError,
     RewardPolicy,
@@ -28,6 +29,7 @@ from rankdesign import (
     welfare_gap,
     welfare_gap_derivative,
 )
+from rankdesign.equilibrium import sample_schedule
 from rankdesign.groups import _MixedQuantile
 from rankdesign.oracle import default_effort_cap
 
@@ -296,6 +298,24 @@ def test_mixed_quantile_breakpoints_exact(f, gammas):
         # on a flat stretch of the CDF the quantile is its lowest x
         if i == 0 or h > hs[i - 1]:
             assert mixed.evaluate(h) == x
+
+
+@pytest.mark.parametrize("f", MIXED_SKILLS)
+def test_mixed_quantile_reads_arrays_as_numbers(f):
+    """An array read gives each value's number read bit for bit, in the array's shape,
+    so solve and the schedule's array reads run on the mixed population."""
+    mixed = _MixedQuantile(f, GROUPS)
+    qs = np.random.default_rng(7).uniform(0.0, 1.0, (40, 3))
+    assert mixed.evaluate(qs).shape == qs.shape
+    assert mixed.evaluate(qs).tolist() == [[mixed.evaluate(q) for q in row] for row in qs.tolist()]
+    xs = np.random.default_rng(8).uniform(-0.1, 1.1 * GROUPS.gamma_a * f.evaluate(1.0), 120)
+    assert mixed.invert(xs).tolist() == [mixed.invert(x) for x in xs.tolist()]
+    with pytest.raises(DomainError):
+        mixed.evaluate(np.array([0.5, 1.5]))
+    population = PopulationSpec(mixed, Power(1.0, 0.5, role=Role.EFFORT_TRANSFER), Power(1.0, 2.0, role=Role.COST_FUNCTION))
+    schedule = solve(population, two_level(0.4, 0.2))
+    for theta, _, effort, _ in sample_schedule(schedule, 50):
+        assert effort == pytest.approx(effort_at(schedule, theta), rel=1e-12, abs=1e-15)
 
 
 # -- two-group oracle cross-check -------------------------------------------

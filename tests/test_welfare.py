@@ -27,7 +27,10 @@ from rankdesign import (
 )
 from rankdesign import quadrature
 from rankdesign.quadrature import adaptive_simpson, integrate_piecewise
-from rankdesign.welfare import band_welfare
+from rankdesign.equilibrium import corrupted_schedule, solve_bands
+from rankdesign.welfare import _effort_breakpoints, _floor_ends, band_welfare
+
+import scalar_reference as reference
 
 
 def analytic_applicant_welfare(c, rho=0.2):
@@ -135,12 +138,12 @@ def test_report_identity_and_fields(benchmark_population):
 
 
 def _scalar_sweep(population, capacity, cs):
-    """two_level_sweep as one scalar solve and welfare_report per cutoff."""
+    """two_level_sweep as one scalar reference solve and welfare per cutoff."""
     rows = []
     for c in cs:
         policy = two_level(c, capacity)
-        report = welfare_report(solve(population, policy))
-        rows.append((c, policy.levels[-1], report.applicant_welfare, report.societal_utility, report.private_utility))
+        applicant, societal, private, _, _ = reference.welfare(population, policy, reference.solve_bands(population, policy))
+        rows.append((c, policy.levels[-1], applicant, societal, private))
     return rows
 
 
@@ -211,13 +214,22 @@ def test_sweep_raises_the_first_failing_rows_error(cs, error):
     assert two_level_sweep(SHORT_TRANSFER, 0.2, cs[:1]) == _scalar_sweep(SHORT_TRANSFER, 0.2, cs[:1])
 
 
+def _stacked(cs, capacity=0.2):
+    policies = [two_level(c, capacity) for c in cs]
+    return np.array([policy.levels for policy in policies]), np.array([policy.cutpoints for policy in policies])
+
+
 def test_sweep_raises_the_first_rows_quadrature_error(benchmark_population, monkeypatch):
     # with no bisection allowed, c = 0.7 still converges on its pieces and c = 0.1 does not
     monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
     cs = [0.7, 0.1, 0.05]
-    want = _first_error(_scalar_sweep, benchmark_population, 0.2, cs)
-    assert want[0] is QuadratureError
+    levels, cutpoints = _stacked(cs)
+    batch = _first_error(band_welfare, benchmark_population, levels, cutpoints, 0.2)
+    want = _first_error(band_welfare, benchmark_population, levels[1:2], cutpoints[1:2], 0.2)
+    assert batch[0] is want[0] is QuadratureError and batch != want
+    # the batch raises, so the rows are priced again one at a time, and c = 0.1's own error is raised
     assert _first_error(two_level_sweep, benchmark_population, 0.2, cs) == want
+    assert _first_error(_scalar_sweep, benchmark_population, 0.2, cs) == want
     assert two_level_sweep(benchmark_population, 0.2, cs[:1])[0][2] == pytest.approx(
         _scalar_sweep(benchmark_population, 0.2, cs[:1])[0][2], rel=1e-12
     )
@@ -232,9 +244,10 @@ def test_sweep_prices_one_by_one_when_only_the_batch_hits_the_piece_cap(benchmar
     cutpoints = np.array([policy.cutpoints for policy in policies])
     with pytest.raises(QuadratureError, match="in row 0"):
         band_welfare(benchmark_population, levels, cutpoints, 0.2)
-    for i in range(len(cs)):
-        band_welfare(benchmark_population, levels[i : i + 1], cutpoints[i : i + 1], 0.2)
-    assert two_level_sweep(benchmark_population, 0.2, cs) == _scalar_sweep(benchmark_population, 0.2, cs)
+    alone = [band_welfare(benchmark_population, levels[i : i + 1], cutpoints[i : i + 1], 0.2) for i in range(len(cs))]
+    rows = two_level_sweep(benchmark_population, 0.2, cs)
+    assert [row[2:] for row in rows] == [tuple(float(column[0]) for column in row[:3]) for row in alone]
+    assert rows == _scalar_sweep(benchmark_population, 0.2, cs)
 
 
 def test_sweep_monotonicity(benchmark_population):
@@ -326,13 +339,70 @@ def test_piecewise_population_welfare_exact():
             assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
+# g is 0 at its kink 0, and p's kink 2.5 lies outside g's domain [-1, 2]
+KINKED_POPULATION = PopulationSpec(
+    f=PIECEWISE_POPULATION.f,
+    g=PiecewiseMonotone(((-1.0, -1.0), (0.0, 0.0), (0.5, 0.4), (2.0, 1.0)), role=Role.EFFORT_TRANSFER),
+    p=PiecewiseMonotone(((0.0, 0.0), (0.5, 0.1), (1.0, 0.5), (2.5, 2.5), (4.0, 6.0)), role=Role.COST_FUNCTION),
+)
+
+
+@pytest.mark.parametrize("population", [PIECEWISE_POPULATION, KINKED_POPULATION], ids=["piecewise", "kinked"])
+def test_effort_breakpoints_match_the_scalar_reads(population):
+    """One array read of g and one of f give the breakpoints that one scalar read per kink gives.
+
+    ``np.interp`` and the number path's interpolation round differently, so
+    the points agree to rounding, one for one.
+    """
+    policies = [two_level(c, 0.2) for c in np.linspace(0.01, 0.79, 40).tolist()]
+    levels = np.array([policy.levels for policy in policies])
+    bands = solve_bands(population, levels, np.array([policy.cutpoints for policy in policies]))
+    end = _floor_ends(population, bands)
+    rows, cols = np.nonzero(end > bands.lo)
+    got = _effort_breakpoints(population, bands, rows, cols, end)
+    outside = 0
+    f_range = population.f.evaluate(0.0), population.f.evaluate(1.0)
+    for (i, k), pts in zip(zip(rows.tolist(), cols.tolist()), got):
+        floor = float(bands.floor[i, k])
+        want = reference.effort_breakpoints(
+            population, float(bands.lo[i, k]), float(bands.hi[i, k]), None, floor, float(end[i, k])
+        )
+        assert pts == pytest.approx(want, rel=1e-15, abs=0.0)
+        transfers = [population.g.evaluate(x) for x in population.g.kinks if population.g.evaluate(x) > 0.0]
+        outside += any(not f_range[0] <= floor / t <= f_range[1] for t in transfers)
+    assert outside  # some kinks' images lie outside f's range
+    if population is KINKED_POPULATION:
+        assert population.g.evaluate(0.0) == 0.0 and 2.5 in population.p.kinks
+
+
+def test_welfare_report_prices_a_corrupted_band(benchmark_population):
+    policy = RewardPolicy((0.0, 0.2, 0.5, 1.0), (0.4, 0.7, 0.9), 0.26)
+    schedule = solve(benchmark_population, policy)
+    broken = corrupted_schedule(schedule, k=2, factor=0.5)
+    report, clean = welfare_report(broken), welfare_report(schedule)
+    applicant, societal, private, per_band, error = reference.welfare(benchmark_population, policy, broken.bands)
+    assert (report.applicant_welfare, report.societal_utility, report.private_utility) == pytest.approx(
+        (applicant, societal, private), rel=1e-12, abs=0.0
+    )
+    assert report.per_band_effort_cost == pytest.approx(per_band, rel=1e-12, abs=0.0)
+    # band 2 entered at half its threshold effort costs less, and scores less, than in equilibrium
+    assert report.per_band_effort_cost[2] < clean.per_band_effort_cost[2]
+    assert report.per_band_effort_cost[:2] == clean.per_band_effort_cost[:2]
+    assert report.societal_utility < clean.societal_utility
+
+
 # --- Power families: results match the per-theta formula -----------------
+
+
+def _reference_floor(pop, band):
+    """The score that enters the band, g(threshold effort) * f(lo), read as ``solve_bands`` reads g and f."""
+    return float(pop.g.evaluate(np.array([band.threshold_effort]))[0] * pop.f.evaluate(np.array([band.lo]))[0])
 
 
 def _reference_band_effort(pop, band, theta):
     if band.threshold_effort is None:
         return pop.e0
-    target = pop.g.evaluate(band.threshold_effort) * pop.f.evaluate(band.lo) / pop.f.evaluate(theta)
+    target = _reference_floor(pop, band) / pop.f.evaluate(theta)
     if target <= pop.g.evaluate(pop.e0):
         return pop.e0
     return pop.g.invert(target)
@@ -342,7 +412,7 @@ def _reference_band_score(pop, band, theta):
     idle_score = pop.g.evaluate(pop.e0) * pop.f.evaluate(theta)
     if band.threshold_effort is None:
         return idle_score
-    return max(pop.g.evaluate(band.threshold_effort) * pop.f.evaluate(band.lo), idle_score)
+    return max(_reference_floor(pop, band), idle_score)
 
 
 def _reference_pieces(band):
