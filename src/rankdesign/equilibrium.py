@@ -117,8 +117,13 @@ def _band_effort(pop: PopulationSpec, band: BandSolution, theta):
     if array:
         return _floor_effort(pop, band.floor, band.idle, pop.f.evaluate(theta))
     target = band.floor / pop.f.evaluate(theta)
+    return pop.e0 if target <= band.idle else _target_effort(pop, target)
+
+
+def _target_effort(pop: PopulationSpec, target: float) -> float:
+    """The effort g_inverse(target) whose transfer is a score target, a number above g(e0)."""
     try:
-        return pop.e0 if target <= band.idle else pop.g.invert(target)
+        return pop.g.invert(target)
     except RangeError as exc:
         raise ModelError(f"score target {target!r} outside the image of the effort transfer") from exc
 

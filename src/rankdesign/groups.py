@@ -4,12 +4,15 @@ Groups share the skill distribution but scores scale with an environment
 factor, v = gamma * g(e) * f(theta_true).  Ranking happens on the mixed
 population of scaled skills, so the two-group model is the single-group
 model with f replaced by the mixed scaled skill's quantile
-(``_MixedQuantile``): its equilibrium is ``solve`` on that population, and a
-group-G applicant at skill rank theta_true sits at the mixed rank
-H(gamma_G * f(theta_true)).  Any transfer and cost that ``solve`` accepts
-work, g(e0) > 0 included.  Group shares must be equal.  The welfare gap
-takes any policy; access and the region table take the policy that
-``two_level(c, capacity)`` returns.
+(``_MixedQuantile``): its equilibrium is ``solve`` on that population, its
+welfare and utilities the welfare pricer's, and a group-G applicant at
+skill rank theta_true sits at the mixed rank H(gamma_G * f(theta_true)).
+Any transfer and cost that ``solve`` accepts work, g(e0) > 0 included.
+Group shares must be equal.  The welfare gap takes any policy; access and
+the region table take the policy that ``two_level(c, capacity)`` returns.
+``audit_sweep`` solves its cutoffs as one ``solve_bands`` batch and reads
+every welfare gap of the batch with one reader (``_gaps``), of which
+``welfare_gap`` is one row.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import EquilibriumSchedule, effort_at, solve
+from .equilibrium import BandArrays, _target_effort, solve, solve_bands
 from .errors import DomainError, RegionError
 from .functions import FunctionSpec, PiecewiseMonotone, PopulationSpec, Power, _subclass_error
-from .policy import RewardPolicy, reward_at, two_level
+from .policy import RewardPolicy
+from .welfare import price_two_level
 
 GROUP_SHARE = 0.5  # equal halves; GroupSpec accepts no other share
 GAP_QUANTILES = (0.25, 0.5, 0.75)  # skill ranks at which audit_sweep reads the welfare gap
@@ -83,6 +87,7 @@ class _MixedQuantile(FunctionSpec):
     and C * f_inverse(x) for ``Power`` f, so x = f(q / C); any other f
     bisects the segment.  ``evaluate`` and ``invert`` take a number or an
     array, which is read value by value, so both give the same bits.
+    ``integral`` is exact, by parts, through f's own ``integral`` and ``invert``.
     """
 
     skill: FunctionSpec
@@ -97,6 +102,7 @@ class _MixedQuantile(FunctionSpec):
             for w, gamma in ((groups.share, groups.gamma_a), (1.0 - groups.share, groups.gamma_b))
         )
         object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_ends", (ys[0], ys[-1]))
         xs = sorted({gamma * y for _, gamma, _, _ in parts for y in ys})
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_hs", [self.invert(x) for x in xs])
@@ -126,6 +132,21 @@ class _MixedQuantile(FunctionSpec):
         if isinstance(x, np.ndarray):
             return _each(self.invert, x)
         return sum(part[0] * self._rank(x, part) for part in self._parts)
+
+    def integral(self, a, b):
+        """By parts: b Q(b) - a Q(a) minus the integral of H over [Q(a), Q(b)]."""
+        qa, qb = self.evaluate(a), self.evaluate(b)
+        area = b * qb - a * qa
+        for w, gamma, _, _ in self._parts:
+            area = area - w * gamma * (self._cdf_integral(qb / gamma) - self._cdf_integral(qa / gamma))
+        return area
+
+    def _cdf_integral(self, y):
+        """Integral of the clamped skill CDF F from f(0) to y: on f's image, y F(y) minus the
+        integral of f over [0, F(y)]; above f(1), where F is 1, plus y - f(1)."""
+        inside = np.clip(y, *self._ends)
+        t = np.clip(self.skill.invert(inside), 0.0, 1.0)
+        return inside * t - self.skill.integral(0.0, t) + np.maximum(y - self._ends[1], 0.0)
 
     def evaluate(self, q):
         self._check_domain(q)
@@ -187,20 +208,31 @@ def group_thresholds(population: PopulationSpec, groups: GroupSpec, c: float) ->
     return mixed.group_ranks(mixed.evaluate(c))
 
 
-def _welfare(schedule: EquilibriumSchedule, x: float) -> float:
-    """Equilibrium welfare of an applicant whose scaled skill is x."""
-    q = schedule.population.f.invert(x)
-    return reward_at(schedule.policy, q) - schedule.population.p.evaluate(effort_at(schedule, q))
+def _gap_ranks(mixed: _MixedQuantile, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed ranks H(gamma_G * f(theta)) of groups A and B, interleaved, at skill ranks thetas, and f_mix at them."""
+    for theta in thetas:
+        if not (0.0 <= theta <= 1.0):
+            raise DomainError(f"theta_true {theta!r} outside [0, 1]")
+    gammas = (mixed.groups.gamma_a, mixed.groups.gamma_b)
+    ranks = mixed.invert(np.array([gamma * mixed.skill.evaluate(theta) for theta in thetas for gamma in gammas]))
+    return ranks, mixed.evaluate(ranks)
 
 
-def _gap(
-    schedule: EquilibriumSchedule, population: PopulationSpec, groups: GroupSpec, theta_true: float
-) -> float:
-    """Welfare of a group-A minus a group-B applicant at skill rank theta_true."""
-    if not (0.0 <= theta_true <= 1.0):
-        raise DomainError(f"theta_true {theta_true!r} outside [0, 1]")
-    skill = population.f.evaluate(theta_true)
-    return _welfare(schedule, groups.gamma_a * skill) - _welfare(schedule, groups.gamma_b * skill)
+def _gaps(population, levels, cutpoints, bands: BandArrays, ranks, skill) -> np.ndarray:
+    """Welfare of group A minus group B, (n, m), for a batch of equal-K policies on the mixed population.
+
+    Reads as ``reward_at`` and ``effort_at`` do: band by ``band_of``'s rule;
+    cost p(e0) in band 0 and where the score target floor / f_mix is at most
+    g(e0), else the cost of ``_target_effort``, read as a number so the bits
+    are ``effort_at``'s (numpy's pow and libm's round differently).
+    """
+    band = np.count_nonzero(cutpoints[:, :, None] <= ranks, axis=1)
+    target = np.take_along_axis(bands.floor, band, axis=1) / skill
+    live = target > bands.idle  # False in band 0, whose floor is NaN
+    cost = np.full(band.shape, population.p.evaluate(population.e0))
+    cost[live] = [population.p.evaluate(_target_effort(population, t)) for t in target[live].tolist()]
+    welfare = np.take_along_axis(levels, band, axis=1) - cost
+    return welfare[:, 0::2] - welfare[:, 1::2]
 
 
 def welfare_gap(
@@ -209,9 +241,12 @@ def welfare_gap(
     policy: RewardPolicy,
     theta_true: float,
 ) -> float:
-    """Welfare of a group-A applicant minus a group-B applicant at equal skill."""
-    schedule = solve(replace(population, f=_MixedQuantile(population.f, groups)), policy)
-    return _gap(schedule, population, groups, theta_true)
+    """Welfare of a group-A applicant minus a group-B applicant at equal skill: one row of ``_gaps``."""
+    mixed = _MixedQuantile(population.f, groups)
+    schedule = solve(replace(population, f=mixed), policy)
+    levels, cutpoints = np.array([policy.levels]), np.array([policy.cutpoints])
+    gaps = _gaps(schedule.population, levels, cutpoints, schedule.arrays, *_gap_ranks(mixed, [theta_true]))
+    return float(gaps[0, 0])
 
 
 @dataclass(frozen=True)
@@ -235,7 +270,8 @@ def welfare_gap_derivative(
 
     Both evaluation points c +- h must keep theta_true at or above the
     disadvantaged group's threshold, else the gap formula changes branch and
-    the difference is meaningless.
+    the difference is meaningless.  The gaps at c +- h and c +- h/2 are one
+    four-row ``audit_sweep``.
     """
     if not (0.0 < c - h and c + h <= 1.0 - capacity):
         raise RegionError(f"c={c!r} with step {h!r} leaves (0, 1 - capacity]")
@@ -245,12 +281,10 @@ def welfare_gap_derivative(
             raise RegionError(
                 f"theta_true={theta_true!r} below the High region at c={cc!r} (tau_B={tau_b!r})"
             )
-
-    def gap_at(cc: float) -> float:
-        return welfare_gap(population, groups, two_level(cc, capacity), theta_true)
-
-    wide = (gap_at(c + h) - gap_at(c - h)) / (2.0 * h)
-    half = (gap_at(c + 0.5 * h) - gap_at(c - 0.5 * h)) / h
+    rows = audit_sweep(population, groups, capacity, (c + h, c - h, c + 0.5 * h, c - 0.5 * h), [theta_true])
+    up, down, half_up, half_down = (row[-1] for row in rows)
+    wide = (up - down) / (2.0 * h)
+    half = (half_up - half_down) / h
     # Richardson: central differences carry O(h^2) truncation error
     return FiniteDifference(value=half, step=h, error_estimate=abs(half - wide) / 3.0)
 
@@ -270,22 +304,26 @@ def access(population: PopulationSpec, groups: GroupSpec, policy: RewardPolicy) 
     return policy.levels[-1] * (1.0 - tau_b)
 
 
-def audit_sweep(population: PopulationSpec, groups: GroupSpec, capacity: float, cs):
-    """Disparate-impact audit rows per cutoff: thresholds, access, gaps at ``GAP_QUANTILES``.
+def audit_sweep(population: PopulationSpec, groups: GroupSpec, capacity: float, cs, thetas=GAP_QUANTILES):
+    """Disparate-impact audit rows per cutoff: thresholds, access, gaps at the skill ranks ``thetas``.
 
-    The mixed quantile is built once per sweep and the equilibrium solved
-    once per cutoff.
+    Rows (c, tau_A, tau_B, access, *gaps) of Python floats, priced as
+    ``two_level_sweep``'s by ``price_two_level``.  The mixed quantile and the
+    gap ranks are built once per sweep, and the cutoffs c > 0 are solved as
+    one ``solve_bands`` batch.
     """
     mixed = _MixedQuantile(population.f, groups)
     mixed_population = replace(population, f=mixed)
-    rows = []
-    for c in cs:
-        policy = two_level(c, capacity)
-        tau_a, tau_b = mixed.group_ranks(mixed.evaluate(c))
-        schedule = solve(mixed_population, policy)
-        gaps = [_gap(schedule, population, groups, q) for q in GAP_QUANTILES]
-        rows.append((c, tau_a, tau_b, policy.levels[-1] * (1.0 - tau_b), *gaps))
-    return rows
+    ranks, skill = _gap_ranks(mixed, thetas)
+
+    def batch(levels, cutpoints):
+        cutoffs = cutpoints[:, 0] if cutpoints.shape[1] else np.zeros(len(levels))  # c = 0: one level
+        tau_a, tau_b = np.array([mixed.group_ranks(x) for x in mixed.evaluate(cutoffs).tolist()]).reshape(-1, 2).T
+        bands = solve_bands(mixed_population, levels, cutpoints)
+        gaps = _gaps(mixed_population, levels, cutpoints, bands, ranks, skill)
+        return (tau_a, tau_b, levels[:, -1] * (1.0 - tau_b), *gaps.T)
+
+    return price_two_level(cs, capacity, batch)
 
 
 def region_table(population: PopulationSpec, groups: GroupSpec, policy: RewardPolicy) -> dict:

@@ -218,14 +218,14 @@ def price_policies(policies: list, batch) -> list[tuple[float, ...]]:
         return [row for i in range(len(policies)) for row in rows(i, i + 1)]
 
 
-def two_level_sweep(population, capacity: float, cs) -> list[tuple[float, ...]]:
-    """Welfare profile over two-level cutoffs; rows (c, level1, W, U_soc, U_pri) of Python floats.
+def price_two_level(cs, capacity: float, batch) -> list[tuple[float, ...]]:
+    """Rows (c, *columns) of Python floats, one per cutoff c of ``cs``, for ``two_level(c, capacity)``.
 
-    ``cs`` is any iterable of cutoffs.  The cutoffs c > 0 are priced in one
-    ``band_welfare`` call, and the one-level policies of c = 0 in another.
-    Raises what pricing the cutoffs one at a time, in order, would raise
-    first: ``two_level``'s error for the first cutoff it rejects, unless a
-    cutoff before it fails.
+    ``cs`` is any iterable of cutoffs.  ``batch`` is ``price_policies``'s:
+    the cutoffs c > 0 are priced in one call, and the one-level policies of
+    c = 0 in another.  Raises what pricing the cutoffs one at a time, in
+    order, would raise first: ``two_level``'s error for the first cutoff it
+    rejects, unless a cutoff before it fails.
     """
     from .policy import two_level
 
@@ -235,13 +235,17 @@ def two_level_sweep(population, capacity: float, cs) -> list[tuple[float, ...]]:
             policies.append(two_level(c, capacity))
     except (RankDesignError, TypeError) as exc:  # raised below, once the cutoffs before it are priced
         rejected = exc
-
-    def price(k):  # a one-level policy has no threshold and no effort cost, so only k = 2 can fail
-        group = [policy for policy in policies if policy.k == k]
-        return iter(price_policies(group, lambda levels, cuts: band_welfare(population, levels, cuts, capacity)[:3]))
-
-    priced = {1: price(1), 2: price(2)}
-    rows = [(float(c), policy.levels[-1], *next(priced[policy.k])) for c, policy in zip(cs, policies)]
+    # a one-level policy has no threshold and no effort cost, so only k = 2 can fail
+    priced = {k: iter(price_policies([policy for policy in policies if policy.k == k], batch)) for k in (1, 2)}
+    rows = [(float(c), *next(priced[policy.k])) for c, policy in zip(cs, policies)]
     if rejected is not None:
         raise rejected
     return rows
+
+
+def two_level_sweep(population, capacity: float, cs) -> list[tuple[float, ...]]:
+    """Welfare profile over two-level cutoffs, rows (c, level1, W, U_soc, U_pri) of Python floats:
+    ``price_two_level`` with ``band_welfare``."""
+    return price_two_level(
+        cs, capacity, lambda levels, cuts: (levels[:, -1], *band_welfare(population, levels, cuts, capacity)[:3])
+    )

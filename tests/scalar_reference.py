@@ -1,17 +1,24 @@
-"""A scalar reference for the band recursion and the band welfare integrals.
+"""A scalar reference for the band recursion, the band welfare integrals and the two-group audit.
 
 The library prices every policy on one array path (``solve_bands`` and the
 welfare pricer); ``solve`` and ``welfare_report`` read one row of it.  This
 module keeps the scalar path the library used before, one Python float per
 band, as an independent reference for the batch tests, as ``test_oracle.py``
 keeps a scalar reference oracle.  ``effort_breakpoints`` reads the
-primitives one kink at a time, each read in a try/except.
+primitives one kink at a time, each read in a try/except.  ``audit_sweep``
+is the two-group audit as the library ran it before its batch: one
+``solve`` per cutoff, each welfare gap read at two mixed ranks with
+``effort_at`` and ``reward_at``.
 """
 
 from __future__ import annotations
 
-from rankdesign.equilibrium import BandSolution, _band_effort
+from dataclasses import replace
+
+from rankdesign.equilibrium import BandSolution, _band_effort, effort_at, solve
 from rankdesign.errors import DomainError, ModelError, RangeError
+from rankdesign.groups import GAP_QUANTILES, _MixedQuantile
+from rankdesign.policy import reward_at, two_level
 from rankdesign.quadrature import geometric_breakpoints, integrate_piecewise
 
 
@@ -104,3 +111,31 @@ def welfare(population, policy, bands) -> tuple[float, float, float, tuple[float
         tuple(v for v, _ in costs),
         sum(e for _, e in costs),
     )
+
+
+def _welfare(schedule, x: float) -> float:
+    """Equilibrium welfare of an applicant whose scaled skill is x."""
+    q = schedule.population.f.invert(x)
+    return reward_at(schedule.policy, q) - schedule.population.p.evaluate(effort_at(schedule, q))
+
+
+def welfare_gap(schedule, population, groups, theta_true: float) -> float:
+    """Welfare of a group-A minus a group-B applicant at skill rank theta_true, on a mixed-population schedule."""
+    if not (0.0 <= theta_true <= 1.0):
+        raise DomainError(f"theta_true {theta_true!r} outside [0, 1]")
+    skill = population.f.evaluate(theta_true)
+    return _welfare(schedule, groups.gamma_a * skill) - _welfare(schedule, groups.gamma_b * skill)
+
+
+def audit_sweep(population, groups, capacity: float, cs) -> list[tuple]:
+    """Audit rows (c, tau_A, tau_B, access, *gaps at GAP_QUANTILES), one cutoff at a time."""
+    mixed = _MixedQuantile(population.f, groups)
+    mixed_population = replace(population, f=mixed)
+    rows = []
+    for c in cs:
+        policy = two_level(c, capacity)
+        tau_a, tau_b = mixed.group_ranks(mixed.evaluate(c))
+        schedule = solve(mixed_population, policy)
+        gaps = [welfare_gap(schedule, population, groups, q) for q in GAP_QUANTILES]
+        rows.append((c, tau_a, tau_b, policy.levels[-1] * (1.0 - tau_b), *gaps))
+    return rows

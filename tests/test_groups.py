@@ -3,12 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankdesign import (
     AffinePower,
+    CapacityError,
     DiscreteInstance,
     DomainError,
     GroupSpec,
+    ModelError,
     PiecewiseMonotone,
     PopulationSpec,
     Power,
@@ -28,10 +31,14 @@ from rankdesign import (
     two_level,
     welfare_gap,
     welfare_gap_derivative,
+    welfare_report,
 )
 from rankdesign.equilibrium import sample_schedule
-from rankdesign.groups import _MixedQuantile
+from rankdesign.groups import GAP_QUANTILES, _MixedQuantile
 from rankdesign.oracle import default_effort_cap
+from rankdesign.welfare import band_welfare
+
+import scalar_reference as reference
 
 GROUPS = GroupSpec(2.0, 1.0)
 
@@ -316,6 +323,158 @@ def test_mixed_quantile_reads_arrays_as_numbers(f):
     schedule = solve(population, two_level(0.4, 0.2))
     for theta, _, effort, _ in sample_schedule(schedule, 50):
         assert effort == pytest.approx(effort_at(schedule, theta), rel=1e-12, abs=1e-15)
+
+
+def _trapezoid_table(mixed: _MixedQuantile, n: int = 2001) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and the cumulative trapezoid integral of the quantile from 0 at each.
+
+    The grid is even, refined geometrically towards 0, where f's curvature may
+    be unbounded, and holds every kink and the next float above it: where H is
+    flat the quantile jumps, and the trapezoid across that step is one float
+    wide.
+    """
+    kinks = np.array(mixed.kinks)
+    even = np.concatenate((np.linspace(0.0, 1.0, n), np.geomspace(1e-12, 1e-3, 60)))
+    qs = np.union1d(even, np.concatenate((kinks, np.nextafter(kinks, 1.0))))
+    xs = mixed.evaluate(qs)
+    return qs, np.concatenate(([0.0], np.cumsum(0.5 * (xs[1:] + xs[:-1]) * np.diff(qs))))
+
+
+@pytest.mark.parametrize("f", MIXED_SKILLS)
+def test_mixed_quantile_integral_is_fs_at_equal_factors(f):
+    mixed = _MixedQuantile(f, GroupSpec(1.0, 1.0))
+    bounds = np.random.default_rng(9).uniform(0.0, 1.0, (60, 2))
+    bounds[:4] = [[0.0, 1.0], [0.3, 0.3], [1.0, 0.0], [0.7, 0.2]]
+    for a, b in bounds.tolist():
+        assert mixed.integral(a, b) == pytest.approx(f.integral(a, b), rel=1e-12, abs=1e-15)
+    # an array of limits gives each pair's number to rounding, in the array's shape
+    got = mixed.integral(bounds[:, 0], bounds[:, 1])
+    assert got == pytest.approx([mixed.integral(a, b) for a, b in bounds.tolist()], rel=1e-12, abs=1e-15)
+    with pytest.raises(DomainError):
+        mixed.integral(0.2, 1.5)
+
+
+@pytest.mark.parametrize("gammas", GAMMA_PAIRS)
+@pytest.mark.parametrize("f", MIXED_SKILLS)
+def test_mixed_quantile_integral_matches_trapezoid(f, gammas):
+    mixed = _MixedQuantile(f, GroupSpec(*gammas))
+    qs, area = _trapezoid_table(mixed)
+    picks = np.random.default_rng(10).integers(0, len(qs), (40, 2))
+    picks[0] = [0, len(qs) - 1]
+    a, b = qs[picks[:, 0]], qs[picks[:, 1]]
+    # the trapezoid's error is below 1e-7 of the scale on these grids
+    tol = 1e-6 * mixed.evaluate(1.0)
+    assert mixed.integral(a, b) == pytest.approx(area[picks[:, 1]] - area[picks[:, 0]], abs=tol)
+    assert [mixed.integral(x, y) for x, y in zip(a.tolist(), b.tolist())] == pytest.approx(
+        (area[picks[:, 1]] - area[picks[:, 0]]).tolist(), abs=tol
+    )
+
+
+@pytest.mark.parametrize(
+    "g", [Power(1.0, 0.5, role=Role.EFFORT_TRANSFER), AffinePower(1.0, 0.5, 0.1, role=Role.EFFORT_TRANSFER)]
+)
+@pytest.mark.parametrize("f", MIXED_SKILLS)
+def test_welfare_report_on_the_two_group_population(f, g):
+    """The pricer runs on the mixed population: a report is finite and equals its band_welfare row."""
+    population = PopulationSpec(f, g, Power(1.0, 2.0, role=Role.COST_FUNCTION))
+    mixed = replace(population, f=_MixedQuantile(f, GROUPS))
+    for policy in (two_level(0.4, 0.2), FOUR_LEVEL):
+        report = welfare_report(solve(mixed, policy))
+        values = (report.applicant_welfare, report.societal_utility, report.private_utility)
+        assert all(math.isfinite(v) for v in (*values, *report.per_band_effort_cost))
+        levels, cutpoints = np.array([policy.levels]), np.array([policy.cutpoints])
+        applicant, societal, private, costs, estimates = band_welfare(mixed, levels, cutpoints, policy.capacity)
+        assert values == (applicant[0], societal[0], private[0])
+        assert report.per_band_effort_cost == tuple(costs[0].tolist())
+        assert report.quadrature_error_estimate == sum(estimates[0].tolist())
+
+
+# -- the batched audit against the per-cutoff loop ---------------------------
+
+
+def _benchmark_like(f, g=Power(1.0, 0.5, role=Role.EFFORT_TRANSFER)):
+    return PopulationSpec(f, g, Power(1.0, 2.0, role=Role.COST_FUNCTION))
+
+
+AUDIT_POPULATIONS = {
+    "identity": _benchmark_like(Power(1.0, 1.0)),
+    "piecewise": _benchmark_like(
+        PiecewiseMonotone(tuple((x, 2.0 * x**1.5) for x in np.linspace(0.0, 1.0, 9).tolist()))
+    ),
+    "x8": _benchmark_like(Power(1.0, 8.0)),
+    "idle-transfer": _benchmark_like(Power(1.0, 1.0), AffinePower(1.0, 0.5, 0.1, role=Role.EFFORT_TRANSFER)),
+}
+
+
+def _bits(rows):
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+@settings(deadline=None)
+@given(
+    drawn=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 0.8)), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    gammas=st.sampled_from([(2.0, 1.0), (1.3, 0.7), (1.5, 1.5)]),
+)
+@pytest.mark.parametrize("name", sorted(AUDIT_POPULATIONS))
+def test_audit_sweep_matches_scalar_reference(name, drawn, seed, gammas):
+    """Every row, c = 0 included, bit for bit against one solve per cutoff; welfare_gap is
+    one row of the same reader, at any policy.  Uniform cutoffs join the drawn ones: numpy's
+    and libm's pow round apart on about 1 in 500 gap values, which drawn floats seldom hit."""
+    population, groups = AUDIT_POPULATIONS[name], GroupSpec(*gammas)
+    cs = drawn + np.random.default_rng(seed).uniform(0.0, 0.8, 10).tolist()
+    rows = audit_sweep(population, groups, 0.2, cs)
+    assert _bits(rows) == _bits(reference.audit_sweep(population, groups, 0.2, cs))
+    mixed = replace(population, f=_MixedQuantile(population.f, groups))
+    for c in cs[:3]:
+        for policy in (two_level(c, 0.2), FOUR_LEVEL):
+            schedule = solve(mixed, policy)
+            for q in (0.0, *GAP_QUANTILES, 1.0):
+                want = reference.welfare_gap(schedule, population, groups, q)
+                assert welfare_gap(population, groups, policy, q).hex() == want.hex()
+
+
+@pytest.mark.parametrize(
+    "cs, error",
+    [
+        ([0.3, 0.0, 0.9, 0.5], CapacityError),
+        ([0.3, float("nan")], DomainError),
+        ([0.0, 1.0], DomainError),
+        ([0.3, "0.5"], TypeError),
+    ],
+)
+def test_audit_sweep_rejects_a_cutoff_as_the_loop_does(identity_population, cs, error):
+    with pytest.raises(error) as loop:
+        reference.audit_sweep(identity_population, GROUPS, 0.2, cs)
+    with pytest.raises(error) as batch:
+        audit_sweep(identity_population, GROUPS, 0.2, cs)
+    assert str(batch.value) == str(loop.value)
+
+
+def test_audit_sweep_raises_the_first_failing_rows_error(identity_population):
+    # the transfer ends at effort 0.8: the threshold effort sqrt(0.2 / (1 - c)) passes it above c = 0.6875
+    short = replace(
+        identity_population,
+        g=PiecewiseMonotone(((0.0, 0.1), (0.4, 0.4), (0.8, 0.6)), role=Role.EFFORT_TRANSFER),
+    )
+    cs = [0.3, 0.0, 0.75, 0.7, 0.6]
+    with pytest.raises(ModelError) as loop:
+        reference.audit_sweep(short, GROUPS, 0.2, cs)
+    with pytest.raises(ModelError) as batch:
+        audit_sweep(short, GROUPS, 0.2, cs)
+    assert "0.894" in str(loop.value) and str(batch.value) == str(loop.value)
+    assert len(audit_sweep(short, GROUPS, 0.2, [0.3, 0.0, 0.6])) == 3
+
+
+def test_non_randomized_cutoffs_exclude_group_b(identity_population):
+    """Group B's best applicant sits at mixed rank H(gamma_B * f(1)): every cutoff at or above it
+    admits no group-B applicant, and randomizing below it keeps them in."""
+    c_excl = f_mix_inverse(identity_population, GROUPS, GROUPS.gamma_b * identity_population.f.evaluate(1.0))
+    assert c_excl == 0.75
+    cs = [0.74, 0.75, 0.76, 0.79]
+    shares = [access(identity_population, GROUPS, two_level(c, 0.2)) for c in cs]
+    assert [row[3] for row in audit_sweep(identity_population, GROUPS, 0.2, cs)] == shares
+    assert shares[0] > 0.0 and shares[1:] == [0.0, 0.0, 0.0]
 
 
 # -- two-group oracle cross-check -------------------------------------------
