@@ -20,8 +20,8 @@ from .equilibrium import MAX_SAMPLES, sample_schedule, solve
 from .errors import ConfigError, QuadratureError, RankDesignError
 from .functions import PopulationSpec, Role, function_from_json
 from .groups import GroupSpec
-from .policy import policy_from_json, two_level, validate
-from .welfare import two_level_sweep, welfare_report
+from .policy import RewardPolicy, policy_from_json, two_level, validate
+from .welfare import price_two_level_policies, sweep_columns, welfare_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -151,34 +151,41 @@ def cmd_eval(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _sweep_point(population: PopulationSpec, capacity: float, c: float):
-    """One sweep row priced alone, or its cutoff and the name of the error that point raised."""
+def _two_level_or_error(c: float, capacity: float):
     try:
-        return (*two_level_sweep(population, capacity, [c])[0], "")
+        return two_level(c, capacity)
     except RankDesignError as exc:
-        return (c, "", "", "", "", type(exc).__name__)
+        return exc
 
 
-def _accepts(c: float, capacity: float) -> bool:
-    try:
-        two_level(c, capacity)
-    except RankDesignError:
-        return False
-    return True
+def _sweep_point(c: float, policy, batch):
+    """One sweep row priced alone, or its cutoff and the name of the error that point raised;
+    ``policy`` is ``two_level``'s policy at c, or the error it raised."""
+    if isinstance(policy, RewardPolicy):
+        try:
+            return (float(c), *price_two_level_policies([policy], batch)[0], "")
+        except RankDesignError as exc:
+            policy = exc
+    return (c, "", "", "", "", type(policy).__name__)
 
 
 def cmd_sweep(args, config: dict) -> int:
-    """One row per cutoff.  The cutoffs ``two_level`` accepts are priced in one batch; the others,
-    and all of them if the batch raises, are priced alone, so each failing point keeps its own error."""
+    """One row per cutoff.  The policies ``two_level`` accepts are priced together, as
+    ``two_level_sweep`` prices them; the others, and all of them if that raises, are priced
+    alone, so each failing point keeps its own error."""
     population = _population(config)
     capacity = _capacity(config, "sweep")
+    batch = sweep_columns(population, capacity)
     cutoffs = _sweep_cutoffs(config)
-    accepted = [c for c in cutoffs if _accepts(c, capacity)]
+    policies = [_two_level_or_error(c, capacity) for c in cutoffs]
     try:
-        priced = dict(zip(accepted, ((*row, "") for row in two_level_sweep(population, capacity, accepted))))
+        priced = iter(price_two_level_policies([p for p in policies if isinstance(p, RewardPolicy)], batch))
+        rows = [
+            (float(c), *next(priced), "") if isinstance(p, RewardPolicy) else _sweep_point(c, p, batch)
+            for c, p in zip(cutoffs, policies)
+        ]
     except RankDesignError:
-        priced = {}
-    rows = [priced.get(c) or _sweep_point(population, capacity, c) for c in cutoffs]
+        rows = [_sweep_point(c, p, batch) for c, p in zip(cutoffs, policies)]
     if all(r[-1] for r in rows):
         raise ConfigError("every sweep point failed: " + rows[0][-1])
     _emit(args, ["c", "level1", "applicant_welfare", "societal_utility", "private_utility", "error"], rows)

@@ -188,14 +188,14 @@ def solve_bands(population: PopulationSpec, levels: np.ndarray, cutpoints: np.nd
     """The band recursion for a batch of valid policies with equal K.
 
     ``levels`` is (n, K) and ``cutpoints`` (n, K-1), one policy per row; the
-    caller validates them.  f is read once, at every band end of the batch,
-    and the cost of band 0's idle effort once.  Raises ModelError if any
-    row's cost or transfer cannot absorb its reward jumps.
+    caller validates them, so every band end lies in [0, 1] and f is read
+    there once, unchecked.  Raises ModelError if any row's cost or transfer
+    cannot absorb its reward jumps.
     """
     n, k_levels = levels.shape
     bounds = np.empty((n, k_levels + 1))
     bounds[:, 0], bounds[:, 1:-1], bounds[:, -1] = 0.0, cutpoints, 1.0
-    skill = population.f.evaluate(bounds)
+    skill = population.f._map(bounds)
     threshold, floor, switch = np.full((3, n, k_levels), np.nan)
     idle = population.g.evaluate(population.e0)
     jumps = levels[:, 1:] - levels[:, :-1]

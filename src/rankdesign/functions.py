@@ -7,6 +7,13 @@ support evaluation, exact inversion and exact definite integrals.
 ``evaluate`` and ``invert`` take a number or a numpy array of numbers; an
 array is checked and mapped as a whole.  Parameters must be finite; a
 non-finite one is rejected when the object is built.
+
+Each family also has two unchecked reads, ``_map`` (``evaluate`` of an
+array) and ``_integral`` (``integral`` without its domain checks), for the
+batch pricer's own rank arrays: band ends, quadrature nodes and integral
+limits that it builds inside [0, 1] from policies already validated.  They
+give the checked reads' bits.  Every read of a value that can fail as a
+model error (a score target, a derived effort, a cost) stays checked.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +42,8 @@ class FunctionSpec:
     role: Role | None = field(default=None, kw_only=True)
 
     # subclasses must call _set_domain when built and define: evaluate,
-    # invert, integral, to_json
+    # invert, to_json, and the unchecked reads _map (evaluate of an array
+    # inside the domain) and _integral (integral between limits inside it)
 
     def _set_domain(self, lo: float, hi: float) -> None:
         object.__setattr__(self, "_lo", lo)
@@ -53,6 +62,12 @@ class FunctionSpec:
         if not _inside(x, self._lo, self._hi):
             raise DomainError(f"x={x!r} outside domain [{self._lo}, {self._hi}] of {self!r}")
 
+    def integral(self, a, b):
+        """Exact integral from a to b, numbers or arrays of them; negative where b < a."""
+        self._check_domain(a)
+        self._check_domain(b)
+        return self._integral(a, b)
+
 
 # One dispatch rule: an argument whose exact class is np.ndarray is an array
 # (of any shape, empty and 0-d included), checked value by value; a subclass
@@ -61,10 +76,13 @@ class FunctionSpec:
 # comparisons, which cost it less than an array check.  A Python float, the
 # common case, is told by one class test and pays for no subclass test.  NaN
 # is outside.  One pass (seed 1) of the benchmark's design workload makes
-# 4,910 number evaluate and invert calls (the group audits' single-rank and
-# mixed-quantile reads, and each solve's two reads at e0) against 4,386 array
-# calls.  Its oracle workload makes 91 array calls, and 17 number calls
-# from the effort caps and spec construction.
+# 2,582 number evaluate and invert calls (the group audits' single-rank and
+# mixed-quantile reads, and each solve's two reads at e0) against 2,421 array
+# calls, all checked; the pricer's 1,530 further array reads of f, at band
+# ends, floor ends and quadrature nodes, go through the unchecked _map, as
+# it builds those ranks inside [0, 1] itself.  Its oracle workload makes 87
+# checked and 4 unchecked array calls, and 17 number calls from the effort
+# caps and spec construction.
 _ndarray = np.ndarray
 
 
@@ -114,14 +132,15 @@ class Power(FunctionSpec):
         self._check_domain(x)
         return self.scale * x**self.exponent
 
+    def _map(self, x: np.ndarray) -> np.ndarray:
+        return self.scale * x**self.exponent
+
     def invert(self, y: float) -> float:
         if _below(y, 0.0):
             raise RangeError(f"y={y!r} below image of {self!r}")
         return (y / self.scale) ** (1.0 / self.exponent)
 
-    def integral(self, a: float, b: float) -> float:
-        self._check_domain(a)
-        self._check_domain(b)
+    def _integral(self, a, b):
         k = self.exponent + 1.0
         return self.scale * (b**k - a**k) / k
 
@@ -148,14 +167,15 @@ class AffinePower(FunctionSpec):
         self._check_domain(x)
         return self.scale * x**self.exponent + self.offset
 
+    def _map(self, x: np.ndarray) -> np.ndarray:
+        return self.scale * x**self.exponent + self.offset
+
     def invert(self, y: float) -> float:
         if _below(y, self.offset):
             raise RangeError(f"y={y!r} below image of {self!r}")
         return ((y - self.offset) / self.scale) ** (1.0 / self.exponent)
 
-    def integral(self, a: float, b: float) -> float:
-        self._check_domain(a)
-        self._check_domain(b)
+    def _integral(self, a, b):
         k = self.exponent + 1.0
         return self.scale * (b**k - a**k) / k + self.offset * (b - a)
 
@@ -218,13 +238,16 @@ class PiecewiseMonotone(FunctionSpec):
     def evaluate(self, x: float) -> float:
         self._check_domain(x)
         if x.__class__ is _ndarray:
-            return np.interp(x, self._x_array, self._y_array)
+            return self._map(x)
         xs, ys = self._xs, self._ys
         i = bisect_left(xs, x, 1, len(xs) - 1)
         if x == xs[i]:
             return ys[i]
         x0, y0 = xs[i - 1], ys[i - 1]
         return y0 + (ys[i] - y0) * (x - x0) / (xs[i] - x0)
+
+    def _map(self, x: np.ndarray) -> np.ndarray:
+        return np.interp(x, self._x_array, self._y_array)
 
     def invert(self, y: float) -> float:
         xs, ys = self._xs, self._ys
@@ -238,11 +261,11 @@ class PiecewiseMonotone(FunctionSpec):
         x0, y0 = xs[i - 1], ys[i - 1]
         return x0 + (xs[i] - x0) * (y - y0) / (ys[i] - y0)
 
-    def integral(self, a: float, b: float) -> float:
+    def _integral(self, a, b):
         if a.__class__ is _ndarray or b.__class__ is _ndarray:
             return self._integral_array(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
         if b < a:
-            return -self.integral(b, a)
+            return -self._integral(b, a)
         i, j = bisect_right(self._xs, a), bisect_left(self._xs, b)
         xs = (a, *self._xs[i:j], b)
         ys = (self.evaluate(a), *self._ys[i:j], self.evaluate(b))
@@ -252,10 +275,9 @@ class PiecewiseMonotone(FunctionSpec):
         """The scalar trapezoid sum per element: two partial segments and the whole ones between."""
         xs, ys, areas = self._x_array, self._y_array, self._areas
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        f_lo, f_hi = self.evaluate(lo), self.evaluate(hi)
+        f_lo, f_hi = self._map(lo), self._map(hi)
         # knots i .. j-1 lie strictly inside (lo, hi), as in the scalar path
-        i = np.searchsorted(xs, lo, side="right")
-        j = np.searchsorted(xs, hi, side="left")
+        i, j = xs.searchsorted(lo, "right"), xs.searchsorted(hi)
         first, last = np.minimum(i, len(xs) - 1), np.maximum(j - 1, 0)
         spans = (
             0.5 * (f_lo + ys[first]) * (xs[first] - lo)
@@ -263,7 +285,7 @@ class PiecewiseMonotone(FunctionSpec):
             + 0.5 * (ys[last] + f_hi) * (hi - xs[last])
         )
         total = np.where(i < j, spans, 0.5 * (f_lo + f_hi) * (hi - lo))
-        return np.where(b < a, -total, total)
+        return np.negative(total, out=total, where=b < a)
 
     def to_json(self) -> dict:
         return {"family": "piecewise_monotone", "knots": [list(k) for k in self.knots]}
@@ -343,6 +365,16 @@ class PopulationSpec:
             raise ModelError("skill quantile must be finite on [0, 1]")
         if f0 < 0:
             raise ModelError(f"skill quantile must be nonnegative on [0, 1], got f(0) = {f0!r}")
+        object.__setattr__(self, "_skill_range", (f0, f1))
+
+    @cached_property
+    def _kink_transfers(self) -> np.ndarray:
+        """g at the kinks of g and p inside g's domain, where positive: the transfers at which an
+        effort crosses a kink of g or p.  Read once per population object, on first use."""
+        kinks = np.array(self.g.kinks + self.p.kinks)
+        lo, hi = self.g.domain
+        transfer = self.g.evaluate(kinks[(lo <= kinks) & (kinks <= hi)])
+        return transfer[transfer > 0.0]
 
     def cost_inverse(self, y: float) -> float:
         """Inverse of the cost on its increasing branch [e0, inf), a number or an array."""

@@ -133,9 +133,9 @@ class _MixedQuantile(FunctionSpec):
             return _each(self.invert, x)
         return sum(part[0] * self._rank(x, part) for part in self._parts)
 
-    def integral(self, a, b):
+    def _integral(self, a, b):
         """By parts: b Q(b) - a Q(a) minus the integral of H over [Q(a), Q(b)]."""
-        qa, qb = self.evaluate(a), self.evaluate(b)
+        qa, qb = self._map(a), self._map(b)
         area = b * qb - a * qa
         for w, gamma, _, _ in self._parts:
             area = area - w * gamma * (self._cdf_integral(qb / gamma) - self._cdf_integral(qa / gamma))
@@ -146,12 +146,17 @@ class _MixedQuantile(FunctionSpec):
         integral of f over [0, F(y)]; above f(1), where F is 1, plus y - f(1)."""
         inside = np.clip(y, *self._ends)
         t = np.clip(self.skill.invert(inside), 0.0, 1.0)
-        return inside * t - self.skill.integral(0.0, t) + np.maximum(y - self._ends[1], 0.0)
+        return inside * t - self.skill._integral(0.0, t) + np.maximum(y - self._ends[1], 0.0)
 
     def evaluate(self, q):
         self._check_domain(q)
-        if isinstance(q, np.ndarray):
-            return _each(self.evaluate, q)
+        return self._map(q)
+
+    def _map(self, q):
+        return _each(self._value, q) if q.__class__ is np.ndarray else self._value(q)
+
+    def _value(self, q: float) -> float:
+        """The quantile at one rank q in [0, 1]."""
         xs, hs = self._xs, self._hs
         i = bisect_left(hs, q)
         if hs[i] == q:  # a breakpoint or q = 0; on a flat stretch its lowest x
@@ -318,7 +323,7 @@ def audit_sweep(population: PopulationSpec, groups: GroupSpec, capacity: float, 
 
     def batch(levels, cutpoints):
         cutoffs = cutpoints[:, 0] if cutpoints.shape[1] else np.zeros(len(levels))  # c = 0: one level
-        tau_a, tau_b = np.array([mixed.group_ranks(x) for x in mixed.evaluate(cutoffs).tolist()]).reshape(-1, 2).T
+        tau_a, tau_b = np.array([mixed.group_ranks(x) for x in mixed._map(cutoffs).tolist()]).reshape(-1, 2).T
         bands = solve_bands(mixed_population, levels, cutpoints)
         gaps = _gaps(mixed_population, levels, cutpoints, bands, ranks, skill)
         return (tau_a, tau_b, levels[:, -1] * (1.0 - tau_b), *gaps.T)

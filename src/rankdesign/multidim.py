@@ -14,6 +14,7 @@ cutoff there is a weight that makes it the optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ class MultiSkillSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if not all(math.isfinite(w) for w in self.weights):
+            raise DomainError(f"multi-skill spec weights must be finite, got {self.weights!r}")
+        if not math.isfinite(self.transfer_slope):
+            raise DomainError(f"multi-skill spec transfer_slope must be finite, got {self.transfer_slope!r}")
         if len(self.quantiles) != len(self.weights) or not self.quantiles:
             raise DomainError("need one weight per skill quantile")
         if any(w < 0 for w in self.weights) or abs(sum(self.weights) - 1.0) > 1e-12:
@@ -151,6 +156,9 @@ class UnmeasurableSpec:
     capacity: float
 
     def __post_init__(self):
+        for name in ("budget", "capacity"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"unmeasurable-skill spec {name} must be finite, got {getattr(self, name)!r}")
         if self.budget <= 0:
             raise DomainError("budget must be positive")
         if not (0.0 < self.capacity < 1.0):
@@ -158,6 +166,7 @@ class UnmeasurableSpec:
         if self.g.evaluate(0.0) != 0.0:
             raise ModelError("unmeasurable-skill formulas require g(0) = 0")
         object.__setattr__(self, "_population", PopulationSpec(f=self.f, g=self.g, p=self.p, e0=0.0))
+        object.__setattr__(self, "_skill_integral", self.f.integral(0.0, 1.0))
 
 
 def _admitted_bands(spec: UnmeasurableSpec, *cs: float) -> BandArrays:
@@ -180,10 +189,10 @@ def _unmeasurable_means(spec: UnmeasurableSpec, bands: BandArrays) -> np.ndarray
             raise ModelError(f"budget {spec.budget!r} below the threshold effort {threshold!r} at c={c!r}")
 
     def leftover_transfer(theta: np.ndarray, row: np.ndarray) -> np.ndarray:
-        return spec.g.evaluate(spec.budget - _floor_effort(pop, floor[row], bands.idle, pop.f.evaluate(theta)))
+        return spec.g.evaluate(spec.budget - _floor_effort(pop, floor[row], bands.idle, pop.f._map(theta)))
 
     integrals, _ = integrate_stacked(leftover_transfer, [[c, *geometric_breakpoints(c, 1.0), 1.0] for c in cs.tolist()])
-    return spec.f.integral(0.0, 1.0) * integrals / (1.0 - cs)
+    return spec._skill_integral * integrals / (1.0 - cs)
 
 
 def measurable_conditional_mean(spec: UnmeasurableSpec, c: float) -> float:

@@ -159,24 +159,27 @@ def integrate_stacked(f, rows) -> tuple[np.ndarray, np.ndarray]:
     n = len(rows)
     lo, hi, row = [], [], []
     for r, breakpoints in enumerate(rows):
-        pts = sorted(set(float(x) for x in breakpoints))
+        pts = sorted(set(map(float, breakpoints)))
         for a, b in zip(pts, pts[1:]):
             if b - a > 1e-15 * max(1.0, abs(b)):
                 lo.append(a)
                 hi.append(b)
                 row.append(r)
+    if not row:
+        return np.zeros(n), np.zeros(n)
     lo, hi, row = np.array(lo), np.array(hi), np.array(row, dtype=np.intp)
-    # of each row's pieces already done; np.bincount adds a row's pieces in order, 0.0 + x[0] + x[1] + ...
-    value, err, size = np.zeros(n), np.zeros(n), np.zeros(n)
+    # of each row's pieces already done: the number 0.0 until a round closes some, as adding
+    # 0.0 leaves a sum's bits; np.bincount adds a row's pieces in order, 0.0 + x[0] + x[1] + ...
+    value = err = size = 0.0
     depth = 0
     while lo.size:
         sums = _rules(f, lo, hi, row)
         high, piece_size = sums[0], sums[2]
         delta = np.abs(high - sums[1])
-        open_err = np.bincount(row, delta, n)
-        accepted = err + open_err <= DEFAULT_REL_TOL * (size + np.bincount(row, piece_size, n))
+        closing_err = err + np.bincount(row, delta, n)
+        accepted = closing_err <= DEFAULT_REL_TOL * (size + np.bincount(row, piece_size, n))
         if accepted.all():  # every row closes on all its open pieces
-            return value + np.bincount(row, high, n), err + open_err
+            return value + np.bincount(row, high, n), closing_err
         keep = (delta > DEFAULT_REL_TOL * piece_size) & ~accepted[row]  # an accepted row closes on all its pieces
         done = ~keep
         value = value + np.bincount(row[done], high[done], n)

@@ -35,6 +35,8 @@ from .equilibrium import (  # noqa: F401
 from .errors import RankDesignError
 from .quadrature import geometric_breakpoints, integrate_piecewise, integrate_stacked  # noqa: F401
 
+PRICE_CHUNK = 512  # policies per batch call of price_policies: bounds the memory and the open quadrature pieces of a batch
+
 # _band_effort, _band_score and integrate_piecewise are not used here; they
 # stay importable from this module because perfbench/tracing.py wraps them here.
 
@@ -56,19 +58,18 @@ def _effort_breakpoints(pop, bands: BandArrays, rows: np.ndarray, cols: np.ndarr
 
     ``end`` is where a band's score leaves its floor.  Effort bends at the
     switch point, at the kinks of f, and where it crosses a kink x of g or
-    p, at the rank theta where floor / f(theta) = g(x).  g is read once at
-    the kinks inside its domain, and f inverted once at the values
-    floor / g(x) inside f's image on [0, 1]; a kink where g is not positive
-    or whose value falls outside f's image does not occur in any band.
+    p, at the rank theta where floor / f(theta) = g(x).  g at the kinks
+    inside its domain, and f at 0 and 1, are read once per population; f is
+    inverted once at the values floor / g(x) inside f's image on [0, 1].  A
+    kink where g is not positive or whose value falls outside f's image does
+    not occur in any band.
     """
     lo, hi, switch, floor, end = (a[rows, cols] for a in (bands.lo, bands.hi, bands.switch_point, bands.floor, end))
-    kinks = np.array(pop.g.kinks + pop.p.kinks)
+    transfer = pop._kink_transfers
     crossings = np.empty((len(floor), 0))  # none without kinks of g or p
-    if kinks.size:
-        g_lo, g_hi = pop.g.domain
-        transfer = pop.g.evaluate(kinks[(g_lo <= kinks) & (kinks <= g_hi)])
-        y = floor[:, None] / transfer[transfer > 0.0]
-        f_0, f_1 = pop.f.evaluate(np.array([0.0, 1.0])).tolist()
+    if transfer.size:
+        y = floor[:, None] / transfer
+        f_0, f_1 = pop._skill_range
         inside = (f_0 <= y) & (y <= f_1)
         crossings = np.full_like(y, np.nan)
         crossings[inside] = pop.f.invert(y[inside])
@@ -88,7 +89,7 @@ def _floor_ends(population, bands: BandArrays) -> np.ndarray:
     m is the switch point; a band without one follows a single branch
     throughout, and band 0, with no floor, only the idle one: m = lo.
     """
-    one_branch = np.where(bands.idle * population.f.evaluate(bands.hi) <= bands.floor, bands.hi, bands.lo)
+    one_branch = np.where(bands.idle * population.f._map(bands.hi) <= bands.floor, bands.hi, bands.lo)
     return np.where(np.isnan(bands.switch_point), one_branch, bands.switch_point)
 
 
@@ -96,11 +97,12 @@ def _utilities(population, levels: np.ndarray, bands: BandArrays, end: np.ndarra
     """Societal and private utility of each row, from its bands and their floor ends.
 
     A band's score integral is floor * (m - lo) + g(e0) * (integral of f
-    over [m, hi]), its floor term 0 where m = lo; the bands are summed in
-    order.
+    over [m, hi]), its floor term 0 where m = lo and its idle term 0 where
+    g(e0) = 0; the bands are summed in order.
     """
-    floor_part = np.where(end > bands.lo, bands.floor * (end - bands.lo), 0.0)
-    score = floor_part + bands.idle * population.f.integral(end, bands.hi)
+    score = np.where(end > bands.lo, bands.floor * (end - bands.lo), 0.0)
+    if bands.idle != 0.0:
+        score = score + bands.idle * population.f._integral(end, bands.hi)
     weighted = levels * score  # a zero level adds exactly 0
     societal = private = 0.0
     for k in range(levels.shape[1]):
@@ -119,7 +121,7 @@ def _effort_costs(population, bands: BandArrays, end: np.ndarray) -> tuple[np.nd
     rows, cols = np.nonzero(end > bands.lo)
     floor = bands.floor[rows, cols]
     values, errors = integrate_stacked(
-        lambda theta, row: pop.p.evaluate(_floor_effort(pop, floor[row], bands.idle, pop.f.evaluate(theta))),
+        lambda theta, row: pop.p.evaluate(_floor_effort(pop, floor[row], bands.idle, pop.f._map(theta))),
         _effort_breakpoints(pop, bands, rows, cols, end),
     )
     costs, estimates = np.zeros(bands.lo.shape), np.zeros(bands.lo.shape)
@@ -150,7 +152,7 @@ def band_welfare(population, levels: np.ndarray, cutpoints: np.ndarray, capacity
     A row does not depend on the rows stacked with it, but the quadrature's
     MAX_PIECES cap counts the open pieces of the whole batch, so a batch can
     raise QuadratureError where each of its policies alone converges
-    (``price_policies`` then prices them one at a time).  ``capacity`` is a
+    (``price_policies`` then prices it in halves).  ``capacity`` is a
     number or one per policy.
     """
     bands = solve_bands(population, levels, cutpoints)
@@ -200,32 +202,44 @@ def price_policies(policies: list, batch) -> list[tuple[float, ...]]:
     """One row of Python floats per policy of a list of valid equal-K policies.
 
     ``batch(levels, cutpoints)`` prices policies from their levels and
-    cutpoints stacked as arrays, and returns one array per column.  All are
-    priced in one call; if it raises, each policy is priced again alone, in
-    order, so the error raised is the first failing policy's own.
+    cutpoints stacked as arrays, and returns one array per column.  The
+    policies are priced in chunks of PRICE_CHUNK, and a chunk that raises is
+    split in halves, down to single policies: so a chunk that only hits the
+    quadrature's shared piece cap is priced in smaller batches, and the error
+    raised is the first failing policy's own.  A row does not depend on the
+    rows it is priced with, so no row moves.
     """
-    if not policies:
-        return []
     levels = np.array([policy.levels for policy in policies])
     cutpoints = np.array([policy.cutpoints for policy in policies])
 
     def rows(i, j):
-        return list(zip(*(column.tolist() for column in batch(levels[i:j], cutpoints[i:j]))))
+        try:
+            return list(zip(*(column.tolist() for column in batch(levels[i:j], cutpoints[i:j]))))
+        except RankDesignError:
+            if j - i == 1:
+                raise
+            mid = (i + j) // 2
+            return rows(i, mid) + rows(mid, j)
 
-    try:
-        return rows(0, len(policies))
-    except RankDesignError:
-        return [row for i in range(len(policies)) for row in rows(i, i + 1)]
+    n = len(policies)
+    return [row for i in range(0, n, PRICE_CHUNK) for row in rows(i, min(i + PRICE_CHUNK, n))]
+
+
+def price_two_level_policies(policies: list, batch) -> list[tuple[float, ...]]:
+    """One row per policy that ``two_level`` returned, in order: ``price_policies`` once over the
+    one-level policies (c = 0) and once over the two-level ones.  A one-level policy has no
+    threshold and no effort cost, so only the second can fail."""
+    priced = {k: iter(price_policies([policy for policy in policies if policy.k == k], batch)) for k in (1, 2)}
+    return [next(priced[policy.k]) for policy in policies]
 
 
 def price_two_level(cs, capacity: float, batch) -> list[tuple[float, ...]]:
     """Rows (c, *columns) of Python floats, one per cutoff c of ``cs``, for ``two_level(c, capacity)``.
 
-    ``cs`` is any iterable of cutoffs.  ``batch`` is ``price_policies``'s:
-    the cutoffs c > 0 are priced in one call, and the one-level policies of
-    c = 0 in another.  Raises what pricing the cutoffs one at a time, in
-    order, would raise first: ``two_level``'s error for the first cutoff it
-    rejects, unless a cutoff before it fails.
+    ``cs`` is any iterable of cutoffs, priced by ``price_two_level_policies``
+    with ``price_policies``'s ``batch``.  Raises what pricing the cutoffs one
+    at a time, in order, would raise first: ``two_level``'s error for the
+    first cutoff it rejects, unless a cutoff before it fails.
     """
     from .policy import two_level
 
@@ -235,17 +249,18 @@ def price_two_level(cs, capacity: float, batch) -> list[tuple[float, ...]]:
             policies.append(two_level(c, capacity))
     except (RankDesignError, TypeError) as exc:  # raised below, once the cutoffs before it are priced
         rejected = exc
-    # a one-level policy has no threshold and no effort cost, so only k = 2 can fail
-    priced = {k: iter(price_policies([policy for policy in policies if policy.k == k], batch)) for k in (1, 2)}
-    rows = [(float(c), *next(priced[policy.k])) for c, policy in zip(cs, policies)]
+    rows = [(float(c), *row) for c, row in zip(cs, price_two_level_policies(policies, batch))]
     if rejected is not None:
         raise rejected
     return rows
 
 
+def sweep_columns(population, capacity: float):
+    """``price_policies``'s batch of the two-level sweep: columns (level1, W, U_soc, U_pri)."""
+    return lambda levels, cuts: (levels[:, -1], *band_welfare(population, levels, cuts, capacity)[:3])
+
+
 def two_level_sweep(population, capacity: float, cs) -> list[tuple[float, ...]]:
     """Welfare profile over two-level cutoffs, rows (c, level1, W, U_soc, U_pri) of Python floats:
-    ``price_two_level`` with ``band_welfare``."""
-    return price_two_level(
-        cs, capacity, lambda levels, cuts: (levels[:, -1], *band_welfare(population, levels, cuts, capacity)[:3])
-    )
+    ``price_two_level`` with ``sweep_columns``."""
+    return price_two_level(cs, capacity, sweep_columns(population, capacity))

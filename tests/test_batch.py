@@ -1,5 +1,6 @@
 """The batch path of ``solve_bands``, ``band_utilities`` and ``band_welfare`` against the scalar
-reference in ``scalar_reference``, and ``_read_ranks`` against the scalar reads of one schedule.
+reference in ``scalar_reference``, ``_read_ranks`` against the scalar reads of one schedule, and
+the batch's unchecked reads of f inside f's domain.
 
 Each row of a batch must reproduce the scalar recursion's band constants and
 the scalar band integrals to rounding: the two paths differ only where
@@ -8,7 +9,9 @@ are one row of the batch path.  The transfer has g(e0) > 0, so bands can
 switch to the idle branch inside.
 """
 
+import contextlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from rankdesign import (
     AffinePower,
+    GroupSpec,
     ModelError,
     PiecewiseMonotone,
     PopulationSpec,
@@ -23,6 +27,9 @@ from rankdesign import (
     RankDesignError,
     RewardPolicy,
     Role,
+    UnmeasurableSpec,
+    audit_sweep,
+    beta_for_interior_optimum,
     effort_at,
     private_utility,
     score_at,
@@ -30,9 +37,11 @@ from rankdesign import (
     solve,
     two_level,
     validate,
+    weighted_private_utility,
     welfare_report,
 )
 from rankdesign.equilibrium import _read_ranks, solve_bands
+from rankdesign.groups import _MixedQuantile
 from rankdesign.welfare import band_utilities, band_welfare
 
 import scalar_reference as reference
@@ -250,3 +259,58 @@ def test_batch_welfare_matches_scalar(f, g, p, policies):
         )
         assert report.per_band_effort_cost == pytest.approx(tuple(costs[i].tolist()), rel=1e-15, abs=1e-300)
         assert report.quadrature_error_estimate == pytest.approx(sum(errors[i].tolist()), rel=1e-12, abs=1e-300)
+
+
+@contextlib.contextmanager
+def _domain_spy():
+    """Wrap each family's unchecked reads, ``_map`` and ``_integral``, in a spy that asserts every
+    value it receives lies inside the spec's domain, and counts the calls that pass an array."""
+    arrays = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (Power, AffinePower, PiecewiseMonotone, _MixedQuantile):
+            for name in ("_map", "_integral"):
+                def spy(self, *args, _read=getattr(cls, name), _name=name):
+                    lo, hi = self.domain
+                    for x in args:
+                        assert np.all((lo <= np.asarray(x)) & (np.asarray(x) <= hi)), (self, _name, x)
+                    arrays[_name] += any(x.__class__ is np.ndarray for x in args)
+                    return _read(self, *args)
+                patch.setattr(cls, name, spy)
+        yield arrays
+
+
+@settings(max_examples=_examples(60), deadline=None)
+@given(
+    f=_skills(),
+    g=st.one_of(_transfers(), st.builds(lambda e: Power(1.0, e, role=Role.EFFORT_TRANSFER), st.floats(0.25, 1.0))),
+    p=_costs(),
+    policies=_batches(),
+    gamma=st.floats(1.0, 3.0),
+    cs=st.lists(st.floats(0.0, 0.79), min_size=1, max_size=4),
+)
+def test_unchecked_reads_stay_inside_the_domain(f, g, p, policies, gamma, cs):
+    """The pricer reads f unchecked only at ranks it builds inside [0, 1]: band ends, floor ends,
+    quadrature nodes and integral limits.  On Power, AffinePower and kinked piecewise skills, on
+    their two-group mixed quantile and in the unmeasurable-skill model, through ``solve``,
+    ``welfare_report``, ``band_welfare``, ``audit_sweep``, ``beta_for_interior_optimum`` and
+    ``weighted_private_utility``, every value an unchecked read receives lies in f's domain.
+    Model errors (a transfer or cost too short for a jump, a violated sign) may end a call."""
+    groups = GroupSpec(gamma, 1.0)
+    populations = (PopulationSpec(f, g, p), PopulationSpec(_MixedQuantile(f, groups), g, p))
+    spec = UnmeasurableSpec(f, Power(1.0, 0.5, role=Role.EFFORT_TRANSFER), Power(1.0, 2.0), 2.0, 0.2)
+    levels, cutpoints = _arrays(policies)
+    capacity = np.array([policy.capacity for policy in policies])
+    with _domain_spy() as arrays:
+        for population in populations:
+            for policy in policies:
+                with contextlib.suppress(RankDesignError):
+                    welfare_report(solve(population, policy))
+            with contextlib.suppress(RankDesignError):
+                band_welfare(population, levels, cutpoints, capacity)
+        with contextlib.suppress(RankDesignError):
+            audit_sweep(populations[0], groups, 0.2, cs)
+        for c in cs:
+            with contextlib.suppress(RankDesignError):
+                weighted_private_utility(spec, c, beta_for_interior_optimum(spec, c))
+    # band ends and floor ends are read on every population, and the unmeasurable means integrate
+    assert arrays["_map"] > 0

@@ -286,6 +286,19 @@ def test_sweep_prices_each_point_alone_when_the_batch_raises(tmp_path, capsys):
         assert got == list(want)
 
 
+def test_sweep_builds_each_policy_once(tmp_path, capsys, monkeypatch):
+    from rankdesign import cli, policy
+
+    built = []
+    for module in (cli, policy):
+        monkeypatch.setattr(module, "two_level", lambda c, capacity, _two_level=policy.two_level: built.append(c)
+                            or _two_level(c, capacity))
+    cfg = write_config(tmp_path, _sweep_config(0.0, 0.9, 10))
+    code, out = run(capsys, ["--config", cfg, "sweep"])
+    assert code == 0 and out.count("CapacityError") == 1
+    assert built == [0.9 * i / 9 for i in range(10)]  # once per cutoff, 0.9 rejected
+
+
 def test_threshold_outside_the_transfer_domain_names_the_effort(tmp_path, capsys):
     cfg = write_config(tmp_path, {"population": SHORT_TRANSFER, "policy": {"two_level": {"c": 0.8, "capacity": 0.2}}})
     assert main(["--config", cfg, "eval"]) == 2

@@ -347,6 +347,25 @@ def test_piecewise_array_integral_matches_scalar(spec):
         spec.integral(np.array([lo, hi]), np.array([hi, hi + 1.0]))
 
 
+@pytest.mark.parametrize("spec", PIECEWISE_SPECS + [Power(1.3, 0.6), AffinePower(1.0, 0.5, 0.4)])
+def test_unchecked_reads_give_the_checked_bits(spec):
+    """``_map`` and ``_integral`` are ``evaluate`` and ``integral`` of arrays inside the domain,
+    without the domain check: the same bits.  The checked reads still reject what lies outside."""
+    lo, hi = spec.domain
+    hi = min(hi, 2.0)
+    a, b = np.random.default_rng(41).uniform(lo, hi, (2, 3, 40))
+    a[0, :2], b[0, :2] = (lo, hi), (hi, lo)
+    assert spec._map(a).tobytes() == spec.evaluate(a).tobytes()
+    assert spec._integral(a, b).tobytes() == spec.integral(a, b).tobytes()
+    for bad in (np.array([lo, lo - 1.0]), np.array([lo, math.nan])):
+        with pytest.raises(DomainError):
+            spec.evaluate(bad)
+        with pytest.raises(DomainError):
+            spec.integral(bad, np.full(2, hi))
+        with pytest.raises(DomainError):
+            spec.integral(np.full(2, hi), bad)
+
+
 def test_cost_inverse_takes_arrays():
     pops = [
         PopulationSpec(Power(2.0, 1.0), Power(1.0, 0.5), Power(1.0, 2.0)),

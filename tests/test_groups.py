@@ -354,6 +354,17 @@ def test_mixed_quantile_integral_is_fs_at_equal_factors(f):
         mixed.integral(0.2, 1.5)
 
 
+@pytest.mark.parametrize("f", MIXED_SKILLS)
+def test_mixed_quantile_unchecked_reads_give_the_checked_bits(f):
+    mixed = _MixedQuantile(f, GroupSpec(*GAMMA_PAIRS[0]))
+    a, b = np.random.default_rng(43).uniform(0.0, 1.0, (2, 2, 30))
+    a[0, :2], b[0, :2] = (0.0, 1.0), (1.0, 0.0)
+    assert mixed._map(a).tobytes() == mixed.evaluate(a).tobytes()
+    assert mixed._integral(a, b).tobytes() == mixed.integral(a, b).tobytes()
+    with pytest.raises(DomainError):
+        mixed.integral(a, b + 1.0)
+
+
 @pytest.mark.parametrize("gammas", GAMMA_PAIRS)
 @pytest.mark.parametrize("f", MIXED_SKILLS)
 def test_mixed_quantile_integral_matches_trapezoid(f, gammas):

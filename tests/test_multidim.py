@@ -114,6 +114,41 @@ def test_spec_validation():
         MultiSkillSpec(quantiles=(IDENTITY,), weights=(1.0,), transfer_slope=-1.0, cost=COST)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("weights", (math.nan, math.nan)), ("weights", (math.inf, 0.5)), ("transfer_slope", math.nan),
+     ("transfer_slope", math.inf)],
+)
+def test_multi_skill_spec_rejects_non_finite_parameters(field, value):
+    """A non-finite weight or slope fails when the spec is built, naming the field, not later
+    inside the contest with an unrelated error."""
+    kwargs = {"quantiles": (IDENTITY, IDENTITY), "weights": (0.5, 0.5), "transfer_slope": 1.0, "cost": COST}
+    with pytest.raises(DomainError, match=f"multi-skill spec {field} must be finite"):
+        MultiSkillSpec(**{**kwargs, field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("budget", math.nan), ("budget", math.inf), ("capacity", math.nan), ("capacity", -math.inf)],
+)
+def test_unmeasurable_spec_rejects_non_finite_parameters(field, value):
+    kwargs = {"f": IDENTITY, "g": Power(1.0, 0.5), "p": COST, "budget": 2.0, "capacity": 0.2}
+    with pytest.raises(DomainError, match=f"unmeasurable-skill spec {field} must be finite"):
+        UnmeasurableSpec(**{**kwargs, field: value})
+
+
+def test_skill_integral_is_read_once_per_spec(monkeypatch):
+    """The unmeasurable means scale by the integral of f over [0, 1], read once, when the spec is built."""
+    calls = []
+    monkeypatch.setattr(Power, "integral", lambda self, a, b, _integral=Power.integral: calls.append((a, b))
+                        or _integral(self, a, b))
+    spec = UnmeasurableSpec(f=IDENTITY, g=Power(1.0, 0.5), p=COST, budget=2.0, capacity=0.2)
+    for c in (0.2, 0.4, 0.6):
+        weighted_private_utility(spec, c, beta_for_interior_optimum(spec, c))
+        unmeasurable_conditional_mean(spec, c)
+    assert calls == [(0.0, 1.0)]
+
+
 def test_spec_rejects_a_negative_quantile():
     """Skills are quantile values >= 0; a quantile with f(0) < 0 fails when the spec is built,
     not halfway through a rank check."""

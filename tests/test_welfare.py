@@ -25,10 +25,10 @@ from rankdesign import (
     two_level_sweep,
     welfare_report,
 )
-from rankdesign import quadrature
+from rankdesign import quadrature, welfare
 from rankdesign.quadrature import adaptive_simpson, integrate_piecewise
 from rankdesign.equilibrium import corrupted_schedule, solve_bands
-from rankdesign.welfare import _effort_breakpoints, _floor_ends, band_welfare
+from rankdesign.welfare import _effort_breakpoints, _floor_ends, band_welfare, price_policies
 
 import scalar_reference as reference
 
@@ -250,6 +250,68 @@ def test_sweep_prices_one_by_one_when_only_the_batch_hits_the_piece_cap(benchmar
     assert rows == _scalar_sweep(benchmark_population, 0.2, cs)
 
 
+def _counted_welfare(population, sizes):
+    """``price_policies``'s batch of applicant welfare and both utilities, recording each call's batch size."""
+    def batch(levels, cutpoints):
+        sizes.append(len(levels))
+        return band_welfare(population, levels, cutpoints, 0.2)[:3]
+    return batch
+
+
+def _priced_alone(population, cs):
+    levels, cutpoints = _stacked(cs)
+    return [
+        tuple(float(column[0]) for column in band_welfare(population, levels[i : i + 1], cutpoints[i : i + 1], 0.2)[:3])
+        for i in range(len(cs))
+    ]
+
+
+def test_price_policies_prices_in_chunks(benchmark_population, monkeypatch):
+    monkeypatch.setattr(welfare, "PRICE_CHUNK", 3)
+    cs = np.linspace(0.05, 0.75, 7).tolist()
+    sizes = []
+    rows = price_policies([two_level(c, 0.2) for c in cs], _counted_welfare(benchmark_population, sizes))
+    assert sizes == [3, 3, 1]
+    assert rows == _priced_alone(benchmark_population, cs)
+
+
+def test_chunks_keep_a_long_sweep_under_the_piece_cap(benchmark_population, monkeypatch):
+    # with MAX_PIECES = 4, any two of these cutoffs converge together and four do not
+    monkeypatch.setattr(quadrature, "MAX_PIECES", 4)
+    cs = [0.05, 0.1] * 4
+    levels, cutpoints = _stacked(cs[:4])
+    with pytest.raises(QuadratureError):
+        band_welfare(benchmark_population, levels, cutpoints, 0.2)
+    monkeypatch.setattr(welfare, "PRICE_CHUNK", 2)
+    sizes = []
+    rows = price_policies([two_level(c, 0.2) for c in cs], _counted_welfare(benchmark_population, sizes))
+    assert sizes == [2, 2, 2, 2]
+    assert rows == _priced_alone(benchmark_population, cs)
+
+
+def test_a_chunk_that_hits_the_piece_cap_is_priced_in_halves(benchmark_population, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PIECES", 4)
+    cs = [0.05, 0.1] * 4
+    sizes = []
+    rows = price_policies([two_level(c, 0.2) for c in cs], _counted_welfare(benchmark_population, sizes))
+    assert sizes == [8, 4, 2, 2, 4, 2, 2]  # not eight batches of one
+    assert rows == _priced_alone(benchmark_population, cs)
+    assert two_level_sweep(benchmark_population, 0.2, cs) == [(c, 0.2 / (1.0 - c), *row) for c, row in zip(cs, rows)]
+
+
+def test_halving_raises_the_first_failing_policys_own_error(monkeypatch):
+    # on SHORT_TRANSFER only c = 0.8 fails; chunks of two put it in the second chunk's second half
+    monkeypatch.setattr(welfare, "PRICE_CHUNK", 2)
+    cs = [0.3, 0.4, 0.5, 0.8, 0.6, 0.79]
+    sizes = []
+    batch = _counted_welfare(SHORT_TRANSFER, sizes)
+    want = _first_error(price_policies, [two_level(0.8, 0.2)], batch)
+    sizes.clear()
+    assert _first_error(price_policies, [two_level(c, 0.2) for c in cs], batch) == want
+    assert want[0] is ModelError and sizes == [2, 2, 1, 1]
+    assert _first_error(two_level_sweep, SHORT_TRANSFER, 0.2, cs) == want
+
+
 def test_sweep_monotonicity(benchmark_population):
     cs = [0.05 * i for i in range(1, 17)]  # up to 0.8 = 1 - rho
     rows = two_level_sweep(benchmark_population, 0.2, cs)
@@ -296,6 +358,33 @@ PIECEWISE_POPULATION = PopulationSpec(
     g=_knots(math.sqrt, 17, 2.0, Role.EFFORT_TRANSFER),
     p=_knots(lambda x: x * x, 17, 2.0, Role.COST_FUNCTION),
 )
+
+
+def test_kink_transfers_are_read_once_per_population(monkeypatch):
+    """g at the kinks of g and p is a constant of a population: the pricer reads it on first use and
+    never again for that population object, however many policies it prices.  f at 0 and 1 is read
+    as numbers when the population is built, and not through an array by the pricer."""
+    reads = []
+
+    def counted(self, x, _evaluate=PiecewiseMonotone.evaluate):
+        if x.__class__ is np.ndarray:
+            reads.append((self, x.tolist()))
+        return _evaluate(self, x)
+
+    monkeypatch.setattr(PiecewiseMonotone, "evaluate", counted)
+    g, p = PIECEWISE_POPULATION.g, PIECEWISE_POPULATION.p
+    kinks = [x for x in g.kinks + p.kinks if g.domain[0] <= x <= g.domain[1]]
+
+    def constant_reads():
+        return reads.count((g, kinks)), reads.count((PIECEWISE_POPULATION.f, [0.0, 1.0]))
+
+    population = PopulationSpec(PIECEWISE_POPULATION.f, g, p)  # a new object: nothing read yet
+    for c in np.linspace(0.05, 0.75, 8).tolist():
+        welfare_report(solve(population, two_level(c, 0.2)))
+    two_level_sweep(population, 0.2, [0.1, 0.2, 0.3])
+    assert constant_reads() == (1, 0)
+    welfare_report(solve(PopulationSpec(population.f, g, p), two_level(0.5, 0.2)))
+    assert constant_reads() == (2, 0)
 
 
 def _interp_reference(population, c, rho):
